@@ -1,12 +1,23 @@
 """Generalised rolling-origin evaluation and theta selection.
 
 A GROE schedule places p forecast origins n1, n1+m, ..., n1+(p-1)m inside a
-series; at each origin the candidate is re-fit on the prefix and scored on
+series; at each origin the candidate is fitted to the prefix and scored on
 up to H subsequent observations with a symmetric cost. Fixed-origin
 evaluation (p = 1), rolling-origin evaluation (m = 1, H >= n - n1) and the
 in-sample one-step loss (n1 = 2, m = H = 1) are all special cases. The
-theta coefficient is selected by brute force over a small grid, which is
-both robust and fast compared to continuous optimisation.
+theta coefficient is selected by brute force over a small grid.
+
+:func:`groe_loss` with :func:`otm_candidate` is the reference: it re-fits
+the optimised-theta forecaster on every prefix, once per grid theta.
+:func:`estimate_theta` reaches the same choice without a single re-fit. The
+theta line on the prefix of origin o is ``theta*y + (1-theta)*(a_o + b_o*t)``,
+and SES, Holt and damped trend, seeds included, are linear in their input
+for fixed parameters. A prefix run is a truncation of a run over the whole
+series. So, for every parameter grid point, the prefix's one-step errors and
+final states are ``theta*E(y) + (1-theta)*a_o*E(1) + (1-theta)*b_o*E(t)``,
+where ``E(x)`` is the run on input x (superposition). ``E(1)`` has zero
+errors and states (level 1, trend 0), so two runs, on y and on t, serve
+every (theta, origin) pair.
 """
 
 from __future__ import annotations
@@ -17,9 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from .series import TimeSeries
-from .smoothing import ForecasterSpec
-from .theta import SES, otm_forecast
+from .series import TimeSeries, fit_linear_trend, trend_value
+from .smoothing import ForecasterSpec, _line_grid, _min_n, _recurrence, _sanitize
+from .theta import LINE_EXTRAPOLATORS, SES, otm_forecast
 
 DEFAULT_THETA_GRID = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
 APPROACHES = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -195,26 +206,72 @@ def estimate_theta(
 ) -> float:
     """Grid-search theta minimising the GROE loss; ties go to the smallest theta.
 
-    A candidate that fails at some origin is skipped; if every candidate
-    fails an :class:`EvaluationError` is raised.
+    Each theta's loss is that of :func:`groe_loss` with :func:`otm_candidate`,
+    computed by superposition (see the module docstring): at every origin each
+    theta chooses its smoothing parameters by the rule of
+    :func:`optitheta.smoothing.fit` and is scored on its combined forecasts.
+    If the candidates cannot be fitted (a prefix too short for the
+    extrapolator) an :class:`EvaluationError` is raised.
     """
     values = _check_grid(grid)
     if config is None:
         raise ValueError("a GroeConfig is required; build one with approach_config()")
+    family = extrapolator.family
+    if family not in LINE_EXTRAPOLATORS:
+        raise ValueError(
+            f"theta-line extrapolator must be one of {LINE_EXTRAPOLATORS}, got {family!r}"
+        )
+    g = _resolve_cost(cost)
+    y = series.values
+    n = series.n
+    horizons = {ni: min(config.H, n - ni) for ni in origin_schedule(config, n) if ni < n}
+    if config.n1 < _min_n(family):
+        raise EvaluationError(
+            f"series {series.id!r}: every theta candidate failed (family {family!r} needs "
+            f"a prefix of n >= {_min_n(family)}, the first origin is {config.n1})"
+        )
+
+    theta = np.array(values)[:, None]  # one row per grid theta
+    alpha, beta, phi = _line_grid(extrapolator, family)
+    full = fit_linear_trend(series)
+    t = np.arange(1.0, n + 1)
+    # Run on the residuals about the full-series line, not on y: the line comes
+    # back through the coefficients of 1 and t, and the quadratic form below
+    # then does not cancel on strongly trended series.
+    runs = np.stack([y - trend_value(full, t), t], axis=1)[:, :, None]
+    cross = np.zeros((2, 2) + alpha.shape)  # summed products of the two runs' errors
+    losses = np.zeros(len(values))
+    last = max(horizons)
+    with np.errstate(all="ignore"):
+        for ni, (e, level, trend) in enumerate(_recurrence(runs, alpha, beta, phi), start=2):
+            if e is not None:
+                cross += e[:, None] * e
+            if ni not in horizons:
+                continue
+            prefix_fit = fit_linear_trend(series.prefix(ni))
+            # the prefix's theta line is theta*residual + c1*1 + c2*t
+            c1 = theta * full.intercept + (1.0 - theta) * prefix_fit.intercept
+            c2 = theta * full.slope + (1.0 - theta) * prefix_fit.slope
+            # its SSE is sum((theta*e_residual + c2*e_t)**2), a quadratic form
+            weights = np.hstack([theta * theta, theta * c2, theta * c2, c2 * c2])
+            best = np.argmin(_sanitize(weights @ cross.reshape(4, -1)), axis=1, keepdims=True)
+            k = np.arange(1, horizons[ni] + 1)
+            line = theta * level[0][best] + c1 + c2 * level[1][best]
+            if trend is not None:
+                slope = theta * trend[0][best] + c2 * trend[1][best]
+                line = line + np.cumsum(phi[best] ** k, axis=1) * slope
+            fx = (1.0 - 1.0 / theta) * trend_value(prefix_fit, ni + k) + (1.0 / theta) * line
+            actual = y[ni : ni + k.size]
+            for i, row in enumerate(fx):
+                losses[i] += float(np.sum(g(actual, row)))
+            if ni == last:
+                break
     best_theta: float | None = None
     best_loss = math.inf
-    failures: list[str] = []
-    for theta in values:
-        try:
-            loss = groe_loss(series, otm_candidate(theta, extrapolator), config, cost)
-        except EvaluationError as exc:
-            failures.append(f"theta={theta}: {exc}")
-            continue
+    for value, loss in zip(values, losses):
         if loss < best_loss:
-            best_theta = theta
+            best_theta = value
             best_loss = loss
     if best_theta is None:
-        raise EvaluationError(
-            f"series {series.id!r}: every theta candidate failed ({'; '.join(failures)})"
-        )
+        raise EvaluationError(f"series {series.id!r}: every theta candidate failed (no finite loss)")
     return best_theta

@@ -35,16 +35,11 @@ RANKS_FILE = "ranks.csv"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Methods to run plus execution knobs.
-
-    ``seed`` is carried for provenance only; it drives the synthetic-corpus
-    subcommand, not evaluation.
-    """
+    """Methods to run plus execution knobs."""
 
     methods: tuple[MethodSpec, ...]
     workers: int = 1
     out_dir: Path | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not self.methods:

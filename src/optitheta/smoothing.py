@@ -113,59 +113,70 @@ def _fit_naive(spec: ForecasterSpec, series: TimeSeries, seasonal: bool) -> Fitt
     )
 
 
-def _fit_ses(spec: ForecasterSpec, series: TimeSeries) -> FittedForecaster:
-    y = series.values
-    alphas = _pinned_or(_WEIGHT_GRID, spec.alpha)
-    # the first observation seeds the level; one-step errors start at y_2
-    levels = np.full(alphas.shape, y[0])
-    sse = np.zeros(alphas.shape)
-    with np.errstate(all="ignore"):
-        for t in range(1, y.size):
-            e = y[t] - levels
-            sse += e * e
-            levels = alphas * y[t] + (1.0 - alphas) * levels
-    best = int(np.argmin(_sanitize(sse)))
-    return FittedForecaster(
-        spec=spec,
-        family_used="ses",
-        n=series.n,
-        sse=float(sse[best]),
-        alpha=float(alphas[best]),
-        level=float(levels[best]),
-    )
+def _line_grid(spec: ForecasterSpec, family: str):
+    """The flattened (alpha, beta, phi) search grid of a ses, holt or damped fit.
 
-
-def _fit_trended(spec: ForecasterSpec, series: TimeSeries, family: str) -> FittedForecaster:
-    y = series.values
+    ``beta`` and ``phi`` are None for ses; phi is 1 throughout for holt.
+    """
     alphas = _pinned_or(_WEIGHT_GRID, spec.alpha)
+    if family == "ses":
+        return alphas, None, None
     betas = _pinned_or(_WEIGHT_GRID, spec.beta)
     phis = np.array([1.0]) if family == "holt" else _pinned_or(_PHI_GRID, spec.phi)
     a, b, p = (g.ravel() for g in np.meshgrid(alphas, betas, phis, indexing="ij"))
-    # the first two observations seed level and trend; the prediction of y_2
-    # is fully determined by them, so one-step errors start at y_3
-    level = np.full(a.shape, y[0])
-    trend = np.full(a.shape, y[1] - y[0])
-    sse = np.zeros(a.shape)
+    return a, b, p
+
+
+def _min_n(family: str) -> int:
+    return 3 if family in _TRENDED else 2
+
+
+def _recurrence(y: np.ndarray, alpha: np.ndarray, beta=None, phi=None):
+    """Run SES (``beta`` None) or Holt/damped over ``y`` at every grid point at once.
+
+    Yields ``(e, level, trend)`` after each of y_2..y_n: the one-step errors
+    of that observation and the states after it. The first observation seeds
+    the level and, for the trended families, y_2 - y_1 seeds the trend; the
+    prediction of y_2 is then fully determined by the seeds, so its error is
+    None. ``y`` may carry trailing axes, e.g. shape (n, k, 1) runs k inputs
+    side by side; every state then has shape (k, grid size).
+
+    The recurrence is linear in ``y`` for fixed parameters, which
+    ``groe.estimate_theta`` relies on.
+    """
+    shape = np.broadcast_shapes(np.shape(y[0]), alpha.shape)
+    level = np.full(shape, y[0])
+    trend = None if beta is None else np.full(shape, y[1] - y[0])
+    one_minus_alpha = 1.0 - alpha
+    one_minus_beta = None if beta is None else 1.0 - beta
+    for t in range(1, len(y)):
+        pred = level if trend is None else level + phi * trend
+        e = None if trend is not None and t < 2 else y[t] - pred
+        new_level = alpha * y[t] + one_minus_alpha * pred
+        if trend is not None:
+            trend = beta * (new_level - level) + one_minus_beta * (phi * trend)
+        level = new_level
+        yield e, level, trend
+
+
+def _fit_line(spec: ForecasterSpec, series: TimeSeries, family: str) -> FittedForecaster:
+    alpha, beta, phi = _line_grid(spec, family)
+    sse = np.zeros(alpha.shape)
     with np.errstate(all="ignore"):
-        for t in range(1, y.size):
-            pred = level + p * trend
-            if t >= 2:
-                e = y[t] - pred
+        for e, level, trend in _recurrence(series.values, alpha, beta, phi):
+            if e is not None:
                 sse += e * e
-            new_level = a * y[t] + (1.0 - a) * pred
-            trend = b * (new_level - level) + (1.0 - b) * (p * trend)
-            level = new_level
     best = int(np.argmin(_sanitize(sse)))
     return FittedForecaster(
         spec=spec,
         family_used=family,
         n=series.n,
         sse=float(sse[best]),
-        alpha=float(a[best]),
-        beta=float(b[best]),
-        phi=None if family == "holt" else float(p[best]),
+        alpha=float(alpha[best]),
+        beta=None if beta is None else float(beta[best]),
+        phi=float(phi[best]) if family == "damped" else None,
         level=float(level[best]),
-        trend=float(trend[best]),
+        trend=None if trend is None else float(trend[best]),
     )
 
 
@@ -224,17 +235,15 @@ def fit(spec: ForecasterSpec, series: TimeSeries) -> FittedForecaster:
     family = spec.family
     seasonal = family in _SEASONAL and seasonality_applies(series)
     effective = _SIBLING[family] if family in _SEASONAL and not seasonal else family
-    min_n = 3 if effective in _TRENDED else 2
+    min_n = _min_n(effective)
     if series.n < min_n:
         raise ValueError(
             f"series {series.id!r}: family {family!r} needs n >= {min_n}, got n={series.n}"
         )
     if effective in ("naive", "naive2"):
         return _fit_naive(spec, series, seasonal)
-    if effective == "ses":
-        return _fit_ses(spec, series)
-    if effective in ("holt", "damped"):
-        return _fit_trended(spec, series, effective)
+    if effective in ("ses", "holt", "damped"):
+        return _fit_line(spec, series, effective)
     return _fit_seasonal_trended(spec, series, effective)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from optitheta import (
+    APPROACHES,
     EvaluationError,
     GroeConfig,
     TimeSeries,
@@ -11,6 +13,7 @@ from optitheta import (
     origin_schedule,
     otm_candidate,
     p_max,
+    synthetic_dataset,
 )
 from optitheta.groe import COST_FUNCTIONS, DEFAULT_THETA_GRID, ae, sape, se
 from optitheta.smoothing import ForecasterSpec
@@ -260,8 +263,113 @@ def test_estimate_rejects_bad_grids(make_rw):
 
 
 def test_estimate_raises_when_all_candidates_fail():
-    # a two-point prefix cannot support the holt extrapolator
+    # a two-point prefix cannot support the trended extrapolators
     series = TimeSeries("s", np.arange(1.0, 7.0))
     config = GroeConfig(p=1, m=1, H=1, n1=2)
-    with pytest.raises(EvaluationError, match="every theta candidate failed"):
-        estimate_theta(series, config=config, extrapolator=ForecasterSpec("holt"))
+    for family in ("holt", "damped"):
+        with pytest.raises(EvaluationError, match="every theta candidate failed"):
+            estimate_theta(series, config=config, extrapolator=ForecasterSpec(family))
+
+
+def test_callable_cost_sees_the_reference_shapes(make_rw):
+    series = make_rw(11, 40, drift=0.2)
+    config = approach_config("d", 40, 6)
+
+    def recording(calls):
+        def cost(actual, forecast):
+            assert actual.ndim == 1 and forecast.ndim == 1
+            calls.append((actual.shape, forecast.shape))
+            return (actual - forecast) ** 2
+
+        return cost
+
+    seen, reference = [], []
+    theta = estimate_theta(series, config=config, cost=recording(seen))
+    for candidate_theta in DEFAULT_THETA_GRID:
+        groe_loss(series, otm_candidate(candidate_theta), config, recording(reference))
+    assert sorted(seen) == sorted(reference)
+    assert theta == estimate_theta(series, config=config, cost="se")
+
+
+# ---------------------------------------------------------------------------
+# superposition against the re-fitting reference
+# ---------------------------------------------------------------------------
+
+EXTRAPOLATORS = {
+    "ses": ForecasterSpec("ses"),
+    "holt": ForecasterSpec("holt"),
+    # pinned weights leave only the 19-point phi grid, which keeps the
+    # re-fitting reference affordable
+    "damped": ForecasterSpec("damped", alpha=0.3, beta=0.1),
+}
+M3_SIZED = {"Yearly": 50, "Quarterly": 50, "Monthly": 50, "Other": 20}
+
+
+def reference_losses(series, config, spec, costs=tuple(COST_FUNCTIONS)):
+    """``groe_loss`` of ``otm_candidate`` per (cost, theta); each prefix is fitted once."""
+    losses = {}
+    for theta in DEFAULT_THETA_GRID:
+        candidate = otm_candidate(theta, spec)
+        fitted = {}
+
+        def once(prefix, horizon, candidate=candidate, fitted=fitted):
+            key = (prefix.size, horizon)
+            if key not in fitted:
+                fitted[key] = candidate(prefix, horizon)
+            return fitted[key]
+
+        for cost in costs:
+            losses[cost, theta] = groe_loss(series, once, config, cost)
+    return losses
+
+
+def assert_matches_reference(series, config, spec, costs=tuple(COST_FUNCTIONS)):
+    """The reference's theta, unless the reference's losses tie within 1e-9 relative."""
+    losses = reference_losses(series, config, spec, costs)
+    for cost in costs:
+        chosen = estimate_theta(series, config=config, cost=cost, extrapolator=spec)
+        best = min(DEFAULT_THETA_GRID, key=lambda theta: (losses[cost, theta], theta))
+        if chosen != best:
+            assert losses[cost, chosen] == pytest.approx(losses[cost, best], rel=1e-9, abs=0.0), (
+                series.id, config, cost, spec, chosen, best,
+            )
+
+
+@pytest.mark.parametrize("family", sorted(EXTRAPOLATORS))
+def test_superposition_matches_reference_on_corpus(family):
+    # the unpinned holt reference re-fits a 10,201-point grid on every prefix;
+    # the monthly series' long rolling schedules would dominate the suite
+    counts = {"Yearly": 2, "Quarterly": 1, "Monthly": 0 if family == "holt" else 1, "Other": 1}
+    for entry in synthetic_dataset(42, counts).entries:
+        for approach in APPROACHES:
+            config = approach_config(approach, entry.series.n, entry.h)
+            assert_matches_reference(entry.series, config, EXTRAPOLATORS[family])
+
+
+def test_superposition_keeps_the_o18_tie():
+    # the reference's losses of theta 4.5 and 5.0 are equal to the last bit
+    # here; either choice is admissible, and the smallest one is kept
+    entry = next(e for e in synthetic_dataset(42, M3_SIZED).entries if e.series.id == "O18")
+    config = approach_config("a", entry.series.n, entry.h)
+    losses = reference_losses(entry.series, config, EXTRAPOLATORS["ses"], ("ae",))
+    assert losses["ae", 4.5] == losses["ae", 5.0] == min(losses.values())
+    assert_matches_reference(entry.series, config, EXTRAPOLATORS["ses"], ("ae",))
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 48),
+    h=st.integers(1, 8),
+    drift=st.floats(-3.0, 3.0),
+    approach=st.sampled_from(APPROACHES),
+    family=st.sampled_from(sorted(EXTRAPOLATORS)),
+)
+def test_superposition_matches_reference_on_random_walks(seed, n, h, drift, approach, family):
+    rng = np.random.default_rng(seed)
+    series = TimeSeries("rw", 100.0 + np.cumsum(rng.normal(drift, 2.0, n)))
+    try:
+        config = approach_config(approach, n, h)
+    except ValueError:
+        assume(False)
+    assert_matches_reference(series, config, EXTRAPOLATORS[family])
