@@ -9,15 +9,16 @@ theta coefficient is selected by brute force over a small grid.
 
 :func:`groe_loss` with :func:`otm_candidate` is the reference: it re-fits
 the optimised-theta forecaster on every prefix, once per grid theta.
-:func:`estimate_theta` reaches the same choice without a single re-fit. The
-theta line on the prefix of origin o is ``theta*y + (1-theta)*(a_o + b_o*t)``,
-and SES, Holt and damped trend, seeds included, are linear in their input
-for fixed parameters. A prefix run is a truncation of a run over the whole
-series. So, for every parameter grid point, the prefix's one-step errors and
-final states are ``theta*E(y) + (1-theta)*a_o*E(1) + (1-theta)*b_o*E(t)``,
-where ``E(x)`` is the run on input x (superposition). ``E(1)`` has zero
-errors and states (level 1, trend 0), so two runs, on y and on t, serve
-every (theta, origin) pair.
+:func:`estimate_theta` makes the same choice, up to losses that tie within
+rounding, without a single re-fit. The theta line on the prefix of origin o
+is ``theta*y + (1-theta)*(a_o + b_o*t)``, and SES, Holt and damped trend,
+seeds included, are linear in their input for fixed parameters. A prefix
+run is a truncation of a run over the whole series. So, for every parameter
+grid point, the prefix's one-step errors and final states are
+``theta*E(y) + (1-theta)*a_o*E(1) + (1-theta)*b_o*E(t)``, where ``E(x)`` is
+the run on input x (superposition). ``E(1)`` makes no errors and ends at
+level 1 and trend 0, so two runs, on y and on t, serve every (theta, origin)
+pair.
 """
 
 from __future__ import annotations

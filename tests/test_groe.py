@@ -302,7 +302,6 @@ EXTRAPOLATORS = {
     # re-fitting reference affordable
     "damped": ForecasterSpec("damped", alpha=0.3, beta=0.1),
 }
-M3_SIZED = {"Yearly": 50, "Quarterly": 50, "Monthly": 50, "Other": 20}
 
 
 def reference_losses(series, config, spec, costs=tuple(COST_FUNCTIONS)):
@@ -348,8 +347,9 @@ def test_superposition_matches_reference_on_corpus(family):
 
 def test_superposition_keeps_the_o18_tie():
     # the reference's losses of theta 4.5 and 5.0 are equal to the last bit
-    # here; either choice is admissible, and the smallest one is kept
-    entry = next(e for e in synthetic_dataset(42, M3_SIZED).entries if e.series.id == "O18")
+    # here, so either choice is admissible
+    counts = {"Yearly": 50, "Quarterly": 50, "Monthly": 50, "Other": 20}
+    entry = next(e for e in synthetic_dataset(42, counts).entries if e.series.id == "O18")
     config = approach_config("a", entry.series.n, entry.h)
     losses = reference_losses(entry.series, config, EXTRAPOLATORS["ses"], ("ae",))
     assert losses["ae", 4.5] == losses["ae", 5.0] == min(losses.values())
