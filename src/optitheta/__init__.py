@@ -50,7 +50,7 @@ from .seasonal import (
 )
 from .series import TimeSeries, TrendFit, fit_linear_trend, trend_value
 from .smoothing import FAMILIES, FittedForecaster, ForecasterSpec
-from .theta import ThetaLine, ThetaParams, combination_weight, otm_forecast, recompose, theta_line
+from .theta import ThetaParams, combination_weight, otm_forecast, recompose, theta_line
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "MethodSpec",
     "SeasonalIndices",
     "SeriesScore",
-    "ThetaLine",
     "ThetaParams",
     "TimeSeries",
     "TrendFit",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DatasetError, load_dataset, save_dataset, synthetic_dataset
+from .dataset import DatasetError, load_dataset, read_rows, save_dataset, synthetic_dataset
 from .groe import APPROACHES, DEFAULT_THETA_GRID
 from .pipeline import MethodSpec, run_method
 from .runner import ExperimentConfig, run_experiment
@@ -62,32 +62,20 @@ def _parse_grid(text: str | None):
         raise ValueError(f"grid must be comma-separated numbers, got {text!r}") from None
 
 
-def _load_series_file(path: Path) -> list[TimeSeries]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DatasetError(f"{path}: empty file (a header row is required)")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) < 3:
-            raise DatasetError(f"line {lineno}: expected id,period,y_1..y_n")
-        try:
-            period = int(fields[1])
-            values = np.array([float(v) for v in fields[2:]])
-        except ValueError:
-            raise DatasetError(f"line {lineno}: non-numeric field") from None
-        try:
-            out.append(TimeSeries(fields[0], values, period))
-        except ValueError as exc:
-            raise DatasetError(f"line {lineno}: {exc}") from None
-    return out
+def _parse_series_row(fields: list[str]) -> TimeSeries:
+    if len(fields) < 3:
+        raise ValueError("expected id,period,y_1..y_n")
+    try:
+        period = int(fields[1])
+        values = np.array([float(v) for v in fields[2:]])
+    except ValueError:
+        raise ValueError("non-numeric field") from None
+    return TimeSeries(fields[0], values, period)
 
 
 def _cmd_forecast(args) -> int:
     spec = parse_method_token(args.method, args.cost, args.extrapolator, _parse_grid(args.grid))
-    series_list = _load_series_file(Path(args.input))
+    series_list = read_rows(args.input, _parse_series_row)
     if not series_list:
         raise DatasetError(f"{args.input}: no series rows found")
     lines = ["id,method,theta_hat,seasonal,f_1..f_h"]

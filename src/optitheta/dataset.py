@@ -13,7 +13,7 @@ may override both explicitly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,50 +68,54 @@ class Dataset:
         return iter(self.entries)
 
 
-def _parse_row(lineno: int, line: str) -> DatasetEntry:
-    fields = [f.strip() for f in line.split(",")]
-    if len(fields) < 5:
-        raise DatasetError(f"line {lineno}: expected at least 5 fields, got {len(fields)}")
-    sid, group = fields[0], fields[1]
-    try:
-        period, h, n = (int(fields[i]) for i in (2, 3, 4))
-    except ValueError:
-        raise DatasetError(f"line {lineno}: period, h and n must be integers") from None
-    if group not in GROUPS:
-        raise DatasetError(f"line {lineno}: unknown group {group!r}; expected one of {GROUPS}")
-    if h < 1 or n < 1 or period < 1:
-        raise DatasetError(f"line {lineno}: period, h and n must be positive")
-    if len(fields) != 5 + n + h:
-        raise DatasetError(
-            f"line {lineno}: declared n={n} and h={h} need {5 + n + h} fields, got {len(fields)}"
-        )
-    try:
-        numbers = np.array([float(v) for v in fields[5:]], dtype=np.float64)
-    except ValueError:
-        raise DatasetError(f"line {lineno}: non-numeric observation") from None
-    try:
-        return DatasetEntry(
-            series=TimeSeries(sid, numbers[:n], period),
-            actuals=numbers[n:],
-            group=group,
-        )
-    except ValueError as exc:
-        raise DatasetError(f"line {lineno}: {exc}") from None
+def read_rows(path, parse_row: Callable[[list[str]], object]) -> list:
+    """Parse every data row of a comma-separated file with ``parse_row``.
 
-
-def load_dataset(path) -> Dataset:
-    """Parse a dataset file, rejecting malformed rows with their line number."""
+    The first line is a header and is required; blank lines are skipped.
+    ``parse_row`` gets a row's stripped fields, and a ``ValueError`` it
+    raises (the validation of ``TimeSeries`` included) becomes a
+    :class:`DatasetError` that names the row's line number.
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DatasetError(f"{path}: empty file (a header row is required)")
-    entries = []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        entries.append(_parse_row(lineno, line))
-    return Dataset(entries=tuple(entries))
+        try:
+            rows.append(parse_row([f.strip() for f in line.split(",")]))
+        except ValueError as exc:
+            raise DatasetError(f"line {lineno}: {exc}") from None
+    return rows
+
+
+def _parse_entry(fields: list[str]) -> DatasetEntry:
+    if len(fields) < 5:
+        raise ValueError(f"expected at least 5 fields, got {len(fields)}")
+    sid, group = fields[0], fields[1]
+    try:
+        period, h, n = (int(fields[i]) for i in (2, 3, 4))
+    except ValueError:
+        raise ValueError("period, h and n must be integers") from None
+    if group not in GROUPS:
+        raise ValueError(f"unknown group {group!r}; expected one of {GROUPS}")
+    if h < 1 or n < 1 or period < 1:
+        raise ValueError("period, h and n must be positive")
+    if len(fields) != 5 + n + h:
+        raise ValueError(f"declared n={n} and h={h} need {5 + n + h} fields, got {len(fields)}")
+    try:
+        numbers = np.array([float(v) for v in fields[5:]], dtype=np.float64)
+    except ValueError:
+        raise ValueError("non-numeric observation") from None
+    return DatasetEntry(series=TimeSeries(sid, numbers[:n], period), actuals=numbers[n:], group=group)
+
+
+def load_dataset(path) -> Dataset:
+    """Parse a dataset file, rejecting malformed rows with their line number."""
+    return Dataset(entries=tuple(read_rows(path, _parse_entry)))
 
 
 def save_dataset(dataset: Dataset, path) -> None:

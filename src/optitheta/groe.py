@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .series import TimeSeries, fit_linear_trend, trend_value
-from .smoothing import ForecasterSpec, _line_grid, _min_n, _recurrence, _sanitize
+from .smoothing import ForecasterSpec, _grid, _min_n, _recurrence, _sanitize
 from .theta import LINE_EXTRAPOLATORS, SES, otm_forecast
 
 DEFAULT_THETA_GRID = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
@@ -213,6 +213,11 @@ def estimate_theta(
     :func:`optitheta.smoothing.fit` and is scored on its combined forecasts.
     If the candidates cannot be fitted (a prefix too short for the
     extrapolator) an :class:`EvaluationError` is raised.
+
+    With the ``holt`` extrapolator the returned theta is arbitrary. Holt
+    reproduces a line exactly and the theta line's SSE is theta**2 times
+    that of the series, so every theta's combined forecast is Holt on the
+    series itself. All grid thetas then have the same loss up to rounding.
     """
     values = _check_grid(grid)
     if config is None:
@@ -233,7 +238,7 @@ def estimate_theta(
         )
 
     theta = np.array(values)[:, None]  # one row per grid theta
-    alpha, beta, phi = _line_grid(extrapolator, family)
+    alpha, beta, _, phi = _grid(extrapolator, family)
     full = fit_linear_trend(series)
     t = np.arange(1.0, n + 1)
     # Run on the residuals about the full-series line, not on y: the line comes
@@ -244,7 +249,7 @@ def estimate_theta(
     losses = np.zeros(len(values))
     last = max(horizons)
     with np.errstate(all="ignore"):
-        for ni, (e, level, trend) in enumerate(_recurrence(runs, alpha, beta, phi), start=2):
+        for ni, (e, level, trend, _) in enumerate(_recurrence(runs, alpha, beta, phi), start=2):
             if e is not None:
                 cross += e[:, None] * e
             if ni not in horizons:

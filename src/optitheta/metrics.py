@@ -104,11 +104,7 @@ class AggregateRow:
     elapsed: float
 
 
-# the shape of an M3-style results table: one row per (method, group)
-EvaluationTable = list[AggregateRow]
-
-
-def aggregate_scores(scores: Iterable[SeriesScore]) -> EvaluationTable:
+def aggregate_scores(scores: Iterable[SeriesScore]) -> list[AggregateRow]:
     """Fold per-series scores into per-group and All rows, one set per method.
 
     The fold runs in input order, so the output is bit-stable regardless of

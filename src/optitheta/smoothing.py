@@ -1,10 +1,27 @@
 """Exponential-smoothing and naive forecast engines.
 
-One fit/forecast contract covers the benchmark families: naive, seasonally
-adjusted naive (naive2), SES, Holt, damped trend, and the multiplicative
-seasonal variants of the trended pair. Parameters are estimated by a
-deterministic grid search minimising the in-sample one-step squared error,
-with ties broken toward the lexicographically smallest parameter vector.
+The benchmark families are one recursion with optional components (the
+exponential-smoothing state-space view of Hyndman, Koehler, Ord & Snyder,
+2008). With level l, trend b, damping phi and multiplicative seasonal
+factors s of period m, each observation y_t is predicted as
+``(l + phi*b) * s_t`` and updates the state by
+
+    l <- alpha * y_t / s_t + (1 - alpha) * (l + phi*b)
+    b <- beta * (l_new - l) + (1 - beta) * phi*b
+    s_t <- gamma * y_t / l_new + (1 - gamma) * s_t
+
+SES has no trend and no season, Holt has phi = 1, damped trend searches
+phi, and holt_winters/seasonal_damped add the season to Holt/damped.
+:func:`_recurrence` runs this recursion at every point of a parameter grid
+at once, and a fit keeps the grid point with the least in-sample one-step
+squared error, ties going to the lexicographically smallest parameter
+vector. naive and naive2 (naive on the seasonally adjusted series) have no
+parameters; their SSE is computed in one vectorised pass.
+
+A fit is summarised by a :class:`FittedForecaster`: the family, the chosen
+parameters and the final state (level, trend, seasonal factors). Every
+family forecasts k steps ahead with one formula,
+``(level + damping(k) * trend) * season[(n + k - 1) % m]``.
 
 Seasonal-capable families consult the seasonality test and silently fall
 back to their non-seasonal sibling when it fails, so ``holt_winters`` on a
@@ -18,12 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seasonal import SeasonalIndices, seasonal_indices, seasonality_applies
+from .seasonal import seasonal_indices, seasonality_applies
 from .series import TimeSeries
 
 FAMILIES = ("naive", "naive2", "ses", "holt", "holt_winters", "damped", "seasonal_damped")
 
 _TRENDED = frozenset({"holt", "damped", "holt_winters", "seasonal_damped"})
+_DAMPED = frozenset({"damped", "seasonal_damped"})
 _SEASONAL = frozenset({"naive2", "holt_winters", "seasonal_damped"})
 _SIBLING = {"naive2": "naive", "holt_winters": "holt", "seasonal_damped": "damped"}
 
@@ -64,22 +82,28 @@ class ForecasterSpec:
 
 @dataclass(frozen=True)
 class FittedForecaster:
-    """Frozen result of a fit: chosen parameters, final states, minimum SSE."""
+    """Frozen result of a fit: family, chosen parameters, final state, minimum SSE.
+
+    ``trend`` is 0.0 for the untrended families and ``season`` holds the
+    final seasonal factors (None without a season). A parameter the family
+    used does not have is None.
+    """
 
     spec: ForecasterSpec
     family_used: str
     n: int
     sse: float
-    seasonal: bool = False
+    level: float
+    trend: float = 0.0
+    season: np.ndarray | None = None
     alpha: float | None = None
     beta: float | None = None
     gamma: float | None = None
     phi: float | None = None
-    level: float | None = None
-    trend: float | None = None
-    seasonal_states: np.ndarray | None = None
-    naive_level: float | None = None
-    reseason: SeasonalIndices | None = None
+
+    @property
+    def seasonal(self) -> bool:
+        return self.season is not None
 
 
 def _pinned_or(grid: np.ndarray, pinned: float | None) -> np.ndarray:
@@ -91,138 +115,116 @@ def _sanitize(sse: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(sse), sse, np.inf)
 
 
-def _fit_naive(spec: ForecasterSpec, series: TimeSeries, seasonal: bool) -> FittedForecaster:
-    y = series.values
-    if seasonal:
-        idx = seasonal_indices(series)
-        d = y / idx.indices[np.arange(y.size) % idx.period]
-        preds = d[:-1] * idx.indices[np.arange(1, y.size) % idx.period]
-        sse = float(np.sum((y[1:] - preds) ** 2))
-        return FittedForecaster(
-            spec=spec,
-            family_used="naive2",
-            n=series.n,
-            sse=sse,
-            seasonal=True,
-            naive_level=float(d[-1]),
-            reseason=idx,
-        )
-    sse = float(np.sum(np.diff(y) ** 2))
-    return FittedForecaster(
-        spec=spec, family_used="naive", n=series.n, sse=sse, naive_level=float(y[-1])
-    )
+def _grid(spec: ForecasterSpec, family: str):
+    """The flattened (alpha, beta, gamma, phi) search grid of a smoothing fit.
 
-
-def _line_grid(spec: ForecasterSpec, family: str):
-    """The flattened (alpha, beta, phi) search grid of a ses, holt or damped fit.
-
-    ``beta`` and ``phi`` are None for ses; phi is 1 throughout for holt.
+    ``beta`` and ``phi`` are None for ses and ``gamma`` is None for the
+    non-seasonal families; phi is 1 throughout for holt and holt_winters.
     """
-    alphas = _pinned_or(_WEIGHT_GRID, spec.alpha)
+    seasonal = family in _SEASONAL
+    weights = _SEASONAL_WEIGHT_GRID if seasonal else _WEIGHT_GRID
+    alphas = _pinned_or(weights, spec.alpha)
     if family == "ses":
-        return alphas, None, None
-    betas = _pinned_or(_WEIGHT_GRID, spec.beta)
-    phis = np.array([1.0]) if family == "holt" else _pinned_or(_PHI_GRID, spec.phi)
-    a, b, p = (g.ravel() for g in np.meshgrid(alphas, betas, phis, indexing="ij"))
-    return a, b, p
+        return alphas, None, None, None
+    dims = [alphas, _pinned_or(weights, spec.beta)]
+    if seasonal:
+        dims.append(_pinned_or(weights, spec.gamma))
+    dims.append(_pinned_or(_PHI_GRID, spec.phi) if family in _DAMPED else np.array([1.0]))
+    grids = [g.ravel() for g in np.meshgrid(*dims, indexing="ij")]
+    return grids[0], grids[1], grids[2] if seasonal else None, grids[-1]
 
 
 def _min_n(family: str) -> int:
     return 3 if family in _TRENDED else 2
 
 
-def _recurrence(y: np.ndarray, alpha: np.ndarray, beta=None, phi=None):
-    """Run SES (``beta`` None) or Holt/damped over ``y`` at every grid point at once.
+def _recurrence(y: np.ndarray, alpha: np.ndarray, beta=None, phi=None, gamma=None, season=None):
+    """Run the smoothing recursion over ``y`` at every grid point at once.
 
-    Yields ``(e, level, trend)`` after each of y_2..y_n: the one-step errors
-    of that observation and the states after it. The first observation seeds
-    the level and, for the trended families, y_2 - y_1 seeds the trend; the
-    prediction of y_2 is then fully determined by the seeds, so its error is
-    None. ``y`` may carry trailing axes, e.g. shape (n, k, 1) runs k inputs
-    side by side; every state then has shape (k, grid size).
+    ``beta`` None runs SES; otherwise ``phi`` damps the trend (ones for
+    Holt). ``gamma`` with the initial factors ``season`` (one per period
+    position) adds a multiplicative season, kept row-major with shape
+    (period, grid size) so that each step touches one contiguous row.
 
-    The recurrence is linear in ``y`` for fixed parameters, which
-    ``groe.estimate_theta`` relies on.
+    Yields ``(e, level, trend, season)`` after each of y_2..y_n: the one-step
+    errors of that observation and the states after it (``trend`` and
+    ``season`` are None when absent). ``e`` and ``season`` are updated in
+    place, so a consumer reads them before asking for the next step. The
+    first observation seeds the level and, for the trended families, y_2 - y_1
+    seeds the trend; the prediction of y_2 is then fully determined by the
+    seeds, so its error is None. Without a season ``y`` may carry trailing
+    axes, e.g. shape (n, k, 1) runs k inputs side by side; every state then
+    has shape (k, grid size).
+
+    Without a season the recursion is linear in ``y`` for fixed parameters,
+    which ``groe.estimate_theta`` relies on.
     """
     shape = np.broadcast_shapes(np.shape(y[0]), alpha.shape)
     level = np.full(shape, y[0])
     trend = None if beta is None else np.full(shape, y[1] - y[0])
     one_minus_alpha = 1.0 - alpha
     one_minus_beta = None if beta is None else 1.0 - beta
+    if season is not None:
+        period = season.size
+        season = np.repeat(season[:, None], alpha.size, axis=1)
+        one_minus_gamma = 1.0 - gamma
+    e = np.empty(shape)
     for t in range(1, len(y)):
         pred = level if trend is None else level + phi * trend
-        e = None if trend is not None and t < 2 else y[t] - pred
-        new_level = alpha * y[t] + one_minus_alpha * pred
+        s = None if season is None else season[t % period]
+        np.subtract(y[t], pred if s is None else pred * s, out=e)
+        new_level = alpha * (y[t] if s is None else y[t] / s) + one_minus_alpha * pred
+        # the grids reach ~2e5 points; keep no array alive longer than needed
+        del pred
         if trend is not None:
             trend = beta * (new_level - level) + one_minus_beta * (phi * trend)
+        if s is not None:
+            s *= one_minus_gamma
+            s += gamma * (y[t] / new_level)
         level = new_level
-        yield e, level, trend
+        yield None if trend is not None and t < 2 else e, level, trend, season
 
 
-def _fit_line(spec: ForecasterSpec, series: TimeSeries, family: str) -> FittedForecaster:
-    alpha, beta, phi = _line_grid(spec, family)
+def _fit_naive(spec: ForecasterSpec, series: TimeSeries, season) -> FittedForecaster:
+    # the random walk (on the seasonally adjusted series for naive2) has no
+    # parameters, so its SSE needs no recursion
+    y = series.values
+    if season is None:
+        sse = float(np.sum(np.diff(y) ** 2))
+        return FittedForecaster(spec, "naive", series.n, sse, level=float(y[-1]))
+    factors = season[np.arange(y.size) % season.size]
+    adjusted = y / factors
+    sse = float(np.sum((y[1:] - adjusted[:-1] * factors[1:]) ** 2))
+    return FittedForecaster(spec, "naive2", series.n, sse, level=float(adjusted[-1]), season=season)
+
+
+def _fit_smooth(spec: ForecasterSpec, series: TimeSeries, family: str, season) -> FittedForecaster:
+    alpha, beta, gamma, phi = _grid(spec, family)
     sse = np.zeros(alpha.shape)
     with np.errstate(all="ignore"):
-        for e, level, trend in _recurrence(series.values, alpha, beta, phi):
+        for e, level, trend, factors in _recurrence(series.values, alpha, beta, phi, gamma, season):
             if e is not None:
                 sse += e * e
-    best = int(np.argmin(_sanitize(sse)))
+    sse = _sanitize(sse)
+    best = int(np.argmin(sse))
+    if not np.isfinite(sse[best]):
+        raise ValueError(
+            f"series {series.id!r}: family {family!r} has no finite in-sample SSE "
+            "at any grid point (the recursion overflows)"
+        )
+    param = lambda grid: None if grid is None else float(grid[best])  # noqa: E731
     return FittedForecaster(
         spec=spec,
         family_used=family,
         n=series.n,
         sse=float(sse[best]),
-        alpha=float(alpha[best]),
-        beta=None if beta is None else float(beta[best]),
-        phi=float(phi[best]) if family == "damped" else None,
         level=float(level[best]),
-        trend=None if trend is None else float(trend[best]),
-    )
-
-
-def _fit_seasonal_trended(
-    spec: ForecasterSpec, series: TimeSeries, family: str
-) -> FittedForecaster:
-    y = series.values
-    m = series.period
-    init = seasonal_indices(series).indices
-    alphas = _pinned_or(_SEASONAL_WEIGHT_GRID, spec.alpha)
-    betas = _pinned_or(_SEASONAL_WEIGHT_GRID, spec.beta)
-    gammas = _pinned_or(_SEASONAL_WEIGHT_GRID, spec.gamma)
-    phis = np.array([1.0]) if family == "holt_winters" else _pinned_or(_PHI_GRID, spec.phi)
-    a, b, g, p = (
-        grid.ravel() for grid in np.meshgrid(alphas, betas, gammas, phis, indexing="ij")
-    )
-    level = np.full(a.shape, y[0])
-    trend = np.full(a.shape, y[1] - y[0])
-    seas = np.tile(init, (a.size, 1))
-    sse = np.zeros(a.shape)
-    with np.errstate(all="ignore"):
-        for t in range(1, y.size):
-            col = t % m
-            s_col = seas[:, col]
-            base = level + p * trend
-            if t >= 2:
-                e = y[t] - base * s_col
-                sse += e * e
-            new_level = a * (y[t] / s_col) + (1.0 - a) * base
-            trend = b * (new_level - level) + (1.0 - b) * (p * trend)
-            seas[:, col] = g * (y[t] / new_level) + (1.0 - g) * s_col
-            level = new_level
-    best = int(np.argmin(_sanitize(sse)))
-    return FittedForecaster(
-        spec=spec,
-        family_used=family,
-        n=series.n,
-        sse=float(sse[best]),
-        seasonal=True,
-        alpha=float(a[best]),
-        beta=float(b[best]),
-        gamma=float(g[best]),
-        phi=None if family == "holt_winters" else float(p[best]),
-        level=float(level[best]),
-        trend=float(trend[best]),
-        seasonal_states=seas[best].copy(),
+        trend=0.0 if trend is None else float(trend[best]),
+        season=None if factors is None else factors[:, best].copy(),
+        alpha=param(alpha),
+        beta=param(beta),
+        gamma=param(gamma),
+        phi=param(phi) if family in _DAMPED else None,
     )
 
 
@@ -230,7 +232,8 @@ def fit(spec: ForecasterSpec, series: TimeSeries) -> FittedForecaster:
     """Fit a forecast family to a series.
 
     Degenerate inputs (e.g. constant series) are not errors: the grid search
-    simply returns its best point, which yields flat forecasts.
+    simply returns its best point, which yields flat forecasts. A series on
+    which the recursion overflows at every grid point raises ``ValueError``.
     """
     family = spec.family
     seasonal = family in _SEASONAL and seasonality_applies(series)
@@ -240,33 +243,19 @@ def fit(spec: ForecasterSpec, series: TimeSeries) -> FittedForecaster:
         raise ValueError(
             f"series {series.id!r}: family {family!r} needs n >= {min_n}, got n={series.n}"
         )
+    season = seasonal_indices(series).indices if seasonal else None
     if effective in ("naive", "naive2"):
-        return _fit_naive(spec, series, seasonal)
-    if effective in ("ses", "holt", "damped"):
-        return _fit_line(spec, series, effective)
-    return _fit_seasonal_trended(spec, series, effective)
+        return _fit_naive(spec, series, season)
+    return _fit_smooth(spec, series, effective, season)
 
 
 def forecast(fitted: FittedForecaster, h: int) -> np.ndarray:
-    """Point forecasts for steps 1..h from the fitted final states."""
+    """Point forecasts for steps 1..h from the fitted final state."""
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
     k = np.arange(1, h + 1)
-    family = fitted.family_used
-    if family == "naive":
-        return np.full(h, fitted.naive_level)
-    if family == "naive2":
-        cols = (fitted.n + k - 1) % fitted.reseason.period
-        return fitted.naive_level * fitted.reseason.indices[cols]
-    if family == "ses":
-        return np.full(h, fitted.level)
-    if family == "holt":
-        return fitted.level + k * fitted.trend
-    if family == "damped":
-        return fitted.level + np.cumsum(fitted.phi ** k) * fitted.trend
-    cols = (fitted.n + k - 1) % fitted.seasonal_states.size
-    if family == "holt_winters":
-        return (fitted.level + k * fitted.trend) * fitted.seasonal_states[cols]
-    # seasonal_damped
-    damp = np.cumsum(fitted.phi ** k)
-    return (fitted.level + damp * fitted.trend) * fitted.seasonal_states[cols]
+    damping = k if fitted.phi is None else np.cumsum(fitted.phi ** k)
+    out = fitted.level + damping * fitted.trend
+    if fitted.season is not None:
+        out = out * fitted.season[(fitted.n + k - 1) % fitted.season.size]
+    return out

@@ -26,26 +26,11 @@ LINE_EXTRAPOLATORS = ("ses", "holt", "damped")
 SES = ForecasterSpec("ses")
 
 
-@dataclass(frozen=True)
-class ThetaLine:
-    """A theta-transformed copy of a series."""
-
-    theta: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "theta", float(self.theta))
-
-
-def theta_line(series: TimeSeries, fit: TrendFit, theta: float) -> ThetaLine:
+def theta_line(series: TimeSeries, fit: TrendFit, theta: float) -> TimeSeries:
     """Build Z_t(theta) = theta*y_t + (1-theta)*(intercept + slope*t) for t = 1..n."""
     t = np.arange(1, series.n + 1, dtype=np.float64)
     values = theta * series.values + (1.0 - theta) * (fit.intercept + fit.slope * t)
-    return ThetaLine(theta=theta, values=values)
+    return series.with_values(values)
 
 
 def combination_weight(theta1: float, theta2: float) -> float:
@@ -82,7 +67,7 @@ class ThetaParams:
         object.__setattr__(self, "omega", combination_weight(self.theta1, self.theta2))
 
 
-def recompose(line1: ThetaLine, line2: ThetaLine, omega: float) -> np.ndarray:
+def recompose(line1: TimeSeries, line2: TimeSeries, omega: float) -> np.ndarray:
     """Elementwise convex combination ``omega*Z(theta1) + (1-omega)*Z(theta2)``."""
     if line1.values.size != line2.values.size:
         raise ValueError(
@@ -111,8 +96,7 @@ def otm_forecast(
             f"got {extrapolator.family!r}"
         )
     fit = fit_linear_trend(series)
-    line = theta_line(series, fit, theta)
-    fitted = smoothing.fit(extrapolator, series.with_values(line.values))
+    fitted = smoothing.fit(extrapolator, theta_line(series, fit, theta))
     line_forecast = smoothing.forecast(fitted, h)
     k = np.arange(1, h + 1)
     return (1.0 - 1.0 / theta) * trend_value(fit, series.n + k) + (1.0 / theta) * line_forecast

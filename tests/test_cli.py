@@ -108,3 +108,17 @@ def test_grid_override(tmp_path):
     assert rc == 0
     theta = float(out_file.read_text().splitlines()[1].split(",")[2])
     assert theta in (1.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [("S2,1,5,abc,7", "line 4: non-numeric field"),
+     ("S2,1", "line 4: expected id,period"),
+     ("S2,1,5,nan,7", "line 4: series 'S2': values must be finite")],
+)
+def test_forecast_rejects_bad_row_with_line_number(tmp_path, capsys, bad_row, message):
+    series_file = tmp_path / "series.csv"
+    series_file.write_text(f"id,period,values\nS1,1,1,2,3,4,5\n\n{bad_row}\n", encoding="utf-8")
+    rc = main(["forecast", "--input", str(series_file), "--method", "naive"])
+    assert rc == 2
+    assert message in capsys.readouterr().err

@@ -100,6 +100,17 @@ def test_failures_recorded_not_fatal():
     assert ("theta", "All") in rows
 
 
+def test_overflowing_fit_recorded_as_failed_cell():
+    entry = DatasetEntry(
+        series=TimeSeries("wild", [1e200, -1e200] * 5), actuals=np.full(6, 1.0), group="Yearly"
+    )
+    config = ExperimentConfig(methods=(MethodSpec.benchmark("ses"),))
+    result = run_experiment(Dataset(entries=(entry,)), config)
+    (score,) = result.scores
+    assert score.smape is None and "no finite in-sample SSE" in score.error
+    assert result.forecasts == ()
+
+
 def test_ranks_when_complete():
     ds = synthetic_dataset(6, {"Yearly": 5, "Other": 3})
     methods = (MethodSpec.classic_theta(), MethodSpec.benchmark("naive"))

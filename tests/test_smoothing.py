@@ -175,6 +175,14 @@ def test_fit_is_deterministic(family, make_seasonal):
     assert np.array_equal(forecast(first, 6), forecast(second, 6))
 
 
+@pytest.mark.parametrize("family", ["ses", "holt", "damped"])
+def test_overflow_at_every_grid_point_raises(family):
+    # every parameter combination overflows to an infinite SSE; argmin must
+    # not silently return the first grid point
+    with pytest.raises(ValueError, match="no finite in-sample SSE"):
+        fit(ForecasterSpec(family), TimeSeries("s", [1e200, -1e200] * 5))
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="unknown family"):
         ForecasterSpec("arima")

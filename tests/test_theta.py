@@ -11,6 +11,7 @@ from optitheta import (
     theta_line,
     trend_value,
 )
+from optitheta.groe import DEFAULT_THETA_GRID
 from optitheta.smoothing import ForecasterSpec, fit as fit_forecaster, forecast as run_forecast
 
 
@@ -184,3 +185,15 @@ def test_theta_four_on_exact_line_fitted_alpha():
     # fitted alpha is 1 on a ramp, so the line forecast is flat at 10
     expected = 0.75 * np.array([11.0, 12.0, 13.0]) + 0.25 * 10.0
     assert np.allclose(fx, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_holt_extrapolator_gives_holt_for_every_theta(seed, make_rw):
+    # Holt reproduces the trend line exactly and the theta line's SSE is
+    # theta**2 times that of y, so the combined forecast is Holt on y
+    series = make_rw(seed, 30, drift=0.3)
+    holt = ForecasterSpec("holt")
+    expected = run_forecast(fit_forecaster(holt, series), 6)
+    for theta in DEFAULT_THETA_GRID:
+        combined = otm_forecast(series, theta, 6, holt)
+        assert np.allclose(combined, expected, rtol=1e-9, atol=0), theta
