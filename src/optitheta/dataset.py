@@ -110,7 +110,8 @@ def _parse_entry(fields: list[str]) -> DatasetEntry:
         numbers = np.array([float(v) for v in fields[5:]], dtype=np.float64)
     except ValueError:
         raise ValueError("non-numeric observation") from None
-    return DatasetEntry(series=TimeSeries(sid, numbers[:n], period), actuals=numbers[n:], group=group)
+    series = TimeSeries(sid, numbers[:n], period)
+    return DatasetEntry(series=series, actuals=numbers[n:], group=group)
 
 
 def load_dataset(path) -> Dataset:

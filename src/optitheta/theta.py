@@ -27,7 +27,10 @@ SES = ForecasterSpec("ses")
 
 
 def theta_line(series: TimeSeries, fit: TrendFit, theta: float) -> TimeSeries:
-    """Build Z_t(theta) = theta*y_t + (1-theta)*(intercept + slope*t) for t = 1..n."""
+    """Build Z_t(theta) = theta*y_t + (1-theta)*(intercept + slope*t) for t = 1..n.
+
+    The theta line keeps the series' id and period.
+    """
     t = np.arange(1, series.n + 1, dtype=np.float64)
     values = theta * series.values + (1.0 - theta) * (fit.intercept + fit.slope * t)
     return series.with_values(values)
