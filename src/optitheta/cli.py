@@ -23,7 +23,7 @@ import numpy as np
 from .dataset import DatasetError, load_dataset, read_rows, save_dataset, synthetic_dataset
 from .groe import APPROACHES, DEFAULT_THETA_GRID
 from .pipeline import MethodSpec, run_method
-from .runner import ExperimentConfig, run_experiment
+from .runner import FORECASTS_HEADER, ExperimentConfig, forecast_row, run_experiment
 from .series import TimeSeries
 
 BENCHMARK_TOKENS = {
@@ -78,7 +78,7 @@ def _cmd_forecast(args) -> int:
     series_list = read_rows(args.input, _parse_series_row)
     if not series_list:
         raise DatasetError(f"{args.input}: no series rows found")
-    lines = ["id,method,theta_hat,seasonal,f_1..f_h"]
+    lines = [FORECASTS_HEADER]
     failures = 0
     for series in series_list:
         h = args.h or DEFAULT_HORIZONS.get(series.period, 6)
@@ -88,11 +88,7 @@ def _cmd_forecast(args) -> int:
             failures += 1
             print(f"optitheta: series {series.id!r} failed: {exc}", file=sys.stderr)
             continue
-        parts = [series.id, spec.name,
-                 "" if result.theta is None else repr(float(result.theta)),
-                 str(int(result.seasonal))]
-        parts += [repr(float(v)) for v in result.forecasts]
-        lines.append(",".join(parts))
+        lines.append(forecast_row(result))
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

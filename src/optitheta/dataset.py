@@ -59,7 +59,16 @@ class DatasetEntry:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Corpus entries in file order; series ids are unique, as output rows are keyed by id."""
+
     entries: tuple[DatasetEntry, ...]
+
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for entry in self.entries:
+            if entry.series.id in seen:
+                raise ValueError(f"repeated series id {entry.series.id!r}")
+            seen.add(entry.series.id)
 
     def __len__(self) -> int:
         return len(self.entries)

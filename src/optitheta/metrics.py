@@ -34,7 +34,7 @@ def smape(actuals, forecasts) -> float:
     a, f = _paired(actuals, forecasts)
     denom = np.abs(a) + np.abs(f)
     terms = np.divide(np.abs(a - f), denom, out=np.zeros_like(denom), where=denom != 0)
-    return float(200.0 / a.size * terms.sum())
+    return float(200.0 * terms.sum() / a.size)
 
 
 def mase(insample, actuals, forecasts) -> float:
@@ -67,7 +67,7 @@ def average_ranks(scores: Mapping[str, Sequence[float]]) -> dict[str, float]:
         raise ValueError("every method needs the same, non-empty series list")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("missing or non-finite scores: rank matrix must be complete")
-    ranks = np.apply_along_axis(rankdata, 0, matrix)
+    ranks = rankdata(matrix, axis=0)
     return {m: float(r) for m, r in zip(methods, ranks.mean(axis=1))}
 
 

@@ -10,7 +10,6 @@ is the same pipeline with theta fixed to 2 (no selection step), and
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .series import TimeSeries
 from .smoothing import FAMILIES, ForecasterSpec
 from .theta import LINE_EXTRAPOLATORS, otm_forecast
 
-KINDS = ("otm", "classic_theta", "benchmark")
+KINDS = ("otm", "benchmark")
 FALLBACK_THETA = 2.0
 
 
@@ -71,7 +70,7 @@ class MethodSpec:
 
     @staticmethod
     def classic_theta(name: str = "theta") -> "MethodSpec":
-        return MethodSpec(name=name, kind="classic_theta", grid=(2.0,))
+        return MethodSpec(name=name, kind="otm", grid=(2.0,))
 
     @staticmethod
     def benchmark(family: str, name: str | None = None) -> "MethodSpec":
@@ -87,7 +86,6 @@ class ForecastResult:
     forecasts: np.ndarray
     theta: float | None
     seasonal: bool
-    elapsed: float
     note: str | None = None
 
     def __post_init__(self) -> None:
@@ -132,9 +130,8 @@ def _theta_pipeline(
 
 def run_otm(series: TimeSeries, h: int, spec: MethodSpec) -> ForecastResult:
     """Run the optimised-theta pipeline for one series."""
-    if spec.kind not in ("otm", "classic_theta"):
+    if spec.kind != "otm":
         raise ValueError(f"run_otm needs an otm spec, got kind {spec.kind!r}")
-    start = time.perf_counter()
     forecasts, theta, seasonal, note = _theta_pipeline(
         series, h, spec.grid, spec.approach, spec.cost, spec.extrapolator
     )
@@ -144,7 +141,6 @@ def run_otm(series: TimeSeries, h: int, spec: MethodSpec) -> ForecastResult:
         forecasts=forecasts,
         theta=theta,
         seasonal=seasonal,
-        elapsed=time.perf_counter() - start,
         note=note,
     )
 
@@ -163,7 +159,6 @@ def run_benchmark(series: TimeSeries, h: int, spec: MethodSpec) -> ForecastResul
     """
     if spec.kind != "benchmark":
         raise ValueError(f"run_benchmark needs a benchmark spec, got kind {spec.kind!r}")
-    start = time.perf_counter()
     fitted = smoothing.fit(ForecasterSpec(spec.family), series)
     forecasts = smoothing.forecast(fitted, h)
     return ForecastResult(
@@ -172,7 +167,6 @@ def run_benchmark(series: TimeSeries, h: int, spec: MethodSpec) -> ForecastResul
         forecasts=forecasts,
         theta=None,
         seasonal=fitted.seasonal,
-        elapsed=time.perf_counter() - start,
     )
 
 

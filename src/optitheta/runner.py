@@ -31,6 +31,7 @@ SCORES_FILE = "scores.csv"
 AGGREGATE_FILE = "aggregate.csv"
 FORECASTS_FILE = "forecasts.csv"
 RANKS_FILE = "ranks.csv"
+FORECASTS_HEADER = "id,method,theta_hat,seasonal,f_1..f_h"
 
 
 @dataclass(frozen=True)
@@ -60,72 +61,63 @@ class ExperimentResult:
     rank_mase: dict[str, float] | None
 
 
-def _evaluate_entry(
-    entry: DatasetEntry, methods: tuple[MethodSpec, ...]
-) -> list[tuple[SeriesScore, ForecastResult | None]]:
-    out: list[tuple[SeriesScore, ForecastResult | None]] = []
+# one (series, method) cell: its score row and, unless it failed, its forecasts
+Cell = tuple[SeriesScore, ForecastResult | None]
+
+
+def _evaluate_entry(entry: DatasetEntry, methods: tuple[MethodSpec, ...]) -> list[Cell]:
+    out: list[Cell] = []
     for spec in methods:
+        result = error = smape_value = mase_value = None
         start = time.perf_counter()
         try:
             result = run_method(entry.series, entry.h, spec)
         except Exception as exc:
-            score = SeriesScore(
-                series_id=entry.series.id,
-                group=entry.group,
-                method=spec.name,
-                smape=None,
-                mase=None,
-                elapsed=time.perf_counter() - start,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            out.append((score, None))
-            continue
-        smape_value = smape(entry.actuals, result.forecasts)
-        try:
-            mase_value = mase(entry.series.values, entry.actuals, result.forecasts)
-        except UndefinedMetricError:
-            mase_value = None
-        out.append(
-            (
-                SeriesScore(
-                    series_id=entry.series.id,
-                    group=entry.group,
-                    method=spec.name,
-                    smape=smape_value,
-                    mase=mase_value,
-                    theta=result.theta,
-                    elapsed=result.elapsed,
-                ),
-                result,
-            )
+            error = f"{type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - start
+        if result is not None:
+            smape_value = smape(entry.actuals, result.forecasts)
+            try:
+                mase_value = mase(entry.series.values, entry.actuals, result.forecasts)
+            except UndefinedMetricError:
+                pass
+        score = SeriesScore(
+            series_id=entry.series.id,
+            group=entry.group,
+            method=spec.name,
+            smape=smape_value,
+            mase=mase_value,
+            theta=None if result is None else result.theta,
+            elapsed=elapsed,
+            error=error,
         )
+        out.append((score, result))
     return out
 
 
 def _rank_table(
-    scores: tuple[SeriesScore, ...], methods: list[str], attr: str
+    per_entry: list[list[Cell]], methods: list[str], attr: str
 ) -> dict[str, float] | None:
-    # refuse ranking over incomplete matrices
-    if any(s.error is not None for s in scores):
-        return None
-    values: dict[tuple[str, str], float | None] = {}
-    series_ids: list[str] = []
-    for s in scores:
-        if s.series_id not in series_ids:
-            series_ids.append(s.series_id)
-        values[(s.method, s.series_id)] = getattr(s, attr)
-    if len(values) != len(methods) * len(series_ids):
-        return None
-    kept = []
-    for sid in series_ids:
-        defined = [values[(m, sid)] is not None for m in methods]
+    """Average ranks over the series every method scored.
+
+    ``per_entry`` holds one row per series and one cell per method, in
+    ``methods`` order. Ranking is refused (None) when a cell failed, when
+    a series is scored by some methods but not others, or when no series
+    is scored at all.
+    """
+    rows = []
+    for cells in per_entry:
+        if any(score.error is not None for score, _ in cells):
+            return None
+        values = [getattr(score, attr) for score, _ in cells]
+        defined = [v is not None for v in values]
         if any(defined) != all(defined):
             return None
         if all(defined):
-            kept.append(sid)
-    if not kept:
+            rows.append(values)
+    if not rows:
         return None
-    return average_ranks({m: [values[(m, sid)] for sid in kept] for m in methods})
+    return average_ranks(dict(zip(methods, zip(*rows))))
 
 
 def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResult:
@@ -151,8 +143,8 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
         scores=scores,
         table=tuple(aggregate_scores(scores)),
         forecasts=forecasts,
-        rank_smape=_rank_table(scores, method_names, "smape"),
-        rank_mase=_rank_table(scores, method_names, "mase"),
+        rank_smape=_rank_table(per_entry, method_names, "smape"),
+        rank_mase=_rank_table(per_entry, method_names, "mase"),
     )
     if config.out_dir is not None:
         write_outputs(result, config.out_dir)
@@ -165,6 +157,13 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def forecast_row(fc: ForecastResult) -> str:
+    """One forecasts row (see ``FORECASTS_HEADER``), shared by ``evaluate`` and ``forecast``."""
+    parts = [fc.series_id, fc.method, _fmt(fc.theta), str(int(fc.seasonal))]
+    parts += [repr(float(v)) for v in fc.forecasts]
+    return ",".join(parts)
 
 
 def write_outputs(result: ExperimentResult, out_dir) -> dict[str, Path]:
@@ -199,11 +198,7 @@ def write_outputs(result: ExperimentResult, out_dir) -> dict[str, Path]:
     paths["aggregate"] = out_dir / AGGREGATE_FILE
     paths["aggregate"].write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    lines = ["id,method,theta_hat,seasonal,f_1..f_h"]
-    for fc in result.forecasts:
-        parts = [fc.series_id, fc.method, _fmt(fc.theta), str(int(fc.seasonal))]
-        parts += [repr(float(v)) for v in fc.forecasts]
-        lines.append(",".join(parts))
+    lines = [FORECASTS_HEADER] + [forecast_row(fc) for fc in result.forecasts]
     paths["forecasts"] = out_dir / FORECASTS_FILE
     paths["forecasts"].write_text("\n".join(lines) + "\n", encoding="utf-8")
 

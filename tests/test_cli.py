@@ -7,7 +7,7 @@ from optitheta.groe import DEFAULT_THETA_GRID
 
 def test_parse_method_tokens():
     classic = parse_method_token("theta", "se", "ses", DEFAULT_THETA_GRID)
-    assert classic.kind == "classic_theta" and classic.grid == (2.0,)
+    assert classic.kind == "otm" and classic.grid == (2.0,)
     otm = parse_method_token("otm-d", "sape", "holt", DEFAULT_THETA_GRID)
     assert otm.kind == "otm" and otm.approach == "d"
     assert otm.cost == "sape" and otm.extrapolator.family == "holt"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from optitheta import Dataset, DatasetError, load_dataset, save_dataset, synthetic_dataset
+from optitheta.cli import main
 from optitheta.dataset import GROUP_DEFAULTS, HEADER
 
 
@@ -50,6 +51,16 @@ def test_reject_missing_values(tmp_path):
     path = write(tmp_path, ["Y1,Yearly,1,1,2,10,nan,12"])
     with pytest.raises(DatasetError, match="line 2"):
         load_dataset(path)
+
+
+def test_reject_repeated_series_id(tmp_path, capsys):
+    path = write(tmp_path, ["Y1,Yearly,1,1,2,10,11,12", "Y1,Yearly,1,1,2,20,21,22"])
+    with pytest.raises(ValueError, match="repeated series id 'Y1'"):
+        load_dataset(path)
+    rc = main(["evaluate", "--data", str(path), "--methods", "naive",
+               "--out-dir", str(tmp_path / "r")])
+    assert rc == 2
+    assert "repeated series id 'Y1'" in capsys.readouterr().err
 
 
 def test_line_numbers_skip_blanks(tmp_path):

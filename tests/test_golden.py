@@ -15,7 +15,7 @@ TOKENS = ("theta", "otm-a", "otm-d", *BENCHMARK_TOKENS)
 
 GOLDEN = {
     "forecasts.csv": "07cd44044891389ad7b01bd1766751894a1b55c2a8ec7bfb3662e308b3625b48",
-    "scores.csv": "8c29c1f701fe6da0c1f07279b095dcadebe4ddca887455e608afa8ab15c3dabd",
+    "scores.csv": "ba024d70c1ab29a6f5d47e1613bb2cb66d8285abd36975bd23668b2a5f20b391",
     "ranks.csv": "b7ad4abf603cc04fd6d7d31a567717a7979553218ddc4e4c21e889d446cce520",
 }
 

@@ -46,6 +46,10 @@ def test_smape_symmetric_and_bounded(actuals, data):
     assert 0.0 <= forward <= 200.0
 
 
+def test_smape_bound_holds_when_every_term_is_one():
+    assert smape([1.0] * 11, [0.0] * 11) == 200.0
+
+
 def test_smape_zero_over_zero_guard():
     assert smape([0.0, 1.0], [0.0, 1.0]) == 0.0
 
