@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DatasetError, load_dataset, read_rows, save_dataset, synthetic_dataset
+from .dataset import (
+    DatasetError, check_unique_ids, load_dataset, read_rows, save_dataset, synthetic_dataset,
+)
 from .groe import APPROACHES, DEFAULT_THETA_GRID
 from .pipeline import MethodSpec, run_method
 from .runner import FORECASTS_HEADER, ExperimentConfig, forecast_row, run_experiment
@@ -78,6 +80,8 @@ def _cmd_forecast(args) -> int:
     series_list = read_rows(args.input, _parse_series_row)
     if not series_list:
         raise DatasetError(f"{args.input}: no series rows found")
+    # output rows are keyed by (id, method), as in evaluate
+    check_unique_ids(series.id for series in series_list)
     lines = [FORECASTS_HEADER]
     failures = 0
     for series in series_list:

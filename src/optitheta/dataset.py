@@ -64,17 +64,22 @@ class Dataset:
     entries: tuple[DatasetEntry, ...]
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for entry in self.entries:
-            if entry.series.id in seen:
-                raise ValueError(f"repeated series id {entry.series.id!r}")
-            seen.add(entry.series.id)
+        check_unique_ids(entry.series.id for entry in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
+
+
+def check_unique_ids(ids: Iterable[str]) -> None:
+    """Raise ``ValueError`` naming the first repeated id."""
+    seen: set[str] = set()
+    for sid in ids:
+        if sid in seen:
+            raise ValueError(f"repeated series id {sid!r}")
+        seen.add(sid)
 
 
 def read_rows(path, parse_row: Callable[[list[str]], object]) -> list:

@@ -79,7 +79,11 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class ForecastResult:
-    """Point forecasts for one series plus run provenance."""
+    """Point forecasts for one series plus run provenance.
+
+    Construction rejects a non-finite forecast with ``ValueError``, so the
+    runner records that cell as failed and no NaN or inf reaches a score.
+    """
 
     series_id: str
     method: str
@@ -90,6 +94,10 @@ class ForecastResult:
 
     def __post_init__(self) -> None:
         forecasts = np.asarray(self.forecasts, dtype=np.float64).copy()
+        if not np.all(np.isfinite(forecasts)):
+            raise ValueError(
+                f"series {self.series_id!r}: method {self.method!r} produced a non-finite forecast"
+            )
         forecasts.setflags(write=False)
         object.__setattr__(self, "forecasts", forecasts)
 

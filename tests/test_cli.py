@@ -122,3 +122,15 @@ def test_forecast_rejects_bad_row_with_line_number(tmp_path, capsys, bad_row, me
     rc = main(["forecast", "--input", str(series_file), "--method", "naive"])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_forecast_rejects_repeated_series_id(tmp_path, capsys):
+    series_file = tmp_path / "series.csv"
+    series_file.write_text("id,period,values\nS1,1,1,2,3,4,5\nS1,1,6,7,8,9,10\n",
+                           encoding="utf-8")
+    out_file = tmp_path / "fc.csv"
+    rc = main(["forecast", "--input", str(series_file), "--method", "naive",
+               "--out", str(out_file)])
+    assert rc == 2
+    assert "repeated series id 'S1'" in capsys.readouterr().err
+    assert not out_file.exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from optitheta import (
+    ForecastResult,
     MethodSpec,
     TimeSeries,
     run_benchmark,
@@ -152,6 +153,12 @@ def test_run_method_dispatch(make_rw):
     assert run_method(series, 3, MethodSpec.benchmark("naive")).method == "naive"
     assert run_method(series, 3, MethodSpec.classic_theta()).theta == 2.0
     assert run_method(series, 3, MethodSpec.otm("a")).method == "otm-a"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forecast_result_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite forecast"):
+        ForecastResult("s", "ses", np.array([1.0, bad, 3.0]), theta=None, seasonal=False)
 
 
 def test_method_spec_validation():

@@ -9,6 +9,7 @@ from optitheta import (
     run_experiment,
     synthetic_dataset,
 )
+from optitheta import smoothing
 from optitheta.dataset import DatasetEntry
 
 
@@ -108,6 +109,18 @@ def test_overflowing_fit_recorded_as_failed_cell():
     result = run_experiment(Dataset(entries=(entry,)), config)
     (score,) = result.scores
     assert score.smape is None and "no finite in-sample SSE" in score.error
+    assert result.forecasts == ()
+
+
+def test_non_finite_forecast_recorded_as_failed_cell(monkeypatch):
+    monkeypatch.setattr(smoothing, "forecast", lambda fitted, h: np.full(h, np.nan))
+    ds = synthetic_dataset(2, {"Yearly": 2})
+    config = ExperimentConfig(methods=(MethodSpec.benchmark("ses"),), workers=1)
+    result = run_experiment(ds, config)
+    assert len(result.scores) == 2
+    for score in result.scores:
+        assert score.smape is None and score.mase is None
+        assert "non-finite forecast" in score.error
     assert result.forecasts == ()
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from optitheta import TimeSeries
-from optitheta.smoothing import FAMILIES, ForecasterSpec, fit, forecast
+from optitheta import TimeSeries, smoothing
+from optitheta.seasonal import seasonal_indices
+from optitheta.smoothing import FAMILIES, FittedForecaster, ForecasterSpec, fit, forecast
 
 
 def run(family, values, h=3, period=1, **pins):
@@ -181,6 +182,112 @@ def test_overflow_at_every_grid_point_raises(family):
     # not silently return the first grid point
     with pytest.raises(ValueError, match="no finite in-sample SSE"):
         fit(ForecasterSpec(family), TimeSeries("s", [1e200, -1e200] * 5))
+
+
+# ---------------------------------------------------------------------------
+# Blocked grid search against the whole-grid reference
+# ---------------------------------------------------------------------------
+
+MONTHLY_PATTERN = [0.8, 0.9, 1.1, 1.2, 1.0, 0.95, 1.05, 1.15, 0.85, 0.9, 1.1, 0.9]
+
+
+def whole_grid_fit(spec, family, series):
+    """Reference search: one _recurrence run over the whole grid, first argmin
+    of the sanitized SSE. Returns the winner's grid index and its fit."""
+    season = seasonal_indices(series).indices if family in smoothing._SEASONAL else None
+    alpha, beta, gamma, phi = smoothing._grid(spec, family)
+    sse = np.zeros(alpha.shape)
+    with np.errstate(all="ignore"):
+        for e, level, trend, factors in smoothing._recurrence(
+            series.values, alpha, beta, phi, gamma, season
+        ):
+            if e is not None:
+                sse += e * e
+    sse = smoothing._sanitize(sse)
+    best = int(np.argmin(sse))
+    param = lambda grid: None if grid is None else float(grid[best])  # noqa: E731
+    return best, FittedForecaster(
+        spec=spec,
+        family_used=family,
+        n=series.n,
+        sse=float(sse[best]),
+        level=float(level[best]),
+        trend=0.0 if trend is None else float(trend[best]),
+        season=None if factors is None else factors[:, best].copy(),
+        alpha=param(alpha),
+        beta=param(beta),
+        gamma=param(gamma),
+        phi=param(phi) if family in smoothing._DAMPED else None,
+    )
+
+
+def assert_same_fit(fitted, reference):
+    fields = ("family_used", "n", "sse", "level", "trend", "alpha", "beta", "gamma", "phi")
+    assert [getattr(fitted, f) for f in fields] == [getattr(reference, f) for f in fields]
+    if reference.season is None:
+        assert fitted.season is None
+    else:
+        assert fitted.season.tobytes() == reference.season.tobytes()
+    assert forecast(fitted, 18).tobytes() == forecast(reference, 18).tobytes()
+
+
+def blocked_and_reference(spec, series):
+    fitted = fit(spec, series)
+    best, reference = whole_grid_fit(spec, fitted.family_used, series)
+    assert_same_fit(fitted, reference)
+    return best, fitted
+
+
+# pins keep each grid under 2,000 points, so a 7-point block stays cheap
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ForecasterSpec("ses"),
+        ForecasterSpec("holt", beta=0.1),
+        ForecasterSpec("damped", alpha=0.3),
+        ForecasterSpec("holt_winters", beta=0.1),
+        ForecasterSpec("seasonal_damped", alpha=0.2, beta=0.1),
+    ],
+    ids=lambda spec: spec.family,
+)
+@pytest.mark.parametrize("kind", ["monthly_seasonal", "random_walk"])
+def test_blocked_search_equals_whole_grid(spec, kind, make_rw, make_seasonal, monkeypatch):
+    # an odd block puts many block boundaries inside every grid and leaves a
+    # ragged last block
+    monkeypatch.setattr(smoothing, "_BLOCK", 7)
+    if kind == "random_walk":
+        series = make_rw(21, 40, drift=0.3)
+    else:
+        series = make_seasonal(4, 60, MONTHLY_PATTERN, noise=0.03)
+    _, fitted = blocked_and_reference(spec, series)
+    assert fitted.seasonal == (kind == "monthly_seasonal" and spec.family in smoothing._SEASONAL)
+
+
+@pytest.mark.parametrize("family", ["ses", "holt", "damped"])
+def test_blocked_search_all_tied_picks_first_point(family):
+    # with y = 2 every update is exact, so every grid point has SSE 0 and the
+    # winner is grid index 0 even though the tie spans every block
+    series = TimeSeries("c", np.full(24, 2.0))
+    best, fitted = blocked_and_reference(ForecasterSpec(family), series)
+    assert best == 0 and fitted.sse == 0.0
+    assert (fitted.alpha, fitted.beta, fitted.phi) == (
+        0.0,
+        None if family == "ses" else 0.0,
+        smoothing.PHI_MIN if family == "damped" else None,
+    )
+
+
+def test_blocked_search_grid_smaller_than_one_block(make_rw):
+    spec = ForecasterSpec("damped", alpha=0.5, beta=0.1)
+    assert smoothing._grid(spec, "damped")[0].size < smoothing._BLOCK
+    blocked_and_reference(spec, make_rw(8, 30, drift=0.5))
+
+
+def test_blocked_search_minimum_beyond_first_block(make_rw):
+    # Holt on a driftless random walk wants alpha near 1, i.e. a grid index
+    # past the first block of the 10,201-point grid
+    best, _ = blocked_and_reference(ForecasterSpec("holt"), make_rw(3, 40))
+    assert best >= smoothing._BLOCK
 
 
 def test_unknown_family_rejected():
