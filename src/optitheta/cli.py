@@ -27,6 +27,7 @@ from .groe import APPROACHES, DEFAULT_THETA_GRID
 from .pipeline import MethodSpec, run_method
 from .runner import FORECASTS_HEADER, ExperimentConfig, forecast_row, run_experiment
 from .series import TimeSeries
+from .theta import LINE_EXTRAPOLATORS
 
 BENCHMARK_TOKENS = {
     "naive": "naive",
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_otm_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cost", choices=("se", "ae", "sape"), default="se",
                      help="validation cost for OTM methods")
-    sub.add_argument("--extrapolator", choices=("ses", "holt", "damped"), default="ses",
+    sub.add_argument("--extrapolator", choices=LINE_EXTRAPOLATORS, default="ses",
                      help="theta-line extrapolator for OTM methods")
     sub.add_argument("--grid", default=None,
                      help="theta grid override, comma-separated (default 1,1.5,...,5)")

@@ -11,8 +11,8 @@ theta coefficient is selected by brute force over a small grid.
 the optimised-theta forecaster on every prefix, once per grid theta.
 :func:`estimate_theta` makes the same choice, up to losses that tie within
 rounding, without a single re-fit. The theta line on the prefix of origin o
-is ``theta*y + (1-theta)*(a_o + b_o*t)``, and SES, Holt and damped trend,
-seeds included, are linear in their input for fixed parameters. A prefix
+is ``theta*y + (1-theta)*(a_o + b_o*t)``, and SES and damped trend, seeds
+included, are linear in their input for fixed parameters. A prefix
 run is a truncation of a run over the whole series. So, for every parameter
 grid point, the prefix's one-step errors and final states are
 ``theta*E(y) + (1-theta)*a_o*E(1) + (1-theta)*b_o*E(t)``, where ``E(x)`` is
@@ -198,30 +198,22 @@ def _check_grid(grid) -> tuple[float, ...]:
     return values
 
 
-def estimate_theta(
-    series: TimeSeries,
-    grid=DEFAULT_THETA_GRID,
-    config: GroeConfig | None = None,
-    cost="se",
-    extrapolator: ForecasterSpec = SES,
-) -> float:
-    """Grid-search theta minimising the GROE loss; ties go to the smallest theta.
+def scored_origins(config: GroeConfig, n: int) -> list[int]:
+    """The schedule's origins that leave at least one observation to score."""
+    return [ni for ni in origin_schedule(config, n) if ni < n]
 
-    Each theta's loss is that of :func:`groe_loss` with :func:`otm_candidate`,
-    computed by superposition (see the module docstring): at every origin each
-    theta chooses its smoothing parameters by the rule of
-    :func:`optitheta.smoothing.fit` and is scored on its combined forecasts.
-    If the candidates cannot be fitted (a prefix too short for the
+
+def loss_table(
+    series: TimeSeries, grid, origins, H: int, cost="se", extrapolator: ForecasterSpec = SES
+) -> dict[int, np.ndarray]:
+    """``{origin: losses}``: ``losses[i]`` is what :func:`groe_loss` with
+    :func:`otm_candidate` of ``grid[i]`` adds at that origin, computed by
+    superposition (see the module docstring). It does not depend on the other
+    origins, so one table serves every schedule with this H whose origins it
+    holds. If the candidates cannot be fitted (a prefix too short for the
     extrapolator) an :class:`EvaluationError` is raised.
-
-    With the ``holt`` extrapolator the returned theta is arbitrary. Holt
-    reproduces a line exactly and the theta line's SSE is theta**2 times
-    that of the series, so every theta's combined forecast is Holt on the
-    series itself. All grid thetas then have the same loss up to rounding.
     """
     values = _check_grid(grid)
-    if config is None:
-        raise ValueError("a GroeConfig is required; build one with approach_config()")
     family = extrapolator.family
     if family not in LINE_EXTRAPOLATORS:
         raise ValueError(
@@ -230,11 +222,13 @@ def estimate_theta(
     g = _resolve_cost(cost)
     y = series.values
     n = series.n
-    horizons = {ni: min(config.H, n - ni) for ni in origin_schedule(config, n) if ni < n}
-    if config.n1 < _min_n(family):
+    horizons = {ni: min(H, n - ni) for ni in origins}
+    if not horizons or min(horizons) < 2 or max(horizons) >= n:
+        raise ValueError(f"origins must be non-empty and lie in [2, n) for n={n}, got {origins}")
+    if min(horizons) < _min_n(family):
         raise EvaluationError(
             f"series {series.id!r}: every theta candidate failed (family {family!r} needs "
-            f"a prefix of n >= {_min_n(family)}, the first origin is {config.n1})"
+            f"a prefix of n >= {_min_n(family)}, the first origin is {min(horizons)})"
         )
 
     theta = np.array(values)[:, None]  # one row per grid theta
@@ -246,7 +240,7 @@ def estimate_theta(
     # then does not cancel on strongly trended series.
     runs = np.stack([y - trend_value(full, t), t], axis=1)[:, :, None]
     cross = np.zeros((2, 2) + alpha.shape)  # summed products of the two runs' errors
-    losses = np.zeros(len(values))
+    table: dict[int, np.ndarray] = {}
     last = max(horizons)
     with np.errstate(all="ignore"):
         for ni, (e, level, trend, _) in enumerate(_recurrence(runs, alpha, beta, phi), start=2):
@@ -268,10 +262,21 @@ def estimate_theta(
                 line = line + np.cumsum(phi[best] ** k, axis=1) * slope
             fx = (1.0 - 1.0 / theta) * trend_value(prefix_fit, ni + k) + (1.0 / theta) * line
             actual = y[ni : ni + k.size]
-            for i, row in enumerate(fx):
-                losses[i] += float(np.sum(g(actual, row)))
+            table[ni] = np.array([float(np.sum(g(actual, row))) for row in fx])
             if ni == last:
                 break
+    return table
+
+
+def select_theta(grid, table: dict[int, np.ndarray], origins, series_id: str = "") -> float:
+    """The theta whose :func:`loss_table` rows, summed over ``origins`` in
+    ascending order, are least; ties go to the smallest theta. An
+    :class:`EvaluationError` is raised when no theta has a finite loss.
+    """
+    values = _check_grid(grid)
+    losses = np.zeros(len(values))
+    for ni in sorted(origins):
+        losses += table[ni]
     best_theta: float | None = None
     best_loss = math.inf
     for value, loss in zip(values, losses):
@@ -279,5 +284,23 @@ def estimate_theta(
             best_theta = value
             best_loss = loss
     if best_theta is None:
-        raise EvaluationError(f"series {series.id!r}: every theta candidate failed (no finite loss)")
+        raise EvaluationError(f"series {series_id!r}: every theta candidate failed (no finite loss)")
     return best_theta
+
+
+def estimate_theta(
+    series: TimeSeries,
+    grid=DEFAULT_THETA_GRID,
+    config: GroeConfig | None = None,
+    cost="se",
+    extrapolator: ForecasterSpec = SES,
+) -> float:
+    """Grid-search theta minimising the GROE loss of :func:`groe_loss` with
+    :func:`otm_candidate`; ties go to the smallest theta. It is
+    :func:`loss_table` over the schedule's origins, then :func:`select_theta`.
+    """
+    if config is None:
+        raise ValueError("a GroeConfig is required; build one with approach_config()")
+    origins = scored_origins(config, series.n)
+    table = loss_table(series, grid, origins, config.H, cost, extrapolator)
+    return select_theta(grid, table, origins, series.id)

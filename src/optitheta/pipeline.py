@@ -6,6 +6,15 @@ validation on the adjusted series, theta-line decomposition and
 extrapolation, recombination, and reseasonalization. ``run_classic_theta``
 is the same pipeline with theta fixed to 2 (no selection step), and
 ``run_benchmark`` dispatches the reference families.
+
+The otm tokens of one series share a :class:`SeriesContext`, which does
+each piece of their common work once, when a token first needs it: the
+seasonal decision and adjusted series; one GROE loss table per (grid, cost,
+extrapolator) over the union of the tokens' origins (every schedule uses
+H = h, so a (theta, origin) loss is the same for each token that visits
+it); and one reseasonalised forecast per (theta, extrapolator). Each token
+sums its own origins' rows as ``estimate_theta`` does, so its result does
+not depend on the other tokens.
 """
 
 from __future__ import annotations
@@ -15,8 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smoothing
-from .groe import DEFAULT_THETA_GRID, approach_config, estimate_theta
-from .seasonal import deseasonalize, reseasonalize, seasonal_indices, seasonality_applies
+from .groe import DEFAULT_THETA_GRID, approach_config, loss_table, scored_origins, select_theta
+from .seasonal import (
+    SeasonalIndices, deseasonalize, reseasonalize, seasonal_indices, seasonality_applies,
+)
 from .series import TimeSeries
 from .smoothing import FAMILIES, ForecasterSpec
 from .theta import LINE_EXTRAPOLATORS, otm_forecast
@@ -102,51 +113,99 @@ class ForecastResult:
         object.__setattr__(self, "forecasts", forecasts)
 
 
-def _theta_pipeline(
-    series: TimeSeries,
-    h: int,
-    grid: tuple[float, ...],
-    approach: str,
-    cost: str,
-    extrapolator: ForecasterSpec,
-) -> tuple[np.ndarray, float, bool, str | None]:
-    if series.n < 3:
-        raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
-    seasonal = seasonality_applies(series)
-    if seasonal:
-        idx = seasonal_indices(series)
-        work = deseasonalize(series, idx)
-    else:
-        work = series
-    note = None
-    if len(grid) == 1:
-        theta = float(grid[0])
-    else:
+def _table_key(spec: MethodSpec) -> tuple:
+    return (spec.grid, spec.cost, spec.extrapolator)
+
+
+class SeriesContext:
+    """Per-series work shared by the method tokens ``specs`` run on ``series``.
+
+    Nothing is computed until a token asks for it, and a piece that raises
+    is not stored, so it fails every token that needs it and no other.
+    """
+
+    def __init__(self, series: TimeSeries, h: int, specs=()) -> None:
+        self.series = series
+        self.h = h
+        self.specs = tuple(specs)
+        self._adjusted: tuple[bool, SeasonalIndices | None, TimeSeries] | None = None
+        self._tables: dict[tuple, dict[int, np.ndarray]] = {}
+        self._forecasts: dict[tuple[float, ForecasterSpec], np.ndarray] = {}
+
+    def adjusted(self) -> tuple[bool, SeasonalIndices | None, TimeSeries]:
+        """(seasonal, indices or None, the series theta is selected and fitted on)."""
+        if self._adjusted is None:
+            if seasonality_applies(self.series):
+                idx = seasonal_indices(self.series)
+                self._adjusted = (True, idx, deseasonalize(self.series, idx))
+            else:
+                self._adjusted = (False, None, self.series)
+        return self._adjusted
+
+    def _origins(self, spec: MethodSpec) -> list[int]:
+        return scored_origins(approach_config(spec.approach, self.series.n, self.h), self.series.n)
+
+    def _table(self, spec: MethodSpec) -> dict[int, np.ndarray]:
+        key = _table_key(spec)
+        if key not in self._tables:
+            union: set[int] = set()
+            for other in self.specs:
+                if other.kind == "otm" and _table_key(other) == key:
+                    try:
+                        union.update(self._origins(other))
+                    except ValueError:
+                        pass  # that token falls back and reads no table
+            _, _, work = self.adjusted()
+            self._tables[key] = loss_table(
+                work, spec.grid, sorted(union), self.h, spec.cost, spec.extrapolator
+            )
+        return self._tables[key]
+
+    def theta(self, spec: MethodSpec) -> tuple[float, str | None]:
+        """The token's theta and, when it fell back to theta=2, why."""
+        if len(spec.grid) == 1:
+            return spec.grid[0], None
         try:
-            config = approach_config(approach, work.n, h)
+            origins = self._origins(spec)
         except ValueError as exc:
-            theta = FALLBACK_THETA
-            note = f"fallback to theta={FALLBACK_THETA:g}: {exc}"
-        else:
-            theta = estimate_theta(work, grid=grid, config=config, cost=cost,
-                                   extrapolator=extrapolator)
-    forecasts = otm_forecast(work, theta, h, extrapolator)
-    if seasonal:
-        forecasts = reseasonalize(forecasts, idx, start_t=series.n + 1)
-    return forecasts, theta, seasonal, note
+            return FALLBACK_THETA, f"fallback to theta={FALLBACK_THETA:g}: {exc}"
+        return select_theta(spec.grid, self._table(spec), origins, self.series.id), None
+
+    def forecast(self, theta: float, extrapolator: ForecasterSpec) -> np.ndarray:
+        """Reseasonalised combined forecasts of one (theta, extrapolator)."""
+        key = (theta, extrapolator)
+        if key not in self._forecasts:
+            seasonal, idx, work = self.adjusted()
+            forecasts = otm_forecast(work, theta, self.h, extrapolator)
+            if seasonal:
+                forecasts = reseasonalize(forecasts, idx, start_t=self.series.n + 1)
+            forecasts.setflags(write=False)  # handed to every token with this key
+            self._forecasts[key] = forecasts
+        return self._forecasts[key]
 
 
-def run_otm(series: TimeSeries, h: int, spec: MethodSpec) -> ForecastResult:
-    """Run the optimised-theta pipeline for one series."""
+def run_otm(
+    series: TimeSeries, h: int, spec: MethodSpec, *, context: SeriesContext | None = None
+) -> ForecastResult:
+    """Run the optimised-theta pipeline for one series, sharing ``context``
+    (built for this series, h and spec) with other tokens when given.
+    """
     if spec.kind != "otm":
         raise ValueError(f"run_otm needs an otm spec, got kind {spec.kind!r}")
-    forecasts, theta, seasonal, note = _theta_pipeline(
-        series, h, spec.grid, spec.approach, spec.cost, spec.extrapolator
-    )
+    if series.n < 3:
+        raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
+    if context is None:
+        context = SeriesContext(series, h, (spec,))
+    elif context.series is not series or context.h != h or spec not in context.specs:
+        raise ValueError(
+            f"the context was not built for series {series.id!r}, h={h} and {spec.name!r}"
+        )
+    seasonal, _, _ = context.adjusted()
+    theta, note = context.theta(spec)
     return ForecastResult(
         series_id=series.id,
         method=spec.name,
-        forecasts=forecasts,
+        forecasts=context.forecast(theta, spec.extrapolator),
         theta=theta,
         seasonal=seasonal,
         note=note,
@@ -178,8 +237,10 @@ def run_benchmark(series: TimeSeries, h: int, spec: MethodSpec) -> ForecastResul
     )
 
 
-def run_method(series: TimeSeries, h: int, spec: MethodSpec) -> ForecastResult:
-    """Dispatch a MethodSpec to the matching pipeline."""
+def run_method(
+    series: TimeSeries, h: int, spec: MethodSpec, *, context: SeriesContext | None = None
+) -> ForecastResult:
+    """Dispatch a MethodSpec to the matching pipeline; otm specs share ``context``."""
     if spec.kind == "benchmark":
         return run_benchmark(series, h, spec)
-    return run_otm(series, h, spec)
+    return run_otm(series, h, spec, context=context)

@@ -25,7 +25,7 @@ from .metrics import (
     mase,
     smape,
 )
-from .pipeline import ForecastResult, MethodSpec, run_method
+from .pipeline import ForecastResult, MethodSpec, SeriesContext, run_method
 
 SCORES_FILE = "scores.csv"
 AGGREGATE_FILE = "aggregate.csv"
@@ -66,12 +66,15 @@ Cell = tuple[SeriesScore, ForecastResult | None]
 
 
 def _evaluate_entry(entry: DatasetEntry, methods: tuple[MethodSpec, ...]) -> list[Cell]:
+    # built here, in the worker, so the shared work is never pickled; each
+    # piece of it is timed in the first cell that needs it
+    context = SeriesContext(entry.series, entry.h, methods)
     out: list[Cell] = []
     for spec in methods:
         result = error = smape_value = mase_value = None
         start = time.perf_counter()
         try:
-            result = run_method(entry.series, entry.h, spec)
+            result = run_method(entry.series, entry.h, spec, context=context)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start

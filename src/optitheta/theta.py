@@ -21,7 +21,7 @@ from . import smoothing
 from .series import TimeSeries, TrendFit, fit_linear_trend, trend_value
 from .smoothing import ForecasterSpec
 
-LINE_EXTRAPOLATORS = ("ses", "holt", "damped")
+LINE_EXTRAPOLATORS = ("ses", "damped")
 
 SES = ForecasterSpec("ses")
 

@@ -8,9 +8,9 @@ from optitheta.groe import DEFAULT_THETA_GRID
 def test_parse_method_tokens():
     classic = parse_method_token("theta", "se", "ses", DEFAULT_THETA_GRID)
     assert classic.kind == "otm" and classic.grid == (2.0,)
-    otm = parse_method_token("otm-d", "sape", "holt", DEFAULT_THETA_GRID)
+    otm = parse_method_token("otm-d", "sape", "damped", DEFAULT_THETA_GRID)
     assert otm.kind == "otm" and otm.approach == "d"
-    assert otm.cost == "sape" and otm.extrapolator.family == "holt"
+    assert otm.cost == "sape" and otm.extrapolator.family == "damped"
     bench = parse_method_token("holt-winters", "se", "ses", DEFAULT_THETA_GRID)
     assert bench.kind == "benchmark" and bench.family == "holt_winters"
     with pytest.raises(ValueError, match="unknown method"):

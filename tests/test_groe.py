@@ -266,9 +266,8 @@ def test_estimate_raises_when_all_candidates_fail():
     # a two-point prefix cannot support the trended extrapolators
     series = TimeSeries("s", np.arange(1.0, 7.0))
     config = GroeConfig(p=1, m=1, H=1, n1=2)
-    for family in ("holt", "damped"):
-        with pytest.raises(EvaluationError, match="every theta candidate failed"):
-            estimate_theta(series, config=config, extrapolator=ForecasterSpec(family))
+    with pytest.raises(EvaluationError, match="every theta candidate failed"):
+        estimate_theta(series, config=config, extrapolator=ForecasterSpec("damped"))
 
 
 def test_callable_cost_sees_the_reference_shapes(make_rw):
@@ -297,7 +296,6 @@ def test_callable_cost_sees_the_reference_shapes(make_rw):
 
 EXTRAPOLATORS = {
     "ses": ForecasterSpec("ses"),
-    "holt": ForecasterSpec("holt"),
     # pinned weights leave only the 19-point phi grid, which keeps the
     # re-fitting reference affordable
     "damped": ForecasterSpec("damped", alpha=0.3, beta=0.1),
@@ -336,9 +334,7 @@ def assert_matches_reference(series, config, spec, costs=tuple(COST_FUNCTIONS)):
 
 @pytest.mark.parametrize("family", sorted(EXTRAPOLATORS))
 def test_superposition_matches_reference_on_corpus(family):
-    # the unpinned holt reference re-fits a 10,201-point grid on every prefix;
-    # the monthly series' long rolling schedules would dominate the suite
-    counts = {"Yearly": 2, "Quarterly": 1, "Monthly": 0 if family == "holt" else 1, "Other": 1}
+    counts = {"Yearly": 2, "Quarterly": 1, "Monthly": 1, "Other": 1}
     for entry in synthetic_dataset(42, counts).entries:
         for approach in APPROACHES:
             config = approach_config(approach, entry.series.n, entry.h)

@@ -2,14 +2,27 @@ import numpy as np
 import pytest
 
 from optitheta import (
+    APPROACHES,
+    Dataset,
+    DatasetEntry,
+    ExperimentConfig,
     ForecastResult,
     MethodSpec,
     TimeSeries,
+    approach_config,
+    estimate_theta,
     run_benchmark,
     run_classic_theta,
+    run_experiment,
     run_method,
     run_otm,
+    synthetic_dataset,
 )
+from optitheta import pipeline
+from optitheta.groe import (
+    COST_FUNCTIONS, DEFAULT_THETA_GRID, loss_table, scored_origins, select_theta,
+)
+from optitheta.pipeline import SeriesContext
 from optitheta.seasonal import SeasonalIndices, reseasonalize
 from optitheta.series import fit_linear_trend, trend_value
 from optitheta.smoothing import ForecasterSpec, fit as fit_forecaster, forecast as smooth_forecast
@@ -112,6 +125,134 @@ def test_run_otm_is_deterministic(make_seasonal):
 def test_forecast_length_matches_horizon(make_rw):
     result = run_otm(make_rw(3, 30), 7, MethodSpec.otm("b"))
     assert result.forecasts.shape == (7,)
+
+
+# ---------------------------------------------------------------------------
+# per-series context shared by the method tokens
+# ---------------------------------------------------------------------------
+
+SHARED_EXTRAPOLATORS = {
+    "ses": ForecasterSpec("ses"),
+    # pinned weights leave the 19-point phi grid
+    "damped": ForecasterSpec("damped", alpha=0.3, beta=0.1),
+}
+
+
+def synthetic_cases():
+    """(series, h) pairs, seasonal and not, long enough for every schedule."""
+    entries = synthetic_dataset(42, {"Yearly": 2, "Quarterly": 2, "Monthly": 2, "Other": 1}).entries
+    return [(entry.series, entry.h) for entry in entries]
+
+
+# too short for any schedule, so every otm token falls back to theta=2
+SHORT_CASES = [
+    (TimeSeries("n-eq-h", [9.0, 11.0, 10.0, 12.0, 13.0, 12.5]), 6),
+    (TimeSeries("four", [3.0, 4.0, 3.5, 5.0]), 2),
+]
+
+
+def shared_specs():
+    specs = [MethodSpec.classic_theta()]
+    for cost in COST_FUNCTIONS:
+        for label, extrapolator in SHARED_EXTRAPOLATORS.items():
+            specs += [MethodSpec.otm(a, cost=cost, extrapolator=extrapolator,
+                                     name=f"otm-{a}-{cost}-{label}") for a in APPROACHES]
+    return specs
+
+
+def test_shared_context_equals_fresh_context_per_token():
+    specs = shared_specs()
+    seasonal_seen = set()
+    fallbacks = 0
+    for series, h in synthetic_cases() + SHORT_CASES:
+        context = SeriesContext(series, h, specs)
+        for spec in specs:
+            shared = run_method(series, h, spec, context=context)
+            alone = run_method(series, h, spec)
+            assert (shared.theta, shared.note, shared.seasonal) == (
+                alone.theta, alone.note, alone.seasonal), (series.id, spec.name)
+            assert shared.forecasts.tobytes() == alone.forecasts.tobytes(), (series.id, spec.name)
+            seasonal_seen.add(shared.seasonal)
+            fallbacks += shared.note is not None
+    assert seasonal_seen == {False, True}
+    assert fallbacks == len(SHORT_CASES) * (len(specs) - 1)
+
+
+def test_estimate_theta_equals_selection_over_a_union_table():
+    for series, h in synthetic_cases():
+        work = SeriesContext(series, h).adjusted()[2]
+        configs = {a: approach_config(a, series.n, h) for a in APPROACHES}
+        union = sorted({ni for c in configs.values() for ni in scored_origins(c, series.n)})
+        for cost in COST_FUNCTIONS:
+            for extrapolator in SHARED_EXTRAPOLATORS.values():
+                table = loss_table(work, DEFAULT_THETA_GRID, union, h, cost, extrapolator)
+                for approach, config in configs.items():
+                    own = scored_origins(config, series.n)
+                    assert len(own) < len(union)
+                    assert select_theta(DEFAULT_THETA_GRID, table, own) == estimate_theta(
+                        work, config=config, cost=cost, extrapolator=extrapolator
+                    ), (series.id, approach, cost, extrapolator)
+
+
+def test_context_rejects_a_token_it_was_not_built_for(make_rw):
+    series = make_rw(4, 30)
+    context = SeriesContext(series, 6, (MethodSpec.otm("a"),))
+    with pytest.raises(ValueError, match="not built for"):
+        run_otm(series, 6, MethodSpec.otm("b"), context=context)
+    with pytest.raises(ValueError, match="not built for"):
+        run_otm(series, 5, MethodSpec.otm("a"), context=context)
+
+
+def _selecting_corpus():
+    entries = synthetic_dataset(5, {"Yearly": 2, "Quarterly": 1, "Monthly": 1}).entries
+    short = DatasetEntry(TimeSeries("short", [4.0, 5.0, 4.5, 6.0, 5.5, 6.5]), np.ones(6), "Other")
+    return Dataset(entries=entries + (short,))
+
+
+def test_failed_loss_table_fails_only_the_cells_that_select(monkeypatch, tmp_path):
+    dataset = _selecting_corpus()
+    target = dataset.entries[1].series.id
+    original = pipeline.loss_table
+
+    def failing(series, *args):
+        if series.id == target:
+            raise RuntimeError("table failed")
+        return original(series, *args)
+
+    monkeypatch.setattr(pipeline, "loss_table", failing)
+    methods = (MethodSpec.classic_theta(), MethodSpec.otm("a"), MethodSpec.otm("d"),
+               MethodSpec.benchmark("naive"), MethodSpec.benchmark("ses"))
+    outputs = []
+    for workers in (1, 2):
+        out_dir = tmp_path / f"w{workers}"
+        result = run_experiment(dataset, ExperimentConfig(methods, workers=workers, out_dir=out_dir))
+        failed = {(s.series_id, s.method) for s in result.scores if s.error is not None}
+        assert failed == {(target, "otm-a"), (target, "otm-d")}
+        assert all("table failed" in s.error for s in result.scores if s.error is not None)
+        outputs.append([(out_dir / name).read_bytes() for name in ("scores.csv", "forecasts.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_shared_work_runs_once_per_series(monkeypatch):
+    dataset = synthetic_dataset(8, {"Yearly": 2, "Quarterly": 2, "Monthly": 2, "Other": 1})
+    calls = {"seasonality_applies": [], "loss_table": [], "otm_forecast": []}
+    for name, log in calls.items():
+        original = getattr(pipeline, name)
+
+        def counting(series, *args, _original=original, _log=log, **kwargs):
+            _log.append(series.id)
+            return _original(series, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counting)
+    methods = (MethodSpec.classic_theta(),) + tuple(MethodSpec.otm(a) for a in APPROACHES)
+    result = run_experiment(dataset, ExperimentConfig(methods, workers=1))
+    assert all(s.error is None and s.theta is not None for s in result.scores)
+    ids = [entry.series.id for entry in dataset.entries]
+    assert sorted(calls["seasonality_applies"]) == sorted(ids)
+    assert sorted(calls["loss_table"]) == sorted(ids)
+    for sid in ids:
+        thetas = {s.theta for s in result.scores if s.series_id == sid}
+        assert calls["otm_forecast"].count(sid) == len(thetas), sid
 
 
 # ---------------------------------------------------------------------------

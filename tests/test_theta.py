@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from optitheta import (
+    MethodSpec,
     TimeSeries,
+    approach_config,
     combination_weight,
+    estimate_theta,
     fit_linear_trend,
     otm_forecast,
     recompose,
     theta_line,
     trend_value,
 )
-from optitheta.groe import DEFAULT_THETA_GRID
+from optitheta.cli import main
 from optitheta.smoothing import ForecasterSpec, fit as fit_forecaster, forecast as run_forecast
 
 
@@ -187,13 +190,26 @@ def test_theta_four_on_exact_line_fitted_alpha():
     assert np.allclose(fx, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_holt_extrapolator_gives_holt_for_every_theta(seed, make_rw):
-    # Holt reproduces the trend line exactly and the theta line's SSE is
-    # theta**2 times that of y, so the combined forecast is Holt on y
-    series = make_rw(seed, 30, drift=0.3)
+def test_holt_extrapolator_is_rejected(tmp_path, make_rw):
+    # Holt reproduces a line exactly, so every grid theta would give Holt on
+    # the series itself and theta would be chosen by rounding
+    series = make_rw(0, 30, drift=0.3)
     holt = ForecasterSpec("holt")
-    expected = run_forecast(fit_forecaster(holt, series), 6)
-    for theta in DEFAULT_THETA_GRID:
-        combined = otm_forecast(series, theta, 6, holt)
-        assert np.allclose(combined, expected, rtol=1e-9, atol=0), theta
+    with pytest.raises(ValueError, match="extrapolator must be one of"):
+        otm_forecast(series, 2.0, 6, holt)
+    with pytest.raises(ValueError, match="extrapolator must be one of"):
+        estimate_theta(series, config=approach_config("d", 30, 6), extrapolator=holt)
+    with pytest.raises(ValueError, match="extrapolator must be one of"):
+        MethodSpec.otm("d", extrapolator="holt")
+    series_file = tmp_path / "series.csv"
+    series_file.write_text("id,period,values\nS1,1," + ",".join(map(str, range(1, 30))) + "\n",
+                           encoding="utf-8")
+    corpus = tmp_path / "corpus.csv"
+    main(["synth", "--out", str(corpus), "--seed", "1",
+          "--yearly", "1", "--quarterly", "0", "--monthly", "0", "--other", "0"])
+    for argv in (["forecast", "--input", str(series_file), "--method", "otm-a"],
+                 ["evaluate", "--data", str(corpus), "--methods", "otm-a",
+                  "--out-dir", str(tmp_path / "out")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--extrapolator", "holt"])
+        assert exc.value.code == 2
