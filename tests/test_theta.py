@@ -190,10 +190,11 @@ def test_theta_four_on_exact_line_fitted_alpha():
     assert np.allclose(fx, expected, atol=1e-12)
 
 
-def test_holt_extrapolator_is_rejected(tmp_path, make_rw):
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_holt_extrapolator_is_rejected(seed, make_rw):
     # Holt reproduces a line exactly, so every grid theta would give Holt on
     # the series itself and theta would be chosen by rounding
-    series = make_rw(0, 30, drift=0.3)
+    series = make_rw(seed, 30, drift=0.3)
     holt = ForecasterSpec("holt")
     with pytest.raises(ValueError, match="extrapolator must be one of"):
         otm_forecast(series, 2.0, 6, holt)
@@ -201,6 +202,9 @@ def test_holt_extrapolator_is_rejected(tmp_path, make_rw):
         estimate_theta(series, config=approach_config("d", 30, 6), extrapolator=holt)
     with pytest.raises(ValueError, match="extrapolator must be one of"):
         MethodSpec.otm("d", extrapolator="holt")
+
+
+def test_cli_rejects_holt_extrapolator(tmp_path):
     series_file = tmp_path / "series.csv"
     series_file.write_text("id,period,values\nS1,1," + ",".join(map(str, range(1, 30))) + "\n",
                            encoding="utf-8")
