@@ -210,8 +210,10 @@ def loss_table(
     :func:`otm_candidate` of ``grid[i]`` adds at that origin, computed by
     superposition (see the module docstring). It does not depend on the other
     origins, so one table serves every schedule with this H whose origins it
-    holds. If the candidates cannot be fitted (a prefix too short for the
-    extrapolator) an :class:`EvaluationError` is raised.
+    holds. Each origin's fits are read from the recurrence's step at that
+    origin, before the next step updates its states in place. If the
+    candidates cannot be fitted (a prefix too short for the extrapolator) an
+    :class:`EvaluationError` is raised.
     """
     values = _check_grid(grid)
     family = extrapolator.family
@@ -239,13 +241,19 @@ def loss_table(
     # back through the coefficients of 1 and t, and the quadratic form below
     # then does not cancel on strongly trended series.
     runs = np.stack([y - trend_value(full, t), t], axis=1)[:, :, None]
-    cross = np.zeros((2, 2) + alpha.shape)  # summed products of the two runs' errors
+    # summed products of the two runs' errors e0, e1: rows e0*e0, e0*e1, e1*e1.
+    # The matrix is symmetric, so e1*e0 is never formed; a quadratic form
+    # reads row 1 twice.
+    cross = np.zeros((3,) + alpha.shape)
+    products = np.empty_like(cross)
     table: dict[int, np.ndarray] = {}
     last = max(horizons)
     with np.errstate(all="ignore"):
         for ni, (e, level, trend, _) in enumerate(_recurrence(runs, alpha, beta, phi), start=2):
             if e is not None:
-                cross += e[:, None] * e
+                np.multiply(e[0], e, out=products[:2])
+                np.multiply(e[1], e[1], out=products[2])
+                cross += products
             if ni not in horizons:
                 continue
             prefix_fit = fit_linear_trend(series.prefix(ni))
@@ -254,7 +262,7 @@ def loss_table(
             c2 = theta * full.slope + (1.0 - theta) * prefix_fit.slope
             # its SSE is sum((theta*e_residual + c2*e_t)**2), a quadratic form
             weights = np.hstack([theta * theta, theta * c2, theta * c2, c2 * c2])
-            best = np.argmin(_sanitize(weights @ cross.reshape(4, -1)), axis=1, keepdims=True)
+            best = np.argmin(_sanitize(weights @ cross[[0, 1, 1, 2]]), axis=1, keepdims=True)
             k = np.arange(1, horizons[ni] + 1)
             line = theta * level[0][best] + c1 + c2 * level[1][best]
             if trend is not None:

@@ -7,14 +7,15 @@ extrapolation, recombination, and reseasonalization. ``run_classic_theta``
 is the same pipeline with theta fixed to 2 (no selection step), and
 ``run_benchmark`` dispatches the reference families.
 
-The otm tokens of one series share a :class:`SeriesContext`, which does
+The method tokens of one series share a :class:`SeriesContext`, which does
 each piece of their common work once, when a token first needs it: the
-seasonal decision and adjusted series; one GROE loss table per (grid, cost,
-extrapolator) over the union of the tokens' origins (every schedule uses
-H = h, so a (theta, origin) loss is the same for each token that visits
-it); and one reseasonalised forecast per (theta, extrapolator). Each token
-sums its own origins' rows as ``estimate_theta`` does, so its result does
-not depend on the other tokens.
+seasonal decision and adjusted series, whose decision the seasonal
+benchmark families read too; one GROE loss table per (grid, cost,
+extrapolator) over the union of the otm tokens' origins (every schedule
+uses H = h, so a (theta, origin) loss is the same for each token that
+visits it); and one reseasonalised forecast per (theta, extrapolator). Each
+otm token sums its own origins' rows as ``estimate_theta`` does, so its
+result does not depend on the other tokens.
 """
 
 from __future__ import annotations
@@ -184,6 +185,20 @@ class SeriesContext:
         return self._forecasts[key]
 
 
+def _context_for(
+    series: TimeSeries, h: int, spec: MethodSpec, context: SeriesContext | None
+) -> SeriesContext:
+    """``context`` after checking it was built for this series, h and spec;
+    a fresh one when it is None."""
+    if context is None:
+        return SeriesContext(series, h, (spec,))
+    if context.series is not series or context.h != h or spec not in context.specs:
+        raise ValueError(
+            f"the context was not built for series {series.id!r}, h={h} and {spec.name!r}"
+        )
+    return context
+
+
 def run_otm(
     series: TimeSeries, h: int, spec: MethodSpec, *, context: SeriesContext | None = None
 ) -> ForecastResult:
@@ -194,12 +209,7 @@ def run_otm(
         raise ValueError(f"run_otm needs an otm spec, got kind {spec.kind!r}")
     if series.n < 3:
         raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
-    if context is None:
-        context = SeriesContext(series, h, (spec,))
-    elif context.series is not series or context.h != h or spec not in context.specs:
-        raise ValueError(
-            f"the context was not built for series {series.id!r}, h={h} and {spec.name!r}"
-        )
+    context = _context_for(series, h, spec, context)
     seasonal, _, _ = context.adjusted()
     theta, note = context.theta(spec)
     return ForecastResult(
@@ -217,16 +227,24 @@ def run_classic_theta(series: TimeSeries, h: int, name: str = "theta") -> Foreca
     return run_otm(series, h, MethodSpec.classic_theta(name=name))
 
 
-def run_benchmark(series: TimeSeries, h: int, spec: MethodSpec) -> ForecastResult:
+def run_benchmark(
+    series: TimeSeries, h: int, spec: MethodSpec, *, context: SeriesContext | None = None
+) -> ForecastResult:
     """Run one of the reference families for one series.
 
-    Seasonal-capable families (naive2, holt_winters, seasonal_damped)
-    consult the seasonality test internally and fall back to their
+    Seasonal-capable families (naive2, holt_winters, seasonal_damped) take
+    the seasonality decision of ``context`` (built for this series, h and
+    spec, and shared with other tokens when given) and fall back to their
     non-seasonal sibling when it fails.
     """
     if spec.kind != "benchmark":
         raise ValueError(f"run_benchmark needs a benchmark spec, got kind {spec.kind!r}")
-    fitted = smoothing.fit(ForecasterSpec(spec.family), series)
+    context = _context_for(series, h, spec, context)
+    forecaster = ForecasterSpec(spec.family)
+    if spec.family in smoothing._SEASONAL:
+        fitted = smoothing.fit(forecaster, series, indices=context.adjusted()[1])
+    else:
+        fitted = smoothing.fit(forecaster, series)
     forecasts = smoothing.forecast(fitted, h)
     return ForecastResult(
         series_id=series.id,
@@ -240,7 +258,7 @@ def run_benchmark(series: TimeSeries, h: int, spec: MethodSpec) -> ForecastResul
 def run_method(
     series: TimeSeries, h: int, spec: MethodSpec, *, context: SeriesContext | None = None
 ) -> ForecastResult:
-    """Dispatch a MethodSpec to the matching pipeline; otm specs share ``context``."""
+    """Dispatch a MethodSpec to the matching pipeline, sharing ``context``."""
     if spec.kind == "benchmark":
-        return run_benchmark(series, h, spec)
+        return run_benchmark(series, h, spec, context=context)
     return run_otm(series, h, spec, context=context)

@@ -14,8 +14,8 @@ from optitheta.groe import DEFAULT_THETA_GRID
 TOKENS = ("theta", "otm-a", "otm-d", *BENCHMARK_TOKENS)
 
 GOLDEN = {
-    "forecasts.csv": "07cd44044891389ad7b01bd1766751894a1b55c2a8ec7bfb3662e308b3625b48",
-    "scores.csv": "ba024d70c1ab29a6f5d47e1613bb2cb66d8285abd36975bd23668b2a5f20b391",
+    "forecasts.csv": "1f587d75d327a32756fc84f720cdbcbbd40d4596a73a1fd42c52b704a0e8345c",
+    "scores.csv": "1ba297d608119e829ffa8b1e1018b80f18574994e47fa357f68f2a89683c14f7",
     "ranks.csv": "b7ad4abf603cc04fd6d7d31a567717a7979553218ddc4e4c21e889d446cce520",
 }
 

@@ -18,7 +18,7 @@ from optitheta import (
     run_otm,
     synthetic_dataset,
 )
-from optitheta import pipeline
+from optitheta import pipeline, smoothing
 from optitheta.groe import (
     COST_FUNCTIONS, DEFAULT_THETA_GRID, loss_table, scored_origins, select_theta,
 )
@@ -201,6 +201,8 @@ def test_context_rejects_a_token_it_was_not_built_for(make_rw):
         run_otm(series, 6, MethodSpec.otm("b"), context=context)
     with pytest.raises(ValueError, match="not built for"):
         run_otm(series, 5, MethodSpec.otm("a"), context=context)
+    with pytest.raises(ValueError, match="not built for"):
+        run_benchmark(series, 6, MethodSpec.benchmark("naive2"), context=context)
 
 
 def _selecting_corpus():
@@ -253,6 +255,28 @@ def test_shared_work_runs_once_per_series(monkeypatch):
     for sid in ids:
         thetas = {s.theta for s in result.scores if s.series_id == sid}
         assert calls["otm_forecast"].count(sid) == len(thetas), sid
+
+
+def test_benchmark_tokens_share_the_seasonal_test(monkeypatch, make_seasonal):
+    series = make_seasonal(3, 48, [0.7, 1.3, 0.9, 1.1], noise=0.02)
+    dataset = Dataset(entries=(DatasetEntry(series, np.full(4, 250.0), "Quarterly"),))
+    tokens = ("naive2", "holt_winters", "seasonal_damped")
+    methods = (MethodSpec.classic_theta(),) + tuple(MethodSpec.benchmark(f) for f in tokens)
+    tests = []
+    for module in (pipeline, smoothing):
+        original = module.seasonality_applies
+
+        def counting(series, _original=original):
+            tests.append(series.id)
+            return _original(series)
+
+        monkeypatch.setattr(module, "seasonality_applies", counting)
+    result = run_experiment(dataset, ExperimentConfig(methods, workers=1))
+    assert tests == [series.id]
+    for family, shared in zip(tokens, result.forecasts[1:]):
+        assert shared.seasonal
+        alone = smooth_forecast(fit_forecaster(ForecasterSpec(family), series), 4)
+        assert shared.forecasts.tobytes() == alone.tobytes(), family
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from optitheta import TimeSeries, smoothing
+from optitheta import (
+    APPROACHES, TimeSeries, approach_config, estimate_theta, groe, smoothing, synthetic_dataset,
+)
+from optitheta.groe import COST_FUNCTIONS, DEFAULT_THETA_GRID, loss_table, scored_origins
 from optitheta.seasonal import seasonal_indices
 from optitheta.smoothing import FAMILIES, FittedForecaster, ForecasterSpec, fit, forecast
 
@@ -191,14 +195,14 @@ def test_overflow_at_every_grid_point_raises(family):
 MONTHLY_PATTERN = [0.8, 0.9, 1.1, 1.2, 1.0, 0.95, 1.05, 1.15, 0.85, 0.9, 1.1, 0.9]
 
 
-def whole_grid_fit(spec, family, series):
-    """Reference search: one _recurrence run over the whole grid, first argmin
-    of the sanitized SSE. Returns the winner's grid index and its fit."""
+def whole_grid_fit(spec, family, series, recurrence=smoothing._recurrence):
+    """Reference search: one ``recurrence`` run over the whole grid, first
+    argmin of the sanitized SSE. Returns the winner's grid index and its fit."""
     season = seasonal_indices(series).indices if family in smoothing._SEASONAL else None
     alpha, beta, gamma, phi = smoothing._grid(spec, family)
     sse = np.zeros(alpha.shape)
     with np.errstate(all="ignore"):
-        for e, level, trend, factors in smoothing._recurrence(
+        for e, level, trend, factors in recurrence(
             series.values, alpha, beta, phi, gamma, season
         ):
             if e is not None:
@@ -299,3 +303,162 @@ def test_horizon_must_be_positive(make_rw):
     fitted = fit(ForecasterSpec("ses"), make_rw(0, 10))
     with pytest.raises(ValueError, match="horizon"):
         forecast(fitted, 0)
+
+
+# ---------------------------------------------------------------------------
+# Error-correction recurrence against the component-form reference
+# ---------------------------------------------------------------------------
+
+
+def component_form_recurrence(y, alpha, beta=None, phi=None, gamma=None, season=None):
+    """Reference: the recursion in component form, with new state arrays each step,
+
+        l' = alpha*y/s + (1 - alpha)*(l + phi*b)
+        b' = beta*(l' - l) + (1 - beta)*phi*b
+        s' = gamma*y/l' + (1 - gamma)*s
+
+    under the contract of ``smoothing._recurrence``. It is the same recursion
+    in exact arithmetic and rounds differently.
+    """
+    if beta is not None and phi is None:
+        phi = 1.0  # Holt; multiplying by 1.0 is exact
+    shape = np.broadcast_shapes(np.shape(y[0]), alpha.shape)
+    level = np.full(shape, y[0])
+    trend = None if beta is None else np.full(shape, y[1] - y[0])
+    one_minus_alpha = 1.0 - alpha
+    one_minus_beta = None if beta is None else 1.0 - beta
+    if season is not None:
+        period = season.size
+        season = np.repeat(season[:, None], alpha.size, axis=1)
+        one_minus_gamma = 1.0 - gamma
+    e = np.empty(shape)
+    for t in range(1, len(y)):
+        pred = level if trend is None else level + phi * trend
+        s = None if season is None else season[t % period]
+        np.subtract(y[t], pred if s is None else pred * s, out=e)
+        new_level = alpha * (y[t] if s is None else y[t] / s) + one_minus_alpha * pred
+        del pred
+        if trend is not None:
+            trend = beta * (new_level - level) + one_minus_beta * (phi * trend)
+        if s is not None:
+            s *= one_minus_gamma
+            s += gamma * (y[t] / new_level)
+        level = new_level
+        yield None if trend is not None and t < 2 else e, level, trend, season
+
+
+# The two forms differ by rounding only: SSEs agree within SSE_RTOL and
+# forecasts within FORECAST_RTOL. A different choice of parameters or theta
+# is allowed only where the reference's losses at both choices tie within
+# SSE_RTOL.
+SSE_RTOL = 1e-12
+FORECAST_RTOL = 1e-9
+PARAMETERS = ("alpha", "beta", "gamma", "phi")
+
+
+def assert_matches_component_form(family, series):
+    fitted = fit(ForecasterSpec(family), series)
+    _, reference = whole_grid_fit(
+        ForecasterSpec(family), fitted.family_used, series, component_form_recurrence
+    )
+    chosen = {name: getattr(fitted, name) for name in PARAMETERS}
+    if chosen != {name: getattr(reference, name) for name in PARAMETERS}:
+        # a flip: the reference at the new choice must tie with its own best
+        pinned = ForecasterSpec(family, **{k: v for k, v in chosen.items() if v is not None})
+        best_sse = reference.sse
+        _, reference = whole_grid_fit(pinned, fitted.family_used, series, component_form_recurrence)
+        assert reference.sse == pytest.approx(best_sse, rel=SSE_RTOL, abs=0.0), (series.id, family)
+    assert fitted.sse == pytest.approx(reference.sse, rel=SSE_RTOL, abs=0.0), (series.id, family)
+    np.testing.assert_allclose(forecast(fitted, 18), forecast(reference, 18), rtol=FORECAST_RTOL)
+
+
+@pytest.mark.parametrize("family", ["ses", "holt", "damped", "holt_winters", "seasonal_damped"])
+@pytest.mark.parametrize("kind", ["monthly_seasonal", "random_walk"])
+def test_error_correction_form_matches_component_form(family, kind, make_rw, make_seasonal):
+    if kind == "random_walk":
+        series = make_rw(21, 40, drift=0.3)
+    else:
+        series = make_seasonal(4, 60, MONTHLY_PATTERN, noise=0.03)
+    assert_matches_component_form(family, series)
+
+
+# Fits whose best points tie in exact arithmetic, so either form may pick
+# either point: at alpha=1 the level is y/s and gamma has no effect; at
+# alpha=0 the trend update is phi*b and beta has no effect.
+@pytest.mark.parametrize(
+    "seed, series_id, family",
+    [(1, "M2", "holt_winters"), (1, "M2", "seasonal_damped"), (2, "Y4", "damped")],
+)
+def test_component_form_ties_are_admissible(seed, series_id, family):
+    counts = {"Yearly": 4, "Quarterly": 4, "Monthly": 4, "Other": 2}
+    entries = synthetic_dataset(seed, counts).entries
+    assert_matches_component_form(family, next(e.series for e in entries if e.series.id == series_id))
+
+
+@pytest.mark.parametrize(
+    "extrapolator",
+    [ForecasterSpec("ses"), ForecasterSpec("damped", alpha=0.3, beta=0.1)],
+    ids=lambda spec: spec.family,
+)
+def test_theta_selection_matches_component_form(extrapolator, monkeypatch):
+    entries = synthetic_dataset(42, {"Yearly": 2, "Quarterly": 1, "Monthly": 1, "Other": 1}).entries
+    for entry in entries:
+        series, h = entry.series, entry.h
+        schedules = {a: scored_origins(approach_config(a, series.n, h), series.n) for a in APPROACHES}
+        union = sorted({ni for origins in schedules.values() for ni in origins})
+        for cost in COST_FUNCTIONS:
+            with monkeypatch.context() as patch:
+                patch.setattr(groe, "_recurrence", component_form_recurrence)
+                reference = loss_table(series, DEFAULT_THETA_GRID, union, h, cost, extrapolator)
+            table = loss_table(series, DEFAULT_THETA_GRID, union, h, cost, extrapolator)
+            for ni in union:
+                np.testing.assert_allclose(table[ni], reference[ni], rtol=FORECAST_RTOL)
+            for approach, origins in schedules.items():
+                config = approach_config(approach, series.n, h)
+                chosen = estimate_theta(series, config=config, cost=cost, extrapolator=extrapolator)
+                losses = dict(zip(DEFAULT_THETA_GRID, sum(reference[ni] for ni in origins)))
+                best = min(DEFAULT_THETA_GRID, key=lambda theta: (losses[theta], theta))
+                if chosen != best:
+                    assert losses[chosen] == pytest.approx(losses[best], rel=SSE_RTOL, abs=0.0), (
+                        series.id, approach, cost, chosen, best,
+                    )
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic: scaling by a power of two
+# ---------------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=12)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-6, 6),
+    seasonal=st.booleans(),
+    approach=st.sampled_from(APPROACHES),
+)
+def test_scaling_by_a_power_of_two_is_exact(seed, k, seasonal, approach):
+    # multiplying by c = 2**k is exact, and every step of the fits and of
+    # theta selection either scales by c or cancels it, so nothing rounds
+    # differently: parameters and theta are identical, SSEs and forecasts
+    # scale bit for bit
+    c = 2.0**k
+    rng = np.random.default_rng(seed)
+    n, h = 36, 8
+    if seasonal:
+        t = np.arange(n)
+        y = (100.0 + 1.5 * t) * np.array([0.8, 1.2, 0.9, 1.1])[t % 4] * np.exp(rng.normal(0, 0.05, n))
+    else:
+        y = 100.0 + np.cumsum(rng.normal(0.3, 2.0, n))
+    series = TimeSeries("s", y, 4 if seasonal else 1)
+    scaled = series.with_values(c * y)
+    for family in FAMILIES:
+        base = fit(ForecasterSpec(family), series)
+        moved = fit(ForecasterSpec(family), scaled)
+        assert [getattr(moved, p) for p in PARAMETERS] == [getattr(base, p) for p in PARAMETERS]
+        assert moved.sse == base.sse * c * c, family
+        assert np.array_equal(forecast(moved, h), forecast(base, h) * c), family
+    config = approach_config(approach, n, h)
+    for cost in COST_FUNCTIONS:
+        assert estimate_theta(scaled, config=config, cost=cost) == estimate_theta(
+            series, config=config, cost=cost
+        ), cost
