@@ -23,7 +23,7 @@ import numpy as np
 from .dataset import (
     DatasetError, check_unique_ids, load_dataset, read_rows, save_dataset, synthetic_dataset,
 )
-from .groe import APPROACHES, DEFAULT_THETA_GRID
+from .groe import APPROACHES, COST_FUNCTIONS, DEFAULT_THETA_GRID
 from .pipeline import MethodSpec, run_method
 from .runner import FORECASTS_HEADER, ExperimentConfig, forecast_row, run_experiment
 from .series import TimeSeries
@@ -46,10 +46,7 @@ def parse_method_token(token: str, cost: str, extrapolator: str, grid) -> Method
     if token == "theta":
         return MethodSpec.classic_theta()
     if token.startswith("otm-"):
-        approach = token[len("otm-"):]
-        if approach not in APPROACHES:
-            raise ValueError(f"unknown OTM approach {approach!r}; expected one of {APPROACHES}")
-        return MethodSpec.otm(approach, cost=cost, extrapolator=extrapolator, grid=grid)
+        return MethodSpec.otm(token[len("otm-"):], cost=cost, extrapolator=extrapolator, grid=grid)
     if token in BENCHMARK_TOKENS:
         return MethodSpec.benchmark(BENCHMARK_TOKENS[token], name=token)
     valid = ["theta", *(f"otm-{a}" for a in APPROACHES), *BENCHMARK_TOKENS]
@@ -175,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_otm_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--cost", choices=("se", "ae", "sape"), default="se",
+    sub.add_argument("--cost", choices=tuple(COST_FUNCTIONS), default="se",
                      help="validation cost for OTM methods")
     sub.add_argument("--extrapolator", choices=LINE_EXTRAPOLATORS, default="ses",
                      help="theta-line extrapolator for OTM methods")

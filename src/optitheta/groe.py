@@ -68,8 +68,6 @@ COST_FUNCTIONS = {"se": se, "ae": ae, "sape": sape}
 
 
 def _resolve_cost(cost) -> Callable:
-    if callable(cost):
-        return cost
     try:
         return COST_FUNCTIONS[cost]
     except KeyError:
@@ -211,9 +209,10 @@ def loss_table(
     superposition (see the module docstring). It does not depend on the other
     origins, so one table serves every schedule with this H whose origins it
     holds. Each origin's fits are read from the recurrence's step at that
-    origin, before the next step updates its states in place. If the
-    candidates cannot be fitted (a prefix too short for the extrapolator) an
-    :class:`EvaluationError` is raised.
+    origin, before the next step updates its states in place, as one
+    ``(thetas, horizon)`` forecast array that a single call of the cost scores
+    for every grid theta. If the candidates cannot be fitted (a prefix too
+    short for the extrapolator) an :class:`EvaluationError` is raised.
     """
     values = _check_grid(grid)
     family = extrapolator.family
@@ -270,36 +269,33 @@ def loss_table(
                 line = line + np.cumsum(phi[best] ** k, axis=1) * slope
             fx = (1.0 - 1.0 / theta) * trend_value(prefix_fit, ni + k) + (1.0 / theta) * line
             actual = y[ni : ni + k.size]
-            table[ni] = np.array([float(np.sum(g(actual, row))) for row in fx])
+            table[ni] = g(actual, fx).sum(axis=1)
             if ni == last:
                 break
     return table
 
 
 def select_theta(grid, table: dict[int, np.ndarray], origins, series_id: str = "") -> float:
-    """The theta whose :func:`loss_table` rows, summed over ``origins`` in
-    ascending order, are least; ties go to the smallest theta. An
-    :class:`EvaluationError` is raised when no theta has a finite loss.
+    """The theta of ``grid`` (as checked by :func:`loss_table`) whose table
+    rows, summed over ``origins`` in ascending order, are least: the first
+    minimum, so ties go to the smallest theta. A non-finite loss never wins,
+    and an :class:`EvaluationError` is raised when no theta has a finite loss.
     """
-    values = _check_grid(grid)
-    losses = np.zeros(len(values))
+    losses = np.zeros(len(grid))
     for ni in sorted(origins):
         losses += table[ni]
-    best_theta: float | None = None
-    best_loss = math.inf
-    for value, loss in zip(values, losses):
-        if loss < best_loss:
-            best_theta = value
-            best_loss = loss
-    if best_theta is None:
+    losses = _sanitize(losses)
+    best = int(np.argmin(losses))
+    if not np.isfinite(losses[best]):
         raise EvaluationError(f"series {series_id!r}: every theta candidate failed (no finite loss)")
-    return best_theta
+    return float(grid[best])
 
 
 def estimate_theta(
     series: TimeSeries,
     grid=DEFAULT_THETA_GRID,
-    config: GroeConfig | None = None,
+    *,
+    config: GroeConfig,
     cost="se",
     extrapolator: ForecasterSpec = SES,
 ) -> float:
@@ -307,8 +303,6 @@ def estimate_theta(
     :func:`otm_candidate`; ties go to the smallest theta. It is
     :func:`loss_table` over the schedule's origins, then :func:`select_theta`.
     """
-    if config is None:
-        raise ValueError("a GroeConfig is required; build one with approach_config()")
     origins = scored_origins(config, series.n)
     table = loss_table(series, grid, origins, config.H, cost, extrapolator)
     return select_theta(grid, table, origins, series.id)

@@ -25,7 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smoothing
-from .groe import DEFAULT_THETA_GRID, approach_config, loss_table, scored_origins, select_theta
+from .groe import (
+    APPROACHES, COST_FUNCTIONS, DEFAULT_THETA_GRID, _check_grid, approach_config, loss_table,
+    scored_origins, select_theta,
+)
 from .seasonal import (
     SeasonalIndices, deseasonalize, reseasonalize, seasonal_indices, seasonality_applies,
 )
@@ -64,7 +67,13 @@ class MethodSpec:
                 f"theta-line extrapolator must be one of {LINE_EXTRAPOLATORS}, "
                 f"got {self.extrapolator.family!r}"
             )
-        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
+        elif self.approach not in APPROACHES:
+            raise ValueError(
+                f"unknown OTM approach {self.approach!r}; expected one of {APPROACHES}"
+            )
+        elif self.cost not in COST_FUNCTIONS:
+            raise ValueError(f"unknown cost {self.cost!r}; expected one of {tuple(COST_FUNCTIONS)}")
+        object.__setattr__(self, "grid", _check_grid(self.grid))
 
     @staticmethod
     def otm(approach: str, cost: str = "se", extrapolator: str | ForecasterSpec = "ses",

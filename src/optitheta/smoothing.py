@@ -118,7 +118,6 @@ class FittedForecaster:
     used does not have is None.
     """
 
-    spec: ForecasterSpec
     family_used: str
     n: int
     sse: float
@@ -226,17 +225,17 @@ def _recurrence(y: np.ndarray, alpha: np.ndarray, beta=None, phi=None, gamma=Non
         yield None if trend is not None and t < 2 else e, level, trend, season
 
 
-def _fit_naive(spec: ForecasterSpec, series: TimeSeries, season) -> FittedForecaster:
+def _fit_naive(series: TimeSeries, season) -> FittedForecaster:
     # the random walk (on the seasonally adjusted series for naive2) has no
     # parameters, so its SSE needs no recursion
     y = series.values
     if season is None:
         sse = float(np.sum(np.diff(y) ** 2))
-        return FittedForecaster(spec, "naive", series.n, sse, level=float(y[-1]))
+        return FittedForecaster("naive", series.n, sse, level=float(y[-1]))
     factors = season[np.arange(y.size) % season.size]
     adjusted = y / factors
     sse = float(np.sum((y[1:] - adjusted[:-1] * factors[1:]) ** 2))
-    return FittedForecaster(spec, "naive2", series.n, sse, level=float(adjusted[-1]), season=season)
+    return FittedForecaster("naive2", series.n, sse, level=float(adjusted[-1]), season=season)
 
 
 def _fit_smooth(spec: ForecasterSpec, series: TimeSeries, family: str, season) -> FittedForecaster:
@@ -279,7 +278,6 @@ def _fit_smooth(spec: ForecasterSpec, series: TimeSeries, family: str, season) -
     level, trend, factors = block_best[best // _BLOCK]
     param = lambda grid: None if grid is None else float(grid[best])  # noqa: E731
     return FittedForecaster(
-        spec=spec,
         family_used=family,
         n=series.n,
         sse=float(sse[best]),
@@ -317,7 +315,7 @@ def fit(spec: ForecasterSpec, series: TimeSeries, *, indices=_UNTESTED) -> Fitte
         )
     season = indices.indices if seasonal else None
     if effective in ("naive", "naive2"):
-        return _fit_naive(spec, series, season)
+        return _fit_naive(series, season)
     return _fit_smooth(spec, series, effective, season)
 
 

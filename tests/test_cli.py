@@ -64,6 +64,17 @@ def test_evaluate_rejects_bad_method(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("grid", ["0.5,2", "3,2"])
+def test_evaluate_rejects_bad_grid(tmp_path, grid):
+    corpus = tmp_path / "corpus.csv"
+    main(["synth", "--out", str(corpus), "--seed", "1",
+          "--yearly", "1", "--quarterly", "0", "--monthly", "0", "--other", "0"])
+    rc = main(["evaluate", "--data", str(corpus), "--methods", "theta,otm-a", "--grid", grid,
+               "--out-dir", str(tmp_path / "r")])
+    assert rc == 2
+    assert not (tmp_path / "r").exists()
+
+
 def test_evaluate_missing_file_is_config_error(tmp_path):
     rc = main(["evaluate", "--data", str(tmp_path / "nope.csv"), "--methods", "theta",
                "--out-dir", str(tmp_path / "r")])

@@ -15,7 +15,10 @@ from optitheta import (
     p_max,
     synthetic_dataset,
 )
-from optitheta.groe import COST_FUNCTIONS, DEFAULT_THETA_GRID, ae, sape, se
+from optitheta.groe import (
+    COST_FUNCTIONS, DEFAULT_THETA_GRID, ae, loss_table, sape, scored_origins, se, select_theta,
+)
+from optitheta.pipeline import MethodSpec, run_method
 from optitheta.smoothing import ForecasterSpec
 
 
@@ -137,9 +140,13 @@ def test_loss_checks_forecast_shape(make_rw):
 
 
 def test_unknown_cost_rejected(make_rw):
+    # only the named costs are accepted; a callable is not one of them
     series = make_rw(6, 15)
-    with pytest.raises(ValueError, match="unknown cost"):
-        groe_loss(series, naive_candidate, GroeConfig(p=1, m=1, H=2, n1=5), "rmse")
+    for cost in ("rmse", lambda actual, forecast: (actual - forecast) ** 2):
+        with pytest.raises(ValueError, match="unknown cost"):
+            groe_loss(series, naive_candidate, GroeConfig(p=1, m=1, H=2, n1=5), cost)
+        with pytest.raises(ValueError, match="unknown cost"):
+            estimate_theta(series, config=approach_config("a", 15, 3), cost=cost)
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +277,20 @@ def test_estimate_raises_when_all_candidates_fail():
         estimate_theta(series, config=config, extrapolator=ForecasterSpec("damped"))
 
 
-def test_callable_cost_sees_the_reference_shapes(make_rw):
+def test_loss_table_calls_the_cost_once_per_origin(make_rw, monkeypatch):
+    # every grid theta of an origin is scored by one call on a (thetas, horizon) array
+    calls = []
+
+    def counting(actual, forecast):
+        calls.append(forecast.shape)
+        return se(actual, forecast)
+
+    monkeypatch.setitem(COST_FUNCTIONS, "se", counting)
     series = make_rw(11, 40, drift=0.2)
     config = approach_config("d", 40, 6)
-
-    def recording(calls):
-        def cost(actual, forecast):
-            assert actual.ndim == 1 and forecast.ndim == 1
-            calls.append((actual.shape, forecast.shape))
-            return (actual - forecast) ** 2
-
-        return cost
-
-    seen, reference = [], []
-    theta = estimate_theta(series, config=config, cost=recording(seen))
-    for candidate_theta in DEFAULT_THETA_GRID:
-        groe_loss(series, otm_candidate(candidate_theta), config, recording(reference))
-    assert sorted(seen) == sorted(reference)
-    assert theta == estimate_theta(series, config=config, cost="se")
+    origins = scored_origins(config, series.n)
+    loss_table(series, DEFAULT_THETA_GRID, origins, config.H, "se")
+    assert calls == [(len(DEFAULT_THETA_GRID), min(config.H, series.n - ni)) for ni in origins]
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +372,60 @@ def test_superposition_matches_reference_on_random_walks(seed, n, h, drift, appr
     except ValueError:
         assume(False)
     assert_matches_reference(series, config, EXTRAPOLATORS[family])
+
+
+# ---------------------------------------------------------------------------
+# shift equivariance
+# ---------------------------------------------------------------------------
+
+
+def shifted_series():
+    """(series, h, shifts): the non-seasonal series of a fixed corpus, with
+    three shifts each, one of which takes the series halfway down to zero."""
+    counts = {"Yearly": 50, "Quarterly": 0, "Monthly": 0, "Other": 20}
+    for entry in synthetic_dataset(42, counts).entries:
+        assert entry.series.period == 1
+        yield entry.series, entry.h, (12.5, 1e3, -0.5 * entry.series.values.min())
+
+
+@pytest.mark.parametrize("cost", ["se", "ae"])
+def test_shift_leaves_theta_unchanged(cost):
+    # se and ae see only y - forecast, and every candidate forecast moves
+    # with y; sape divides by the level, so it is not shift-invariant. Each
+    # schedule selects from one table over every schedule's origins, as
+    # estimate_theta would from its own (see
+    # test_pipeline::test_estimate_theta_equals_selection_over_a_union_table).
+    selections = 0
+    for series, h, shifts in shifted_series():
+        configs = {}
+        for approach in APPROACHES:
+            try:
+                configs[approach] = approach_config(approach, series.n, h)
+            except ValueError:
+                continue
+        own = {a: scored_origins(config, series.n) for a, config in configs.items()}
+        union = sorted({ni for origins in own.values() for ni in origins})
+        table = loss_table(series, DEFAULT_THETA_GRID, union, h, cost)
+        for c in shifts:
+            moved = loss_table(series.with_values(series.values + c), DEFAULT_THETA_GRID, union,
+                               h, cost)
+            for approach, origins in own.items():
+                base = select_theta(DEFAULT_THETA_GRID, table, origins)
+                chosen = select_theta(DEFAULT_THETA_GRID, moved, origins)
+                selections += 1
+                if chosen != base:
+                    losses = dict(zip(DEFAULT_THETA_GRID, sum(table[ni] for ni in origins)))
+                    assert losses[chosen] == pytest.approx(losses[base], rel=1e-9, abs=0.0), (
+                        series.id, c, approach, base, chosen,
+                    )
+    assert selections == 70 * 3 * 8
+
+
+def test_shift_moves_the_forecasts_by_the_constant():
+    spec = MethodSpec.otm("a")
+    for series, h, shifts in shifted_series():
+        base = run_method(series, h, spec)
+        for c in shifts:
+            moved = run_method(series.with_values(series.values + c), h, spec)
+            assert moved.theta == base.theta
+            np.testing.assert_allclose(moved.forecasts, base.forecasts + c, rtol=1e-12, atol=0.0)

@@ -333,5 +333,14 @@ def test_method_spec_validation():
         MethodSpec(name="x", kind="benchmark", family="arima")
     with pytest.raises(ValueError, match="extrapolator"):
         MethodSpec.otm("a", extrapolator="holt_winters")
+    with pytest.raises(ValueError, match="approach"):
+        MethodSpec.otm("z")
+    with pytest.raises(ValueError, match="cost"):
+        MethodSpec.otm("a", cost="mse")
+    with pytest.raises(ValueError, match=">= 1"):
+        MethodSpec.otm("a", grid=(0.5, 2))
+    with pytest.raises(ValueError, match="ascending"):
+        MethodSpec.otm("a", grid=(3, 2))
+    assert MethodSpec.otm("a", grid=[1, 2]).grid == (1.0, 2.0)
     with pytest.raises(ValueError, match="run_benchmark"):
         run_benchmark(TimeSeries("s", [1.0, 2.0, 3.0]), 2, MethodSpec.classic_theta())

@@ -211,7 +211,6 @@ def whole_grid_fit(spec, family, series, recurrence=smoothing._recurrence):
     best = int(np.argmin(sse))
     param = lambda grid: None if grid is None else float(grid[best])  # noqa: E731
     return best, FittedForecaster(
-        spec=spec,
         family_used=family,
         n=series.n,
         sse=float(sse[best]),
