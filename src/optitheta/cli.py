@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
-    DatasetError, check_unique_ids, load_dataset, read_rows, save_dataset, synthetic_dataset,
+    check_unique_ids, load_dataset, read_rows, save_dataset, synthetic_dataset,
 )
 from .groe import APPROACHES, COST_FUNCTIONS, DEFAULT_THETA_GRID
 from .pipeline import MethodSpec, run_method
@@ -74,16 +74,16 @@ def _parse_series_row(fields: list[str]) -> TimeSeries:
 
 
 def _cmd_forecast(args) -> int:
+    if args.h is not None and args.h < 1:
+        raise ValueError(f"--h must be >= 1, got {args.h}")
     spec = parse_method_token(args.method, args.cost, args.extrapolator, _parse_grid(args.grid))
     series_list = read_rows(args.input, _parse_series_row)
-    if not series_list:
-        raise DatasetError(f"{args.input}: no series rows found")
     # output rows are keyed by (id, method), as in evaluate
     check_unique_ids(series.id for series in series_list)
     lines = [FORECASTS_HEADER]
     failures = 0
     for series in series_list:
-        h = args.h or DEFAULT_HORIZONS.get(series.period, 6)
+        h = args.h if args.h is not None else DEFAULT_HORIZONS.get(series.period, 6)
         try:
             result = run_method(series, h, spec)
         except Exception as exc:

@@ -85,7 +85,8 @@ def check_unique_ids(ids: Iterable[str]) -> None:
 def read_rows(path, parse_row: Callable[[list[str]], object]) -> list:
     """Parse every data row of a comma-separated file with ``parse_row``.
 
-    The first line is a header and is required; blank lines are skipped.
+    The first line is a header and is required, and at least one data row
+    must follow it; blank lines are skipped.
     ``parse_row`` gets a row's stripped fields, and a ``ValueError`` it
     raises (the validation of ``TimeSeries`` included) becomes a
     :class:`DatasetError` that names the row's line number.
@@ -103,6 +104,8 @@ def read_rows(path, parse_row: Callable[[list[str]], object]) -> list:
             rows.append(parse_row([f.strip() for f in line.split(",")]))
         except ValueError as exc:
             raise DatasetError(f"line {lineno}: {exc}") from None
+    if not rows:
+        raise DatasetError(f"{path}: no series rows found")
     return rows
 
 

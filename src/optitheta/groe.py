@@ -31,7 +31,7 @@ import numpy as np
 
 from .series import TimeSeries, fit_linear_trend, trend_value
 from .smoothing import ForecasterSpec, _grid, _min_n, _recurrence, _sanitize
-from .theta import LINE_EXTRAPOLATORS, SES, otm_forecast
+from .theta import SES, check_extrapolator, otm_forecast
 
 DEFAULT_THETA_GRID = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
 APPROACHES = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -215,11 +215,8 @@ def loss_table(
     short for the extrapolator) an :class:`EvaluationError` is raised.
     """
     values = _check_grid(grid)
+    check_extrapolator(extrapolator)
     family = extrapolator.family
-    if family not in LINE_EXTRAPOLATORS:
-        raise ValueError(
-            f"theta-line extrapolator must be one of {LINE_EXTRAPOLATORS}, got {family!r}"
-        )
     g = _resolve_cost(cost)
     y = series.values
     n = series.n

@@ -1,20 +1,20 @@
 """End-to-end per-series forecast pipelines.
 
-``run_otm`` implements the full optimised-theta sequence: seasonality test,
-multiplicative deseasonalization, theta selection by rolling-origin
-validation on the adjusted series, theta-line decomposition and
-extrapolation, recombination, and reseasonalization. ``run_classic_theta``
-is the same pipeline with theta fixed to 2 (no selection step), and
-``run_benchmark`` dispatches the reference families.
+``run_method`` runs a spec without a ``family`` as the full optimised-theta
+sequence: seasonality test, multiplicative deseasonalization, theta
+selection by rolling-origin validation on the adjusted series, theta-line
+decomposition and extrapolation, recombination, and reseasonalization.
+Classic Theta fixes theta to 2 (no selection step). A spec with a
+``family`` runs that reference family.
 
-The method tokens of one series share a :class:`SeriesContext`, which does
-each piece of their common work once, when a token first needs it: the
-seasonal decision and adjusted series, whose decision the seasonal
-benchmark families read too; one GROE loss table per (grid, cost,
-extrapolator) over the union of the otm tokens' origins (every schedule
-uses H = h, so a (theta, origin) loss is the same for each token that
-visits it); and one reseasonalised forecast per (theta, extrapolator). Each
-otm token sums its own origins' rows as ``estimate_theta`` does, so its
+The method tokens of one series share a :class:`SeriesContext`, given to
+``run_method``, which does each piece of their common work once, when a
+token first needs it: the seasonal decision and adjusted series, whose
+decision the seasonal benchmark families read too; one GROE loss table per
+(grid, cost, extrapolator) over the union of the otm tokens' origins (every
+schedule uses H = h, so a (theta, origin) loss is the same for each token
+that visits it); and one reseasonalised forecast per (theta, extrapolator).
+Each otm token sums its own origins' rows as ``estimate_theta`` does, so its
 result does not depend on the other tokens.
 """
 
@@ -34,9 +34,8 @@ from .seasonal import (
 )
 from .series import TimeSeries
 from .smoothing import FAMILIES, ForecasterSpec
-from .theta import LINE_EXTRAPOLATORS, otm_forecast
+from .theta import check_extrapolator, otm_forecast
 
-KINDS = ("otm", "benchmark")
 FALLBACK_THETA = 2.0
 
 
@@ -44,12 +43,12 @@ FALLBACK_THETA = 2.0
 class MethodSpec:
     """A named forecasting method for batch runs.
 
+    A spec with a ``family`` is a benchmark; one without is the otm kind.
     Classic Theta is exactly the otm kind with the singleton grid (2,); the
     approach/cost fields are then irrelevant because no selection happens.
     """
 
     name: str
-    kind: str
     family: str | None = None
     approach: str = "a"
     cost: str = "se"
@@ -57,22 +56,18 @@ class MethodSpec:
     extrapolator: ForecasterSpec = field(default_factory=lambda: ForecasterSpec("ses"))
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown method kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind == "benchmark":
-            if self.family not in FAMILIES:
-                raise ValueError(f"benchmark family must be one of {FAMILIES}, got {self.family!r}")
-        elif self.extrapolator.family not in LINE_EXTRAPOLATORS:
-            raise ValueError(
-                f"theta-line extrapolator must be one of {LINE_EXTRAPOLATORS}, "
-                f"got {self.extrapolator.family!r}"
-            )
-        elif self.approach not in APPROACHES:
-            raise ValueError(
-                f"unknown OTM approach {self.approach!r}; expected one of {APPROACHES}"
-            )
-        elif self.cost not in COST_FUNCTIONS:
-            raise ValueError(f"unknown cost {self.cost!r}; expected one of {tuple(COST_FUNCTIONS)}")
+        if self.family is None:
+            check_extrapolator(self.extrapolator)
+            if self.approach not in APPROACHES:
+                raise ValueError(
+                    f"unknown OTM approach {self.approach!r}; expected one of {APPROACHES}"
+                )
+            if self.cost not in COST_FUNCTIONS:
+                raise ValueError(
+                    f"unknown cost {self.cost!r}; expected one of {tuple(COST_FUNCTIONS)}"
+                )
+        elif self.family not in FAMILIES:
+            raise ValueError(f"benchmark family must be one of {FAMILIES}, got {self.family!r}")
         object.__setattr__(self, "grid", _check_grid(self.grid))
 
     @staticmethod
@@ -82,7 +77,6 @@ class MethodSpec:
             extrapolator = ForecasterSpec(extrapolator)
         return MethodSpec(
             name=name or f"otm-{approach}",
-            kind="otm",
             approach=approach,
             cost=cost,
             grid=tuple(grid),
@@ -91,11 +85,11 @@ class MethodSpec:
 
     @staticmethod
     def classic_theta(name: str = "theta") -> "MethodSpec":
-        return MethodSpec(name=name, kind="otm", grid=(2.0,))
+        return MethodSpec(name=name, grid=(2.0,))
 
     @staticmethod
     def benchmark(family: str, name: str | None = None) -> "MethodSpec":
-        return MethodSpec(name=name or family, kind="benchmark", family=family)
+        return MethodSpec(name=name or family, family=family)
 
 
 @dataclass(frozen=True)
@@ -160,7 +154,7 @@ class SeriesContext:
         if key not in self._tables:
             union: set[int] = set()
             for other in self.specs:
-                if other.kind == "otm" and _table_key(other) == key:
+                if other.family is None and _table_key(other) == key:
                     try:
                         union.update(self._origins(other))
                     except ValueError:
@@ -194,31 +188,37 @@ class SeriesContext:
         return self._forecasts[key]
 
 
-def _context_for(
-    series: TimeSeries, h: int, spec: MethodSpec, context: SeriesContext | None
-) -> SeriesContext:
-    """``context`` after checking it was built for this series, h and spec;
-    a fresh one when it is None."""
+def run_method(
+    series: TimeSeries, h: int, spec: MethodSpec, *, context: SeriesContext | None = None
+) -> ForecastResult:
+    """Run ``spec`` on one series: the optimised-theta pipeline when it has
+    no ``family``, else that reference family.
+
+    ``context``, when given, must have been built for this series, h and
+    spec; its work is then shared with the other tokens it was built for.
+    Seasonal-capable families (naive2, holt_winters, seasonal_damped) take
+    the context's seasonality decision and fall back to their non-seasonal
+    sibling when it fails.
+    """
     if context is None:
-        return SeriesContext(series, h, (spec,))
-    if context.series is not series or context.h != h or spec not in context.specs:
+        context = SeriesContext(series, h, (spec,))
+    elif context.series is not series or context.h != h or spec not in context.specs:
         raise ValueError(
             f"the context was not built for series {series.id!r}, h={h} and {spec.name!r}"
         )
-    return context
-
-
-def run_otm(
-    series: TimeSeries, h: int, spec: MethodSpec, *, context: SeriesContext | None = None
-) -> ForecastResult:
-    """Run the optimised-theta pipeline for one series, sharing ``context``
-    (built for this series, h and spec) with other tokens when given.
-    """
-    if spec.kind != "otm":
-        raise ValueError(f"run_otm needs an otm spec, got kind {spec.kind!r}")
+    if spec.family is not None:
+        # the other families never read the seasonal decision, so it is not made for them
+        indices = context.adjusted()[1] if spec.family in smoothing._SEASONAL else None
+        fitted = smoothing.fit(ForecasterSpec(spec.family), series, indices=indices)
+        return ForecastResult(
+            series_id=series.id,
+            method=spec.name,
+            forecasts=smoothing.forecast(fitted, h),
+            theta=None,
+            seasonal=fitted.seasonal,
+        )
     if series.n < 3:
         raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
-    context = _context_for(series, h, spec, context)
     seasonal, _, _ = context.adjusted()
     theta, note = context.theta(spec)
     return ForecastResult(
@@ -231,43 +231,20 @@ def run_otm(
     )
 
 
+def run_otm(series: TimeSeries, h: int, spec: MethodSpec) -> ForecastResult:
+    """:func:`run_method` for an otm spec (one without a ``family``)."""
+    if spec.family is not None:
+        raise ValueError(f"run_otm needs an otm spec, got benchmark family {spec.family!r}")
+    return run_method(series, h, spec)
+
+
 def run_classic_theta(series: TimeSeries, h: int, name: str = "theta") -> ForecastResult:
     """Classic Theta: the otm pipeline with theta fixed to 2 and SES extrapolation."""
-    return run_otm(series, h, MethodSpec.classic_theta(name=name))
+    return run_method(series, h, MethodSpec.classic_theta(name=name))
 
 
-def run_benchmark(
-    series: TimeSeries, h: int, spec: MethodSpec, *, context: SeriesContext | None = None
-) -> ForecastResult:
-    """Run one of the reference families for one series.
-
-    Seasonal-capable families (naive2, holt_winters, seasonal_damped) take
-    the seasonality decision of ``context`` (built for this series, h and
-    spec, and shared with other tokens when given) and fall back to their
-    non-seasonal sibling when it fails.
-    """
-    if spec.kind != "benchmark":
-        raise ValueError(f"run_benchmark needs a benchmark spec, got kind {spec.kind!r}")
-    context = _context_for(series, h, spec, context)
-    forecaster = ForecasterSpec(spec.family)
-    if spec.family in smoothing._SEASONAL:
-        fitted = smoothing.fit(forecaster, series, indices=context.adjusted()[1])
-    else:
-        fitted = smoothing.fit(forecaster, series)
-    forecasts = smoothing.forecast(fitted, h)
-    return ForecastResult(
-        series_id=series.id,
-        method=spec.name,
-        forecasts=forecasts,
-        theta=None,
-        seasonal=fitted.seasonal,
-    )
-
-
-def run_method(
-    series: TimeSeries, h: int, spec: MethodSpec, *, context: SeriesContext | None = None
-) -> ForecastResult:
-    """Dispatch a MethodSpec to the matching pipeline, sharing ``context``."""
-    if spec.kind == "benchmark":
-        return run_benchmark(series, h, spec, context=context)
-    return run_otm(series, h, spec, context=context)
+def run_benchmark(series: TimeSeries, h: int, spec: MethodSpec) -> ForecastResult:
+    """:func:`run_method` for a benchmark spec (one with a ``family``)."""
+    if spec.family is None:
+        raise ValueError(f"run_benchmark needs a benchmark spec, got otm spec {spec.name!r}")
+    return run_method(series, h, spec)

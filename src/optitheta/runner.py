@@ -133,7 +133,7 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
     entries = list(dataset)
     job = functools.partial(_evaluate_entry, methods=tuple(config.methods))
     if config.workers > 1 and len(entries) > 1:
-        with multiprocessing.Pool(config.workers) as pool:
+        with multiprocessing.Pool(min(config.workers, len(entries))) as pool:
             per_entry = pool.map(job, entries)
     else:
         per_entry = [job(e) for e in entries]

@@ -13,8 +13,6 @@ with an SES extrapolator it is the classic equal-weight Theta forecast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import smoothing
@@ -24,6 +22,14 @@ from .smoothing import ForecasterSpec
 LINE_EXTRAPOLATORS = ("ses", "damped")
 
 SES = ForecasterSpec("ses")
+
+
+def check_extrapolator(spec: ForecasterSpec) -> None:
+    """Raise ``ValueError`` unless ``spec`` can extrapolate a theta line."""
+    if spec.family not in LINE_EXTRAPOLATORS:
+        raise ValueError(
+            f"theta-line extrapolator must be one of {LINE_EXTRAPOLATORS}, got {spec.family!r}"
+        )
 
 
 def theta_line(series: TimeSeries, fit: TrendFit, theta: float) -> TimeSeries:
@@ -51,25 +57,6 @@ def combination_weight(theta1: float, theta2: float) -> float:
     return (theta2 - 1.0) / (theta2 - theta1)
 
 
-@dataclass(frozen=True)
-class ThetaParams:
-    """A validated pair of theta coefficients and their recomposition weight.
-
-    ``omega`` is derived, never supplied, so the convex combination
-    ``omega * Z(theta1) + (1 - omega) * Z(theta2)`` always reproduces the
-    source series.
-    """
-
-    theta1: float
-    theta2: float
-    omega: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta1", float(self.theta1))
-        object.__setattr__(self, "theta2", float(self.theta2))
-        object.__setattr__(self, "omega", combination_weight(self.theta1, self.theta2))
-
-
 def recompose(line1: TimeSeries, line2: TimeSeries, omega: float) -> np.ndarray:
     """Elementwise convex combination ``omega*Z(theta1) + (1-omega)*Z(theta2)``."""
     if line1.values.size != line2.values.size:
@@ -93,11 +80,7 @@ def otm_forecast(
         raise ValueError(f"theta must be >= 1, got {theta}")
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
-    if extrapolator.family not in LINE_EXTRAPOLATORS:
-        raise ValueError(
-            f"theta-line extrapolator must be one of {LINE_EXTRAPOLATORS}, "
-            f"got {extrapolator.family!r}"
-        )
+    check_extrapolator(extrapolator)
     fit = fit_linear_trend(series)
     fitted = smoothing.fit(extrapolator, theta_line(series, fit, theta))
     line_forecast = smoothing.forecast(fitted, h)

@@ -7,12 +7,12 @@ from optitheta.groe import DEFAULT_THETA_GRID
 
 def test_parse_method_tokens():
     classic = parse_method_token("theta", "se", "ses", DEFAULT_THETA_GRID)
-    assert classic.kind == "otm" and classic.grid == (2.0,)
+    assert classic.family is None and classic.grid == (2.0,)
     otm = parse_method_token("otm-d", "sape", "damped", DEFAULT_THETA_GRID)
-    assert otm.kind == "otm" and otm.approach == "d"
+    assert otm.family is None and otm.approach == "d"
     assert otm.cost == "sape" and otm.extrapolator.family == "damped"
     bench = parse_method_token("holt-winters", "se", "ses", DEFAULT_THETA_GRID)
-    assert bench.kind == "benchmark" and bench.family == "holt_winters"
+    assert bench.family == "holt_winters"
     with pytest.raises(ValueError, match="unknown method"):
         parse_method_token("prophet", "se", "ses", DEFAULT_THETA_GRID)
     with pytest.raises(ValueError, match="unknown OTM approach"):
@@ -107,6 +107,27 @@ def test_forecast_default_horizon(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out[1].split(",")) == 4 + 8  # quarterly default h = 8
+
+
+@pytest.mark.parametrize("h", ["0", "-2"])
+def test_forecast_rejects_non_positive_horizon(tmp_path, capsys, h):
+    series_file = tmp_path / "series.csv"
+    series_file.write_text("id,period,values\nS1,1,1,2,3,4,5,6,7,8\n", encoding="utf-8")
+    rc = main(["forecast", "--input", str(series_file), "--h", h, "--method", "theta"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--h must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+def test_evaluate_rejects_header_only_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("id,group,period,h,n,y...,a...\n", encoding="utf-8")
+    rc = main(["evaluate", "--data", str(corpus), "--methods", "theta",
+               "--out-dir", str(tmp_path / "r")])
+    assert rc == 2
+    assert "no series rows" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_grid_override(tmp_path):

@@ -76,6 +76,11 @@ def test_empty_file_rejected(tmp_path):
         load_dataset(path)
 
 
+def test_header_only_file_rejected(tmp_path):
+    with pytest.raises(DatasetError, match="no series rows"):
+        load_dataset(write(tmp_path, ["", ""]))
+
+
 def test_round_trip(tmp_path):
     ds = synthetic_dataset(99, {"Yearly": 20, "Quarterly": 15, "Monthly": 10, "Other": 5})
     assert len(ds) == 50

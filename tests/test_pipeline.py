@@ -198,11 +198,11 @@ def test_context_rejects_a_token_it_was_not_built_for(make_rw):
     series = make_rw(4, 30)
     context = SeriesContext(series, 6, (MethodSpec.otm("a"),))
     with pytest.raises(ValueError, match="not built for"):
-        run_otm(series, 6, MethodSpec.otm("b"), context=context)
+        run_method(series, 6, MethodSpec.otm("b"), context=context)
     with pytest.raises(ValueError, match="not built for"):
-        run_otm(series, 5, MethodSpec.otm("a"), context=context)
+        run_method(series, 5, MethodSpec.otm("a"), context=context)
     with pytest.raises(ValueError, match="not built for"):
-        run_benchmark(series, 6, MethodSpec.benchmark("naive2"), context=context)
+        run_method(series, 6, MethodSpec.benchmark("naive2"), context=context)
 
 
 def _selecting_corpus():
@@ -327,10 +327,8 @@ def test_forecast_result_rejects_non_finite(bad):
 
 
 def test_method_spec_validation():
-    with pytest.raises(ValueError, match="kind"):
-        MethodSpec(name="x", kind="magic")
     with pytest.raises(ValueError, match="family"):
-        MethodSpec(name="x", kind="benchmark", family="arima")
+        MethodSpec(name="x", family="arima")
     with pytest.raises(ValueError, match="extrapolator"):
         MethodSpec.otm("a", extrapolator="holt_winters")
     with pytest.raises(ValueError, match="approach"):
@@ -344,3 +342,5 @@ def test_method_spec_validation():
     assert MethodSpec.otm("a", grid=[1, 2]).grid == (1.0, 2.0)
     with pytest.raises(ValueError, match="run_benchmark"):
         run_benchmark(TimeSeries("s", [1.0, 2.0, 3.0]), 2, MethodSpec.classic_theta())
+    with pytest.raises(ValueError, match="run_otm"):
+        run_otm(TimeSeries("s", [1.0, 2.0, 3.0]), 2, MethodSpec.benchmark("naive"))

@@ -9,7 +9,7 @@ from optitheta import (
     run_experiment,
     synthetic_dataset,
 )
-from optitheta import smoothing
+from optitheta import runner, smoothing
 from optitheta.dataset import DatasetEntry
 
 
@@ -80,6 +80,32 @@ def test_worker_invariance_smoke():
     assert [strip(s) for s in serial.scores] == [strip(s) for s in pooled.scores]
     for a, b in zip(serial.forecasts, pooled.forecasts):
         assert np.array_equal(a.forecasts, b.forecasts)
+
+
+def test_pool_is_no_larger_than_the_series_count(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(runner.multiprocessing, "Pool", InProcessPool)
+    ds = synthetic_dataset(5, {"Yearly": 3, "Other": 2})
+    methods = (MethodSpec.classic_theta(), MethodSpec.benchmark("naive"))
+    serial = run_experiment(ds, ExperimentConfig(methods=methods, workers=1))
+    pooled = run_experiment(ds, ExperimentConfig(methods=methods, workers=64))
+    assert sizes == [5]
+    assert [f.forecasts.tobytes() for f in pooled.forecasts] == [
+        f.forecasts.tobytes() for f in serial.forecasts]
 
 
 def test_failures_recorded_not_fatal():

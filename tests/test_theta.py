@@ -75,16 +75,6 @@ def test_weight_domain_errors():
         combination_weight(0.0, 0.5)
 
 
-def test_theta_params_derives_weight():
-    from optitheta import ThetaParams
-
-    pair = ThetaParams(0.0, 2.0)
-    assert pair.omega == 0.5
-    assert ThetaParams(1.0, 1.0).omega == 1.0
-    with pytest.raises(ValueError, match="theta1 <= 1 <= theta2"):
-        ThetaParams(2.0, 3.0)
-
-
 @given(
     theta1=st.floats(min_value=-50.0, max_value=1.0),
     theta2=st.floats(min_value=1.0, max_value=50.0),
