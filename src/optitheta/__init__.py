@@ -31,14 +31,7 @@ from .metrics import (
     mase,
     smape,
 )
-from .pipeline import (
-    ForecastResult,
-    MethodSpec,
-    run_benchmark,
-    run_classic_theta,
-    run_method,
-    run_otm,
-)
+from .pipeline import ForecastResult, MethodSpec, run_method
 from .runner import ExperimentConfig, ExperimentResult, run_experiment, write_outputs
 from .seasonal import (
     SeasonalIndices,
@@ -92,11 +85,8 @@ __all__ = [
     "p_max",
     "recompose",
     "reseasonalize",
-    "run_benchmark",
-    "run_classic_theta",
     "run_experiment",
     "run_method",
-    "run_otm",
     "save_dataset",
     "seasonal_indices",
     "seasonality_applies",

@@ -27,17 +27,10 @@ from .groe import APPROACHES, COST_FUNCTIONS, DEFAULT_THETA_GRID
 from .pipeline import MethodSpec, run_method
 from .runner import FORECASTS_HEADER, ExperimentConfig, forecast_row, run_experiment
 from .series import TimeSeries
+from .smoothing import FAMILIES
 from .theta import LINE_EXTRAPOLATORS
 
-BENCHMARK_TOKENS = {
-    "naive": "naive",
-    "naive2": "naive2",
-    "ses": "ses",
-    "holt": "holt",
-    "holt-winters": "holt_winters",
-    "damped": "damped",
-    "seasonal-damped": "seasonal_damped",
-}
+BENCHMARK_TOKENS = {family.replace("_", "-"): family for family in FAMILIES}
 DEFAULT_HORIZONS = {12: 18, 4: 8}  # by period; anything else defaults to 6
 
 

@@ -151,11 +151,16 @@ def save_dataset(dataset: Dataset, path) -> None:
 def synthetic_dataset(seed: int, counts: dict[str, int] | None = None) -> Dataset:
     """A deterministic synthetic corpus: positive trending series with
     multiplicative seasonality on the seasonal groups and lognormal noise.
+    Counts must be non-negative with a positive total.
     """
     counts = dict(counts or {"Yearly": 8, "Quarterly": 8, "Monthly": 8, "Other": 6})
-    for group in counts:
+    for group, count in counts.items():
         if group not in GROUP_DEFAULTS:
             raise ValueError(f"unknown group {group!r}; expected one of {tuple(GROUP_DEFAULTS)}")
+        if count < 0:
+            raise ValueError(f"series count of {group} must be >= 0, got {count}")
+    if sum(counts.values()) == 0:
+        raise ValueError("synthetic corpus needs at least one series; every count is 0")
     rng = np.random.default_rng(seed)
     entries = []
     for group in GROUPS:

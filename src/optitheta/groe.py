@@ -67,7 +67,8 @@ def sape(a, b):
 COST_FUNCTIONS = {"se": se, "ae": ae, "sape": sape}
 
 
-def _resolve_cost(cost) -> Callable:
+def resolve_cost(cost) -> Callable:
+    """The cost function named ``cost``; ``ValueError`` for an unknown name."""
     try:
         return COST_FUNCTIONS[cost]
     except KeyError:
@@ -121,7 +122,7 @@ def groe_loss(series: TimeSeries, candidate: Candidate, config: GroeConfig, cost
     with no room left contribute zero terms. Candidate exceptions are
     re-raised as :class:`EvaluationError` tagged with the origin.
     """
-    g = _resolve_cost(cost)
+    g = resolve_cost(cost)
     y = series.values
     n = series.n
     total = 0.0
@@ -141,6 +142,12 @@ def groe_loss(series: TimeSeries, candidate: Candidate, config: GroeConfig, cost
     return total
 
 
+def check_approach(approach: str) -> None:
+    """Raise ``ValueError`` unless ``approach`` is one of the names in :data:`APPROACHES`."""
+    if approach not in APPROACHES:
+        raise ValueError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
+
+
 def approach_config(approach: str, n: int, h: int) -> GroeConfig:
     """The standard GROE schedules (a)-(h) for a series of length n and horizon h.
 
@@ -149,9 +156,7 @@ def approach_config(approach: str, n: int, h: int) -> GroeConfig:
     p = 2, 4, 6, h. In every case H = h, the first origin is clamped to at
     least ``MIN_FIRST_ORIGIN`` and p to min(p, p_max, h).
     """
-    key = str(approach).lower()
-    if key not in APPROACHES:
-        raise ValueError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
+    check_approach(approach)
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
     if n <= h:
@@ -168,7 +173,7 @@ def approach_config(approach: str, n: int, h: int) -> GroeConfig:
         "g": (6, third, n - 2 * h),
         "h": (h, 1, n - 2 * h),
     }
-    p, m, n1 = table[key]
+    p, m, n1 = table[approach]
     n1 = max(n1, MIN_FIRST_ORIGIN)
     if n1 >= n:
         raise ValueError(f"degenerate validation window: first origin {n1} >= n={n}")
@@ -185,12 +190,14 @@ def otm_candidate(theta: float, extrapolator: ForecasterSpec = SES) -> Candidate
     return candidate
 
 
-def _check_grid(grid) -> tuple[float, ...]:
+def check_grid(grid) -> tuple[float, ...]:
+    """``grid`` as a tuple of floats; ``ValueError`` unless it is non-empty,
+    finite, at least 1 and strictly ascending."""
     values = tuple(float(v) for v in grid)
     if not values:
         raise ValueError("theta grid must be non-empty")
-    if any(v < 1.0 for v in values):
-        raise ValueError(f"theta grid values must be >= 1, got {values}")
+    if not all(math.isfinite(v) and v >= 1.0 for v in values):
+        raise ValueError(f"theta grid values must be finite and >= 1, got {values}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"theta grid must be strictly ascending, got {values}")
     return values
@@ -214,10 +221,10 @@ def loss_table(
     for every grid theta. If the candidates cannot be fitted (a prefix too
     short for the extrapolator) an :class:`EvaluationError` is raised.
     """
-    values = _check_grid(grid)
+    values = check_grid(grid)
     check_extrapolator(extrapolator)
     family = extrapolator.family
-    g = _resolve_cost(cost)
+    g = resolve_cost(cost)
     y = series.values
     n = series.n
     horizons = {ni: min(H, n - ni) for ni in origins}

@@ -1,11 +1,13 @@
 """End-to-end per-series forecast pipelines.
 
-``run_method`` runs a spec without a ``family`` as the full optimised-theta
-sequence: seasonality test, multiplicative deseasonalization, theta
-selection by rolling-origin validation on the adjusted series, theta-line
-decomposition and extrapolation, recombination, and reseasonalization.
-Classic Theta fixes theta to 2 (no selection step). A spec with a
-``family`` runs that reference family.
+``run_method`` is the one entry point for every :class:`MethodSpec`. It runs
+a spec without a ``family`` as the full optimised-theta sequence:
+seasonality test, multiplicative deseasonalization, theta selection by
+rolling-origin validation on the adjusted series, theta-line decomposition
+and extrapolation, recombination, and reseasonalization. Classic Theta,
+``MethodSpec.classic_theta()``, fixes theta to 2 (no selection step). A spec
+with a ``family`` runs that reference family. A spec is checked when it is
+built, by the same ``groe`` and ``theta`` checks its run makes.
 
 The method tokens of one series share a :class:`SeriesContext`, given to
 ``run_method``, which does each piece of their common work once, when a
@@ -26,14 +28,14 @@ import numpy as np
 
 from . import smoothing
 from .groe import (
-    APPROACHES, COST_FUNCTIONS, DEFAULT_THETA_GRID, _check_grid, approach_config, loss_table,
+    DEFAULT_THETA_GRID, approach_config, check_approach, check_grid, loss_table, resolve_cost,
     scored_origins, select_theta,
 )
 from .seasonal import (
     SeasonalIndices, deseasonalize, reseasonalize, seasonal_indices, seasonality_applies,
 )
 from .series import TimeSeries
-from .smoothing import FAMILIES, ForecasterSpec
+from .smoothing import FAMILIES, SEASONAL, ForecasterSpec
 from .theta import check_extrapolator, otm_forecast
 
 FALLBACK_THETA = 2.0
@@ -58,17 +60,11 @@ class MethodSpec:
     def __post_init__(self) -> None:
         if self.family is None:
             check_extrapolator(self.extrapolator)
-            if self.approach not in APPROACHES:
-                raise ValueError(
-                    f"unknown OTM approach {self.approach!r}; expected one of {APPROACHES}"
-                )
-            if self.cost not in COST_FUNCTIONS:
-                raise ValueError(
-                    f"unknown cost {self.cost!r}; expected one of {tuple(COST_FUNCTIONS)}"
-                )
+            check_approach(self.approach)
+            resolve_cost(self.cost)
         elif self.family not in FAMILIES:
             raise ValueError(f"benchmark family must be one of {FAMILIES}, got {self.family!r}")
-        object.__setattr__(self, "grid", _check_grid(self.grid))
+        object.__setattr__(self, "grid", check_grid(self.grid))
 
     @staticmethod
     def otm(approach: str, cost: str = "se", extrapolator: str | ForecasterSpec = "ses",
@@ -84,8 +80,8 @@ class MethodSpec:
         )
 
     @staticmethod
-    def classic_theta(name: str = "theta") -> "MethodSpec":
-        return MethodSpec(name=name, grid=(2.0,))
+    def classic_theta() -> "MethodSpec":
+        return MethodSpec(name="theta", grid=(2.0,))
 
     @staticmethod
     def benchmark(family: str, name: str | None = None) -> "MethodSpec":
@@ -208,7 +204,7 @@ def run_method(
         )
     if spec.family is not None:
         # the other families never read the seasonal decision, so it is not made for them
-        indices = context.adjusted()[1] if spec.family in smoothing._SEASONAL else None
+        indices = context.adjusted()[1] if spec.family in SEASONAL else None
         fitted = smoothing.fit(ForecasterSpec(spec.family), series, indices=indices)
         return ForecastResult(
             series_id=series.id,
@@ -229,22 +225,3 @@ def run_method(
         seasonal=seasonal,
         note=note,
     )
-
-
-def run_otm(series: TimeSeries, h: int, spec: MethodSpec) -> ForecastResult:
-    """:func:`run_method` for an otm spec (one without a ``family``)."""
-    if spec.family is not None:
-        raise ValueError(f"run_otm needs an otm spec, got benchmark family {spec.family!r}")
-    return run_method(series, h, spec)
-
-
-def run_classic_theta(series: TimeSeries, h: int, name: str = "theta") -> ForecastResult:
-    """Classic Theta: the otm pipeline with theta fixed to 2 and SES extrapolation."""
-    return run_method(series, h, MethodSpec.classic_theta(name=name))
-
-
-def run_benchmark(series: TimeSeries, h: int, spec: MethodSpec) -> ForecastResult:
-    """:func:`run_method` for a benchmark spec (one with a ``family``)."""
-    if spec.family is None:
-        raise ValueError(f"run_benchmark needs a benchmark spec, got otm spec {spec.name!r}")
-    return run_method(series, h, spec)

@@ -67,7 +67,7 @@ FAMILIES = ("naive", "naive2", "ses", "holt", "holt_winters", "damped", "seasona
 
 _TRENDED = frozenset({"holt", "damped", "holt_winters", "seasonal_damped"})
 _DAMPED = frozenset({"damped", "seasonal_damped"})
-_SEASONAL = frozenset({"naive2", "holt_winters", "seasonal_damped"})
+SEASONAL = frozenset({"naive2", "holt_winters", "seasonal_damped"})
 _SIBLING = {"naive2": "naive", "holt_winters": "holt", "seasonal_damped": "damped"}
 
 PHI_MIN, PHI_MAX = 0.80, 0.98
@@ -150,7 +150,7 @@ def _grid(spec: ForecasterSpec, family: str):
     families and ``phi`` is None for the undamped ones (ses, holt,
     holt_winters), whose recursion then skips the damping multiply.
     """
-    seasonal = family in _SEASONAL
+    seasonal = family in SEASONAL
     weights = _SEASONAL_WEIGHT_GRID if seasonal else _WEIGHT_GRID
     alphas = _pinned_or(weights, spec.alpha)
     if family == "ses":
@@ -304,10 +304,10 @@ def fit(spec: ForecasterSpec, series: TimeSeries, *, indices=_UNTESTED) -> Fitte
     which the recursion overflows at every grid point raises ``ValueError``.
     """
     family = spec.family
-    if family in _SEASONAL and indices is _UNTESTED:
+    if family in SEASONAL and indices is _UNTESTED:
         indices = seasonal_indices(series) if seasonality_applies(series) else None
-    seasonal = family in _SEASONAL and indices is not None
-    effective = _SIBLING[family] if family in _SEASONAL and not seasonal else family
+    seasonal = family in SEASONAL and indices is not None
+    effective = _SIBLING[family] if family in SEASONAL and not seasonal else family
     min_n = _min_n(effective)
     if series.n < min_n:
         raise ValueError(

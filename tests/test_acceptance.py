@@ -27,10 +27,8 @@ from optitheta import (
     mase,
     p_max,
     recompose,
-    run_benchmark,
-    run_classic_theta,
     run_experiment,
-    run_otm,
+    run_method,
     smape,
     synthetic_dataset,
     theta_line,
@@ -120,8 +118,8 @@ def test_c03_ses_reduction():
     worst = 0.0
     for i in range(100):
         series = _random_series(rng, int(rng.integers(15, 80)), sid=f"s{i}")
-        otm = run_otm(series, 6, MethodSpec.otm("a", grid=(1.0,)))
-        ses = run_benchmark(series, 6, MethodSpec.benchmark("ses"))
+        otm = run_method(series, 6, MethodSpec.otm("a", grid=(1.0,)))
+        ses = run_method(series, 6, MethodSpec.benchmark("ses"))
         worst = max(worst, float(np.max(np.abs(otm.forecasts - ses.forecasts))))
     _report("criterion 3 (theta=1 reduces to SES)", worst <= 1e-12, f"worst |diff| {worst:.2e}")
     assert worst <= 1e-12
@@ -137,8 +135,8 @@ def test_c04_classic_equivalence():
         if period > 1:
             pattern = 1.0 + 0.25 * np.sin(2.0 * np.pi * np.arange(1, n + 1) / period)
             series = series.with_values(np.abs(series.values) * pattern + 1.0)
-        classic = run_classic_theta(series, 6)
-        pinned = run_otm(series, 6, MethodSpec.otm("a", grid=(2.0,)))
+        classic = run_method(series, 6, MethodSpec.classic_theta())
+        pinned = run_method(series, 6, MethodSpec.otm("a", grid=(2.0,)))
         identical = identical and np.array_equal(classic.forecasts, pinned.forecasts)
     _report("criterion 4 (classic theta == otm with grid {2})", identical)
     assert identical

@@ -15,7 +15,7 @@ def test_parse_method_tokens():
     assert bench.family == "holt_winters"
     with pytest.raises(ValueError, match="unknown method"):
         parse_method_token("prophet", "se", "ses", DEFAULT_THETA_GRID)
-    with pytest.raises(ValueError, match="unknown OTM approach"):
+    with pytest.raises(ValueError, match="unknown approach"):
         parse_method_token("otm-z", "se", "ses", DEFAULT_THETA_GRID)
 
 
@@ -64,7 +64,7 @@ def test_evaluate_rejects_bad_method(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("grid", ["0.5,2", "3,2"])
+@pytest.mark.parametrize("grid", ["0.5,2", "3,2", "nan", "1,nan", "1,inf"])
 def test_evaluate_rejects_bad_grid(tmp_path, grid):
     corpus = tmp_path / "corpus.csv"
     main(["synth", "--out", str(corpus), "--seed", "1",
@@ -73,6 +73,16 @@ def test_evaluate_rejects_bad_grid(tmp_path, grid):
                "--out-dir", str(tmp_path / "r")])
     assert rc == 2
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("yearly", ["0", "-3"])
+def test_synth_rejects_negative_or_all_zero_counts(tmp_path, capsys, yearly):
+    corpus = tmp_path / "corpus.csv"
+    rc = main(["synth", "--out", str(corpus), "--yearly", yearly,
+               "--quarterly", "0", "--monthly", "0", "--other", "0"])
+    assert rc == 2
+    assert "optitheta: error:" in capsys.readouterr().err
+    assert not corpus.exists()
 
 
 def test_evaluate_missing_file_is_config_error(tmp_path):

@@ -117,3 +117,13 @@ def test_synthetic_respects_group_conventions():
 def test_synthetic_rejects_unknown_group():
     with pytest.raises(ValueError, match="unknown group"):
         synthetic_dataset(1, {"Weekly": 3})
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [({"Yearly": -3, "Monthly": 2}, ">= 0"), ({"Yearly": 0, "Quarterly": 0}, "at least one series")],
+    ids=["negative", "all-zero"],
+)
+def test_synthetic_rejects_negative_or_zero_counts(counts, message):
+    with pytest.raises(ValueError, match=message):
+        synthetic_dataset(1, counts)

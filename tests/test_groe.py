@@ -18,7 +18,7 @@ from optitheta import (
 from optitheta.groe import (
     COST_FUNCTIONS, DEFAULT_THETA_GRID, ae, loss_table, sape, scored_origins, se, select_theta,
 )
-from optitheta.pipeline import MethodSpec, run_method
+from optitheta.pipeline import MethodSpec, SeriesContext, run_method
 from optitheta.smoothing import ForecasterSpec
 
 
@@ -388,36 +388,45 @@ def shifted_series():
         yield entry.series, entry.h, (12.5, 1e3, -0.5 * entry.series.values.min())
 
 
+def assert_selections_kept(series, h, moved, cost):
+    """Each approach's theta on every series of ``moved`` is its theta on
+    ``series``, unless ``series``'s losses of the two tie within 1e-9 relative.
+    Returns the number of selections compared. Each schedule selects from one
+    table over every schedule's origins, as estimate_theta would from its own
+    (see test_pipeline::test_estimate_theta_equals_selection_over_a_union_table).
+    """
+    configs = {}
+    for approach in APPROACHES:
+        try:
+            configs[approach] = approach_config(approach, series.n, h)
+        except ValueError:
+            continue
+    own = {a: scored_origins(config, series.n) for a, config in configs.items()}
+    union = sorted({ni for origins in own.values() for ni in origins})
+    table = loss_table(series, DEFAULT_THETA_GRID, union, h, cost)
+    selections = 0
+    for k, other in enumerate(moved):
+        moved_table = loss_table(other, DEFAULT_THETA_GRID, union, h, cost)
+        for approach, origins in own.items():
+            base = select_theta(DEFAULT_THETA_GRID, table, origins)
+            chosen = select_theta(DEFAULT_THETA_GRID, moved_table, origins)
+            selections += 1
+            if chosen != base:
+                losses = dict(zip(DEFAULT_THETA_GRID, sum(table[ni] for ni in origins)))
+                assert losses[chosen] == pytest.approx(losses[base], rel=1e-9, abs=0.0), (
+                    series.id, k, approach, base, chosen,
+                )
+    return selections
+
+
 @pytest.mark.parametrize("cost", ["se", "ae"])
 def test_shift_leaves_theta_unchanged(cost):
     # se and ae see only y - forecast, and every candidate forecast moves
-    # with y; sape divides by the level, so it is not shift-invariant. Each
-    # schedule selects from one table over every schedule's origins, as
-    # estimate_theta would from its own (see
-    # test_pipeline::test_estimate_theta_equals_selection_over_a_union_table).
+    # with y; sape divides by the level, so it is not shift-invariant.
     selections = 0
     for series, h, shifts in shifted_series():
-        configs = {}
-        for approach in APPROACHES:
-            try:
-                configs[approach] = approach_config(approach, series.n, h)
-            except ValueError:
-                continue
-        own = {a: scored_origins(config, series.n) for a, config in configs.items()}
-        union = sorted({ni for origins in own.values() for ni in origins})
-        table = loss_table(series, DEFAULT_THETA_GRID, union, h, cost)
-        for c in shifts:
-            moved = loss_table(series.with_values(series.values + c), DEFAULT_THETA_GRID, union,
-                               h, cost)
-            for approach, origins in own.items():
-                base = select_theta(DEFAULT_THETA_GRID, table, origins)
-                chosen = select_theta(DEFAULT_THETA_GRID, moved, origins)
-                selections += 1
-                if chosen != base:
-                    losses = dict(zip(DEFAULT_THETA_GRID, sum(table[ni] for ni in origins)))
-                    assert losses[chosen] == pytest.approx(losses[base], rel=1e-9, abs=0.0), (
-                        series.id, c, approach, base, chosen,
-                    )
+        moved = [series.with_values(series.values + c) for c in shifts]
+        selections += assert_selections_kept(series, h, moved, cost)
     assert selections == 70 * 3 * 8
 
 
@@ -429,3 +438,45 @@ def test_shift_moves_the_forecasts_by_the_constant():
             moved = run_method(series.with_values(series.values + c), h, spec)
             assert moved.theta == base.theta
             np.testing.assert_allclose(moved.forecasts, base.forecasts + c, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# scale equivariance
+# ---------------------------------------------------------------------------
+
+SCALES = (0.37, 3.1, 1e3)
+
+
+def scaled_series():
+    """(series, h): the shift tests' corpus plus its seasonal groups. Unlike
+    a shift, scaling keeps multiplicative seasonality exact."""
+    counts = {"Yearly": 50, "Quarterly": 50, "Monthly": 50, "Other": 20}
+    for entry in synthetic_dataset(42, counts).entries:
+        yield entry.series, entry.h
+
+
+@pytest.mark.parametrize("cost", ["se", "ae", "sape"])
+def test_scale_leaves_theta_unchanged(cost):
+    # every candidate forecast scales with y, so se losses scale by c**2, ae
+    # by c and sape not at all; the seasonal indices are ratios, so they stay
+    # and the adjusted series scales too
+    selections = 0
+    for series, h in scaled_series():
+        seasonal, _, work = SeriesContext(series, h).adjusted()
+        moved = []
+        for c in SCALES:
+            scaled = SeriesContext(series.with_values(c * series.values), h).adjusted()
+            assert scaled[0] == seasonal
+            moved.append(scaled[2])
+        selections += assert_selections_kept(work, h, moved, cost)
+    assert selections == 170 * 3 * 8
+
+
+def test_scale_multiplies_the_forecasts_by_the_constant():
+    spec = MethodSpec.otm("a")
+    for series, h in scaled_series():
+        base = run_method(series, h, spec)
+        for c in SCALES:
+            moved = run_method(series.with_values(c * series.values), h, spec)
+            assert moved.theta == base.theta
+            np.testing.assert_allclose(moved.forecasts, c * base.forecasts, rtol=1e-12, atol=0.0)

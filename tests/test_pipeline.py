@@ -11,11 +11,8 @@ from optitheta import (
     TimeSeries,
     approach_config,
     estimate_theta,
-    run_benchmark,
-    run_classic_theta,
     run_experiment,
     run_method,
-    run_otm,
     synthetic_dataset,
 )
 from optitheta import pipeline, smoothing
@@ -36,7 +33,7 @@ from optitheta.theta import theta_line
 
 def test_constant_series_selects_theta_one():
     series = TimeSeries("c", np.full(30, 7.0))
-    result = run_otm(series, 6, MethodSpec.otm("a"))
+    result = run_method(series, 6, MethodSpec.otm("a"))
     assert result.theta == 1.0
     assert not result.seasonal
     assert np.allclose(result.forecasts, 7.0)
@@ -45,7 +42,7 @@ def test_constant_series_selects_theta_one():
 def test_exact_line_selects_largest_theta():
     n, h = 30, 5
     series = TimeSeries("line", np.arange(1.0, n + 1.0))
-    result = run_otm(series, h, MethodSpec.otm("a"))
+    result = run_method(series, h, MethodSpec.otm("a"))
     # on a perfect line a larger theta moves the forecasts toward the trend
     assert result.theta == 5.0
     k = np.arange(1, h + 1)
@@ -62,8 +59,8 @@ def test_seasonal_composition_restores_pattern():
     seasonal_series = TimeSeries("s", trend * pattern[(t - 1) % 2], period=2)
     plain_series = TimeSeries("d", trend, period=1)
     spec = MethodSpec.otm("a")
-    seasonal_run = run_otm(seasonal_series, h, spec)
-    plain_run = run_otm(plain_series, h, spec)
+    seasonal_run = run_method(seasonal_series, h, spec)
+    plain_run = run_method(plain_series, h, spec)
     assert seasonal_run.seasonal and not plain_run.seasonal
     continued = reseasonalize(plain_run.forecasts, SeasonalIndices(pattern), start_t=n + 1)
     assert np.max(np.abs(seasonal_run.forecasts - continued)) <= 1e-9 * np.max(continued)
@@ -72,8 +69,8 @@ def test_seasonal_composition_restores_pattern():
 def test_otm_grid_one_equals_ses_benchmark(make_rw):
     for seed in range(10):
         series = make_rw(seed, 40)
-        otm = run_otm(series, 6, MethodSpec.otm("a", grid=(1.0,)))
-        ses = run_benchmark(series, 6, MethodSpec.benchmark("ses"))
+        otm = run_method(series, 6, MethodSpec.otm("a", grid=(1.0,)))
+        ses = run_method(series, 6, MethodSpec.benchmark("ses"))
         assert np.max(np.abs(otm.forecasts - ses.forecasts)) <= 1e-12
 
 
@@ -82,8 +79,8 @@ def test_classic_equals_otm_with_fixed_grid(make_rw, make_seasonal):
         series = make_rw(seed, 35)
         if seed % 2:
             series = make_seasonal(seed, 48, [0.8, 1.2, 0.9, 1.1], noise=0.05)
-        classic = run_classic_theta(series, 6)
-        pinned = run_otm(series, 6, MethodSpec.otm("d", grid=(2.0,), name="theta"))
+        classic = run_method(series, 6, MethodSpec.classic_theta())
+        pinned = run_method(series, 6, MethodSpec.otm("d", grid=(2.0,), name="theta"))
         assert np.array_equal(classic.forecasts, pinned.forecasts)
         assert classic.theta == pinned.theta == 2.0
 
@@ -97,33 +94,35 @@ def test_classic_matches_independent_composition(make_rw):
     ses_fx = smooth_forecast(fit_forecaster(ForecasterSpec("ses"), series.with_values(line.values)), h)
     k = np.arange(1, h + 1)
     expected = 0.5 * trend_value(fit, series.n + k) + 0.5 * ses_fx
-    assert np.allclose(run_classic_theta(series, h).forecasts, expected, atol=1e-12)
+    classic = run_method(series, h, MethodSpec.classic_theta())
+    assert np.allclose(classic.forecasts, expected, atol=1e-12)
 
 
 def test_too_short_for_any_config_falls_back_to_classic():
     series = TimeSeries("tiny", [9.0, 11.0, 10.0, 12.0])
-    result = run_otm(series, 6, MethodSpec.otm("a"))  # n <= h: no training prefix
+    result = run_method(series, 6, MethodSpec.otm("a"))  # n <= h: no training prefix
     assert result.theta == 2.0
     assert result.note is not None and "fallback" in result.note
-    assert np.array_equal(result.forecasts, run_classic_theta(series, 6).forecasts)
+    classic = run_method(series, 6, MethodSpec.classic_theta())
+    assert np.array_equal(result.forecasts, classic.forecasts)
 
 
 def test_run_otm_rejects_unusable_series():
     with pytest.raises(ValueError, match="n >= 3"):
-        run_otm(TimeSeries("s", [1.0, 2.0]), 4, MethodSpec.otm("a"))
+        run_method(TimeSeries("s", [1.0, 2.0]), 4, MethodSpec.otm("a"))
 
 
 def test_run_otm_is_deterministic(make_seasonal):
     series = make_seasonal(2, 48, [0.8, 1.2, 0.9, 1.1], noise=0.1)
     spec = MethodSpec.otm("c", cost="sape")
-    first = run_otm(series, 8, spec)
-    second = run_otm(series, 8, spec)
+    first = run_method(series, 8, spec)
+    second = run_method(series, 8, spec)
     assert np.array_equal(first.forecasts, second.forecasts)
     assert first.theta == second.theta
 
 
 def test_forecast_length_matches_horizon(make_rw):
-    result = run_otm(make_rw(3, 30), 7, MethodSpec.otm("b"))
+    result = run_method(make_rw(3, 30), 7, MethodSpec.otm("b"))
     assert result.forecasts.shape == (7,)
 
 
@@ -286,29 +285,29 @@ def test_benchmark_tokens_share_the_seasonal_test(monkeypatch, make_seasonal):
 
 def test_naive_repeats_last_value(make_rw):
     series = make_rw(5, 20)
-    result = run_benchmark(series, 3, MethodSpec.benchmark("naive"))
+    result = run_method(series, 3, MethodSpec.benchmark("naive"))
     assert np.allclose(result.forecasts, series.values[-1])
     assert result.theta is None
 
 
 def test_naive2_equals_naive_when_not_seasonal(make_rw):
     series = make_rw(6, 20)
-    naive = run_benchmark(series, 4, MethodSpec.benchmark("naive"))
-    naive2 = run_benchmark(series, 4, MethodSpec.benchmark("naive2"))
+    naive = run_method(series, 4, MethodSpec.benchmark("naive"))
+    naive2 = run_method(series, 4, MethodSpec.benchmark("naive2"))
     assert np.array_equal(naive.forecasts, naive2.forecasts)
     assert not naive2.seasonal
 
 
 def test_holt_winters_dispatch(make_seasonal, make_rw):
     seasonal_series = make_seasonal(7, 48, [0.7, 1.3, 0.9, 1.1])
-    hw = run_benchmark(seasonal_series, 4, MethodSpec.benchmark("holt_winters"))
-    holt = run_benchmark(seasonal_series, 4, MethodSpec.benchmark("holt"))
+    hw = run_method(seasonal_series, 4, MethodSpec.benchmark("holt_winters"))
+    holt = run_method(seasonal_series, 4, MethodSpec.benchmark("holt"))
     assert hw.seasonal and not holt.seasonal
     assert not np.allclose(hw.forecasts, holt.forecasts)
 
     flat = make_rw(8, 30)
-    hw_flat = run_benchmark(flat, 4, MethodSpec.benchmark("holt_winters"))
-    holt_flat = run_benchmark(flat, 4, MethodSpec.benchmark("holt"))
+    hw_flat = run_method(flat, 4, MethodSpec.benchmark("holt_winters"))
+    holt_flat = run_method(flat, 4, MethodSpec.benchmark("holt"))
     assert not hw_flat.seasonal
     assert np.array_equal(hw_flat.forecasts, holt_flat.forecasts)
 
@@ -335,12 +334,9 @@ def test_method_spec_validation():
         MethodSpec.otm("z")
     with pytest.raises(ValueError, match="cost"):
         MethodSpec.otm("a", cost="mse")
-    with pytest.raises(ValueError, match=">= 1"):
-        MethodSpec.otm("a", grid=(0.5, 2))
+    for grid in ((0.5, 2), (np.nan,), (1, np.nan), (1, np.inf)):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            MethodSpec.otm("a", grid=grid)
     with pytest.raises(ValueError, match="ascending"):
         MethodSpec.otm("a", grid=(3, 2))
     assert MethodSpec.otm("a", grid=[1, 2]).grid == (1.0, 2.0)
-    with pytest.raises(ValueError, match="run_benchmark"):
-        run_benchmark(TimeSeries("s", [1.0, 2.0, 3.0]), 2, MethodSpec.classic_theta())
-    with pytest.raises(ValueError, match="run_otm"):
-        run_otm(TimeSeries("s", [1.0, 2.0, 3.0]), 2, MethodSpec.benchmark("naive"))

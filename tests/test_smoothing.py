@@ -198,7 +198,7 @@ MONTHLY_PATTERN = [0.8, 0.9, 1.1, 1.2, 1.0, 0.95, 1.05, 1.15, 0.85, 0.9, 1.1, 0.
 def whole_grid_fit(spec, family, series, recurrence=smoothing._recurrence):
     """Reference search: one ``recurrence`` run over the whole grid, first
     argmin of the sanitized SSE. Returns the winner's grid index and its fit."""
-    season = seasonal_indices(series).indices if family in smoothing._SEASONAL else None
+    season = seasonal_indices(series).indices if family in smoothing.SEASONAL else None
     alpha, beta, gamma, phi = smoothing._grid(spec, family)
     sse = np.zeros(alpha.shape)
     with np.errstate(all="ignore"):
@@ -263,7 +263,7 @@ def test_blocked_search_equals_whole_grid(spec, kind, make_rw, make_seasonal, mo
     else:
         series = make_seasonal(4, 60, MONTHLY_PATTERN, noise=0.03)
     _, fitted = blocked_and_reference(spec, series)
-    assert fitted.seasonal == (kind == "monthly_seasonal" and spec.family in smoothing._SEASONAL)
+    assert fitted.seasonal == (kind == "monthly_seasonal" and spec.family in smoothing.SEASONAL)
 
 
 @pytest.mark.parametrize("family", ["ses", "holt", "damped"])
