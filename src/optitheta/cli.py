@@ -101,6 +101,7 @@ def _cmd_evaluate(args) -> int:
     )
     dataset = load_dataset(args.data)
     config = ExperimentConfig(methods=methods, workers=args.workers, out_dir=Path(args.out_dir))
+    config.out_dir.mkdir(parents=True, exist_ok=True)  # fail before any cell runs
     result = run_experiment(dataset, config)
     for score in result.scores:
         if score.error is not None:

@@ -87,13 +87,16 @@ class GroeConfig:
     n1: int
 
     def __post_init__(self) -> None:
-        for name in ("p", "m", "H"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
-        if int(self.n1) < 2:
-            raise ValueError(f"first origin must leave a fittable prefix (n1 >= 2), got {self.n1}")
         for name in ("p", "m", "H", "n1"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value}")
+            object.__setattr__(self, name, int(value))
+        for name in ("p", "m", "H"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
+        if self.n1 < 2:
+            raise ValueError(f"first origin must leave a fittable prefix (n1 >= 2), got {self.n1}")
 
 
 def p_max(n: int, n1: int, m: int) -> int:
@@ -237,7 +240,7 @@ def loss_table(
         )
 
     theta = np.array(values)[:, None]  # one row per grid theta
-    alpha, beta, _, phi = _grid(extrapolator, family)
+    grid = _grid(extrapolator, family)
     full = fit_linear_trend(series)
     t = np.arange(1.0, n + 1)
     # Run on the residuals about the full-series line, not on y: the line comes
@@ -247,12 +250,12 @@ def loss_table(
     # summed products of the two runs' errors e0, e1: rows e0*e0, e0*e1, e1*e1.
     # The matrix is symmetric, so e1*e0 is never formed; a quadratic form
     # reads row 1 twice.
-    cross = np.zeros((3,) + alpha.shape)
+    cross = np.zeros((3,) + grid["alpha"].shape)
     products = np.empty_like(cross)
     table: dict[int, np.ndarray] = {}
     last = max(horizons)
     with np.errstate(all="ignore"):
-        for ni, (e, level, trend, _) in enumerate(_recurrence(runs, alpha, beta, phi), start=2):
+        for ni, (e, level, trend, _) in enumerate(_recurrence(runs, **grid), start=2):
             if e is not None:
                 np.multiply(e[0], e, out=products[:2])
                 np.multiply(e[1], e[1], out=products[2])
@@ -270,7 +273,7 @@ def loss_table(
             line = theta * level[0][best] + c1 + c2 * level[1][best]
             if trend is not None:
                 slope = theta * trend[0][best] + c2 * trend[1][best]
-                line = line + np.cumsum(phi[best] ** k, axis=1) * slope
+                line = line + np.cumsum(grid["phi"][best] ** k, axis=1) * slope
             fx = (1.0 - 1.0 / theta) * trend_value(prefix_fit, ni + k) + (1.0 / theta) * line
             actual = y[ni : ni + k.size]
             table[ni] = g(actual, fx).sum(axis=1)

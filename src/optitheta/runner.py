@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ AGGREGATE_FILE = "aggregate.csv"
 FORECASTS_FILE = "forecasts.csv"
 RANKS_FILE = "ranks.csv"
 FORECASTS_HEADER = "id,method,theta_hat,seasonal,f_1..f_h"
+AGGREGATE_HEADER = "method,group,n_series,n_smape,n_mase,n_failed,smape_mean,mase_mean,elapsed_sec"
 
 
 @dataclass(frozen=True)
@@ -162,55 +163,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_row(fields) -> str:
+    return ",".join(map(_fmt, fields))
+
+
 def forecast_row(fc: ForecastResult) -> str:
     """One forecasts row (see ``FORECASTS_HEADER``), shared by ``evaluate`` and ``forecast``."""
-    parts = [fc.series_id, fc.method, _fmt(fc.theta), str(int(fc.seasonal))]
-    parts += [repr(float(v)) for v in fc.forecasts]
-    return ",".join(parts)
+    values = map(repr, fc.forecasts.tolist())
+    return ",".join([fc.series_id, fc.method, _fmt(fc.theta), str(int(fc.seasonal)), *values])
 
 
 def write_outputs(result: ExperimentResult, out_dir) -> dict[str, Path]:
     """Write scores, aggregate table, forecasts, and (when complete) ranks."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-
-    lines = ["id,method,smape,mase,theta_hat"]
-    for s in result.scores:
-        lines.append(",".join([s.series_id, s.method, _fmt(s.smape), _fmt(s.mase), _fmt(s.theta)]))
-    paths["scores"] = out_dir / SCORES_FILE
-    paths["scores"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["method,group,n_series,n_smape,n_mase,n_failed,smape_mean,mase_mean,elapsed_sec"]
-    for row in result.table:
-        lines.append(
-            ",".join(
-                [
-                    row.method,
-                    row.group,
-                    str(row.n_series),
-                    str(row.n_smape),
-                    str(row.n_mase),
-                    str(row.n_failed),
-                    _fmt(row.smape_mean),
-                    _fmt(row.mase_mean),
-                    f"{row.elapsed:.3f}",
-                ]
-            )
-        )
-    paths["aggregate"] = out_dir / AGGREGATE_FILE
-    paths["aggregate"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = [FORECASTS_HEADER] + [forecast_row(fc) for fc in result.forecasts]
-    paths["forecasts"] = out_dir / FORECASTS_FILE
-    paths["forecasts"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    tables = {
+        "scores": (SCORES_FILE, "id,method,smape,mase,theta_hat", [
+            _csv_row([s.series_id, s.method, s.smape, s.mase, s.theta]) for s in result.scores
+        ]),
+        "aggregate": (AGGREGATE_FILE, AGGREGATE_HEADER, [
+            _csv_row([*astuple(row)[:-1], f"{row.elapsed:.3f}"]) for row in result.table
+        ]),
+        "forecasts": (FORECASTS_FILE, FORECASTS_HEADER, map(forecast_row, result.forecasts)),
+    }
     if result.rank_smape is not None:
-        lines = ["method,rank_smape,rank_mase"]
-        for method, rank in result.rank_smape.items():
-            mase_rank = result.rank_mase.get(method) if result.rank_mase else None
-            lines.append(",".join([method, _fmt(rank), _fmt(mase_rank)]))
-        paths["ranks"] = out_dir / RANKS_FILE
-        paths["ranks"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+        mase_ranks = result.rank_mase or {}
+        tables["ranks"] = (RANKS_FILE, "method,rank_smape,rank_mase", [
+            _csv_row([method, rank, mase_ranks.get(method)])
+            for method, rank in result.rank_smape.items()
+        ])
+    paths: dict[str, Path] = {}
+    for key, (name, header, rows) in tables.items():
+        paths[key] = out_dir / name
+        paths[key].write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     return paths

@@ -28,8 +28,8 @@ class TimeSeries:
             raise ValueError(f"series {self.id!r}: values must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"series {self.id!r}: values must be finite with no missing entries")
-        if int(self.period) < 1:
-            raise ValueError(f"series {self.id!r}: period must be >= 1, got {self.period}")
+        if not float(self.period).is_integer() or self.period < 1:
+            raise ValueError(f"series {self.id!r}: period must be an integer >= 1, got {self.period}")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)

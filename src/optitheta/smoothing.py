@@ -30,16 +30,17 @@ The damped and seasonal-damped grids hold 193,819 and 175,959 points. The
 recursion updates its states in place, with ``alpha*beta`` formed once per
 run and preallocated scratch arrays, so none of its steps allocates. A
 damped step makes 9 numpy passes (7 in the recursion, 2 to add ``e*e`` to
-the SSE) and a seasonal-damped step 15, over at most 12 arrays. At full grid size (1.4 MB
-each) that working set still spills out of a 2 MB per-core L2 cache, so a
-fit searches the flattened grid in consecutive blocks of ``_BLOCK`` points
-and keeps the final state of each block's best point only; the winner and
-its state are bit-identical to one whole-grid run. The block size came from
-a sweep of holt, holt_winters, damped and seasonal_damped fits on 17
-synthetic series (2-core Xeon, best of 3 CPU times, two sweeps), as speed
-against the whole-grid search: 2,048 points 1.18/1.44x, 4,096 1.22/1.81x,
-8,192 1.70/2.08x, 16,384 1.75/2.17x, 32,768 1.41/1.93x. 8,192 points (64 KB
-per array, under 1 MB per step) sits on the plateau with 16,384, which the
+the SSE) and a seasonal-damped step 15, over at most 12 arrays. At full
+grid size (1.4 MB each) that working set still spills out of a 2 MB
+per-core L2 cache, so a fit searches the flattened grid in consecutive
+blocks of ``_BLOCK`` points and keeps one running best across them, which
+only a strictly smaller block minimum replaces; the winner and its state
+are bit-identical to one whole-grid run. The block size came from a sweep
+of holt, holt_winters, damped and seasonal_damped fits on 17 synthetic
+series (2-core Xeon, best of 3 CPU times, two sweeps), as speed against the
+whole-grid search: 2,048 points 1.18/1.44x, 4,096 1.22/1.81x, 8,192
+1.70/2.08x, 16,384 1.75/2.17x, 32,768 1.41/1.93x. 8,192 points (64 KB per
+array, under 1 MB per step) sits on the plateau with 16,384, which the
 sweep's noise does not separate from it.
 
 A fit is summarised by a :class:`FittedForecaster`: the family, the chosen
@@ -134,36 +135,32 @@ class FittedForecaster:
         return self.season is not None
 
 
-def _pinned_or(grid: np.ndarray, pinned: float | None) -> np.ndarray:
-    return grid if pinned is None else np.array([float(pinned)])
-
-
 def _sanitize(sse: np.ndarray) -> np.ndarray:
     # degenerate parameter combinations can overflow; never let them win
     return np.where(np.isfinite(sse), sse, np.inf)
 
 
-def _grid(spec: ForecasterSpec, family: str):
-    """The flattened (alpha, beta, gamma, phi) search grid of a smoothing fit.
+def _grid(spec: ForecasterSpec, family: str) -> dict[str, np.ndarray]:
+    """The flattened search grid of a smoothing fit, one named dimension per parameter.
 
-    ``beta`` is None for ses, ``gamma`` is None for the non-seasonal
-    families and ``phi`` is None for the undamped ones (ses, holt,
-    holt_winters), whose recursion then skips the damping multiply.
+    Keys in meshgrid order, so the flat index runs through the parameter
+    vectors lexicographically: ``alpha``, then ``beta`` for the trended
+    families, ``gamma`` for the seasonal ones and ``phi`` for the damped
+    ones. A family lacks the keys of the parameters it does not have (Holt's
+    recursion then skips the damping multiply), and a pinned parameter is a
+    one-point dimension.
     """
-    seasonal = family in SEASONAL
-    weights = _SEASONAL_WEIGHT_GRID if seasonal else _WEIGHT_GRID
-    alphas = _pinned_or(weights, spec.alpha)
-    if family == "ses":
-        return alphas, None, None, None
-    dims = [alphas, _pinned_or(weights, spec.beta)]
-    if seasonal:
-        dims.append(_pinned_or(weights, spec.gamma))
+    weights = _SEASONAL_WEIGHT_GRID if family in SEASONAL else _WEIGHT_GRID
+    dims = {"alpha": weights}
+    if family in _TRENDED:
+        dims["beta"] = weights
+    if family in SEASONAL:
+        dims["gamma"] = weights
     if family in _DAMPED:
-        dims.append(_pinned_or(_PHI_GRID, spec.phi))
-    grids = [g.ravel() for g in np.meshgrid(*dims, indexing="ij")]
-    gamma = grids.pop(2) if seasonal else None
-    phi = grids.pop() if family in _DAMPED else None
-    return grids[0], grids[1], gamma, phi
+        dims["phi"] = _PHI_GRID
+    dims = {k: v if getattr(spec, k) is None else np.array([float(getattr(spec, k))])
+            for k, v in dims.items()}
+    return dict(zip(dims, (g.ravel() for g in np.meshgrid(*dims.values(), indexing="ij"))))
 
 
 def _min_n(family: str) -> int:
@@ -241,54 +238,36 @@ def _fit_naive(series: TimeSeries, season) -> FittedForecaster:
 def _fit_smooth(spec: ForecasterSpec, series: TimeSeries, family: str, season) -> FittedForecaster:
     """Grid-search one smoothing family, ``_BLOCK`` grid points at a time.
 
-    Each block runs :func:`_recurrence` on its slice of the flattened grid,
-    writes its slice of the SSE vector and, once the run ends, copies out the
-    final state of its own best point only (the run updates its state arrays
-    in place and holds no other copy). The winner is the first minimum of the
-    whole SSE vector, which lies in the block whose best point it is, so the
-    result equals one whole-grid run bit for bit.
+    Each block runs :func:`_recurrence` on its slice of the flattened grid
+    and takes the first minimum of its own SSE. That point, with a copy of
+    its final state (the run updates its state arrays in place and holds no
+    other copy), replaces the running best only when its SSE is strictly
+    less, so earlier blocks win ties and the winner is the first minimum of
+    the whole grid: the result equals one whole-grid run bit for bit.
     """
-    alpha, beta, gamma, phi = _grid(spec, family)
-    cut = lambda grid, block: None if grid is None else grid[block]  # noqa: E731
-    sse = np.zeros(alpha.size)
-    block_best = []  # (level, trend, season) at each block's best point
+    grid = _grid(spec, family)
+    sse, best = np.inf, None  # best: (grid index, level, trend, season)
     with np.errstate(all="ignore"):
-        for start in range(0, alpha.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            block_sse = sse[block]
-            for e, level, trend, factors in _recurrence(
-                series.values, alpha[block], cut(beta, block), cut(phi, block),
-                cut(gamma, block), season,
-            ):
+        for start in range(0, grid["alpha"].size, _BLOCK):
+            block = {k: v[start : start + _BLOCK] for k, v in grid.items()}
+            block_sse = np.zeros(block["alpha"].size)
+            for e, level, trend, factors in _recurrence(series.values, season=season, **block):
                 if e is not None:
                     block_sse += e * e
-            i = int(np.argmin(_sanitize(block_sse)))
-            block_best.append((
-                float(level[i]),
-                0.0 if trend is None else float(trend[i]),
-                None if factors is None else factors[:, i].copy(),
-            ))
-    sse = _sanitize(sse)
-    best = int(np.argmin(sse))
-    if not np.isfinite(sse[best]):
+            block_sse = _sanitize(block_sse)
+            i = int(np.argmin(block_sse))
+            if block_sse[i] < sse:
+                sse = float(block_sse[i])
+                best = (start + i, float(level[i]), 0.0 if trend is None else float(trend[i]),
+                        None if factors is None else factors[:, i].copy())
+    if best is None:
         raise ValueError(
             f"series {series.id!r}: family {family!r} has no finite in-sample SSE "
             "at any grid point (the recursion overflows)"
         )
-    level, trend, factors = block_best[best // _BLOCK]
-    param = lambda grid: None if grid is None else float(grid[best])  # noqa: E731
-    return FittedForecaster(
-        family_used=family,
-        n=series.n,
-        sse=float(sse[best]),
-        level=level,
-        trend=trend,
-        season=factors,
-        alpha=param(alpha),
-        beta=param(beta),
-        gamma=param(gamma),
-        phi=param(phi),
-    )
+    index, level, trend, factors = best
+    params = {k: float(v[index]) for k, v in grid.items()}
+    return FittedForecaster(family, series.n, sse, level, trend, factors, **params)
 
 
 def fit(spec: ForecasterSpec, series: TimeSeries, *, indices=_UNTESTED) -> FittedForecaster:

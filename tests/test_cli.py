@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from optitheta import cli
 from optitheta.cli import main, parse_method_token
 from optitheta.groe import DEFAULT_THETA_GRID
 
@@ -138,6 +139,23 @@ def test_evaluate_rejects_header_only_file(tmp_path, capsys):
     assert rc == 2
     assert "no series rows" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_evaluate_rejects_unusable_out_dir_before_any_cell(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    corpus = tmp_path / "corpus.csv"
+    assert main(["synth", "--out", str(corpus), "--yearly", "2", "--quarterly", "0",
+                 "--monthly", "0", "--other", "0"]) == 0
+    occupied = tmp_path / "occupied"
+    occupied.write_text("not a directory\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["evaluate", "--data", str(corpus), "--methods", "theta",
+               "--out-dir", str(occupied)])
+    assert rc == 2
+    assert "File exists" in capsys.readouterr().err
 
 
 def test_grid_override(tmp_path):

@@ -87,6 +87,16 @@ def test_origin_schedule_examples():
     assert origin_schedule(GroeConfig(p=4, m=2, H=1, n1=3), 12) == [3, 5, 7, 9]
 
 
+def test_config_rejects_non_integral_fields():
+    with pytest.raises(ValueError, match="p must be an integer, got 1.5"):
+        GroeConfig(p=1.5, m=1, H=1, n1=3)
+    with pytest.raises(ValueError, match="n1 must be an integer, got 2.9"):
+        GroeConfig(p=1, m=1, H=1, n1=2.9)
+    with pytest.raises(ValueError, match="H must be an integer, got inf"):
+        GroeConfig(p=1, m=1, H=float("inf"), n1=3)
+    assert GroeConfig(p=2.0, m=1, H=1, n1=3) == GroeConfig(p=2, m=1, H=1, n1=3)
+
+
 def test_origin_schedule_rejects_excess_p():
     with pytest.raises(ValueError, match="exceeds p_max"):
         origin_schedule(GroeConfig(p=5, m=13, H=13, n1=25), 64)

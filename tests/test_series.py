@@ -82,6 +82,14 @@ def test_missing_values_rejected():
         TimeSeries("s", [1.0, np.nan, 3.0])
 
 
+def test_non_integral_period_rejected():
+    with pytest.raises(ValueError, match="period must be an integer >= 1, got 2.7"):
+        TimeSeries("s", [1.0, 2.0, 3.0], period=2.7)
+    with pytest.raises(ValueError, match="period must be an integer"):
+        TimeSeries("s", [1.0, 2.0, 3.0], period=float("nan"))
+    assert TimeSeries("s", [1.0, 2.0, 3.0], period=2.0).period == 2
+
+
 def test_prefix():
     series = TimeSeries("s", [1.0, 2.0, 3.0, 4.0], period=2)
     head = series.prefix(2)

@@ -199,17 +199,14 @@ def whole_grid_fit(spec, family, series, recurrence=smoothing._recurrence):
     """Reference search: one ``recurrence`` run over the whole grid, first
     argmin of the sanitized SSE. Returns the winner's grid index and its fit."""
     season = seasonal_indices(series).indices if family in smoothing.SEASONAL else None
-    alpha, beta, gamma, phi = smoothing._grid(spec, family)
-    sse = np.zeros(alpha.shape)
+    grid = smoothing._grid(spec, family)
+    sse = np.zeros(grid["alpha"].shape)
     with np.errstate(all="ignore"):
-        for e, level, trend, factors in recurrence(
-            series.values, alpha, beta, phi, gamma, season
-        ):
+        for e, level, trend, factors in recurrence(series.values, season=season, **grid):
             if e is not None:
                 sse += e * e
     sse = smoothing._sanitize(sse)
     best = int(np.argmin(sse))
-    param = lambda grid: None if grid is None else float(grid[best])  # noqa: E731
     return best, FittedForecaster(
         family_used=family,
         n=series.n,
@@ -217,10 +214,7 @@ def whole_grid_fit(spec, family, series, recurrence=smoothing._recurrence):
         level=float(level[best]),
         trend=0.0 if trend is None else float(trend[best]),
         season=None if factors is None else factors[:, best].copy(),
-        alpha=param(alpha),
-        beta=param(beta),
-        gamma=param(gamma),
-        phi=param(phi) if family in smoothing._DAMPED else None,
+        **{k: float(v[best]) for k, v in grid.items()},
     )
 
 
@@ -282,7 +276,7 @@ def test_blocked_search_all_tied_picks_first_point(family):
 
 def test_blocked_search_grid_smaller_than_one_block(make_rw):
     spec = ForecasterSpec("damped", alpha=0.5, beta=0.1)
-    assert smoothing._grid(spec, "damped")[0].size < smoothing._BLOCK
+    assert smoothing._grid(spec, "damped")["alpha"].size < smoothing._BLOCK
     blocked_and_reference(spec, make_rw(8, 30, drift=0.5))
 
 
@@ -291,6 +285,43 @@ def test_blocked_search_minimum_beyond_first_block(make_rw):
     # past the first block of the 10,201-point grid
     best, _ = blocked_and_reference(ForecasterSpec("holt"), make_rw(3, 40))
     assert best >= smoothing._BLOCK
+
+
+def fake_recurrence(error_at):
+    """A stand-in for ``smoothing._recurrence`` whose one-step errors at each
+    grid point are ``error_at(alpha)``, the same at every step."""
+
+    def recurrence(y, alpha, beta=None, phi=None, gamma=None, season=None):
+        e = error_at(alpha)
+        level = np.full(alpha.shape, y[-1])
+        for _ in range(1, len(y)):
+            yield e, level, None, None
+
+    return recurrence
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_blocked_search_first_finite_minimum_across_blocks(bad, monkeypatch):
+    # NaN below alpha 0.1 and ``bad`` below 0.2 never win; alpha 0.2 is grid
+    # index 20, the last point of the third 7-point block, and its SSE ties
+    # with every later point, in every block after it
+    monkeypatch.setattr(smoothing, "_BLOCK", 7)
+    monkeypatch.setattr(smoothing, "_recurrence", fake_recurrence(
+        lambda a: np.where(a < 0.1, np.nan, np.where(a < 0.2, bad, 1.0))
+    ))
+    assert smoothing._grid(ForecasterSpec("ses"), "ses")["alpha"][3 * 7 - 1] == 0.2
+    series = TimeSeries("s", np.arange(10.0))
+    fitted = fit(ForecasterSpec("ses"), series)
+    assert fitted.alpha == 0.2 and fitted.sse == series.n - 1
+
+
+def test_blocked_search_no_finite_point_raises(monkeypatch):
+    monkeypatch.setattr(smoothing, "_BLOCK", 7)
+    monkeypatch.setattr(smoothing, "_recurrence", fake_recurrence(
+        lambda a: np.where(a < 0.5, np.nan, np.inf)
+    ))
+    with pytest.raises(ValueError, match="no finite in-sample SSE"):
+        fit(ForecasterSpec("ses"), TimeSeries("s", np.arange(10.0)))
 
 
 def test_unknown_family_rejected():
