@@ -18,7 +18,7 @@ grid point, the prefix's one-step errors and final states are
 ``theta*E(y) + (1-theta)*a_o*E(1) + (1-theta)*b_o*E(t)``, where ``E(x)`` is
 the run on input x (superposition). ``E(1)`` makes no errors and ends at
 level 1 and trend 0, so two runs, on y and on t, serve every (theta, origin)
-pair.
+pair. :func:`loss_table` reads every pair's winner from one blocked search.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .series import TimeSeries, fit_linear_trend, trend_value
-from .smoothing import ForecasterSpec, _grid, _min_n, _recurrence, _sanitize
+from .smoothing import ForecasterSpec, _min_n, _sanitize, _search
 from .theta import SES, check_extrapolator, otm_forecast
 
 DEFAULT_THETA_GRID = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
@@ -218,14 +218,15 @@ def loss_table(
     :func:`otm_candidate` of ``grid[i]`` adds at that origin, computed by
     superposition (see the module docstring). It does not depend on the other
     origins, so one table serves every schedule with this H whose origins it
-    holds. Each origin's fits are read from the recurrence's step at that
-    origin, before the next step updates its states in place, as one
-    ``(thetas, horizon)`` forecast array that a single call of the cost scores
-    for every grid theta. If the candidates cannot be fitted (a prefix too
-    short for the extrapolator) an :class:`EvaluationError` is raised.
+    holds. The fits at an origin are the search's winners there, and one call
+    of the cost scores their ``(thetas, horizon)`` forecast array. H must be at
+    least 1; if the candidates cannot be fitted (a prefix too short for the
+    extrapolator) an :class:`EvaluationError` is raised.
     """
     values = check_grid(grid)
     check_extrapolator(extrapolator)
+    if H < 1:
+        raise ValueError(f"horizon must be >= 1, got {H}")
     family = extrapolator.family
     g = resolve_cost(cost)
     y = series.values
@@ -240,45 +241,27 @@ def loss_table(
         )
 
     theta = np.array(values)[:, None]  # one row per grid theta
-    grid = _grid(extrapolator, family)
     full = fit_linear_trend(series)
     t = np.arange(1.0, n + 1)
     # Run on the residuals about the full-series line, not on y: the line comes
     # back through the coefficients of 1 and t, and the quadratic form below
     # then does not cancel on strongly trended series.
     runs = np.stack([y - trend_value(full, t), t], axis=1)[:, :, None]
-    # summed products of the two runs' errors e0, e1: rows e0*e0, e0*e1, e1*e1.
-    # The matrix is symmetric, so e1*e0 is never formed; a quadratic form
-    # reads row 1 twice.
-    cross = np.zeros((3,) + grid["alpha"].shape)
-    products = np.empty_like(cross)
+    prefix_fits = {ni: fit_linear_trend(series.prefix(ni)) for ni in horizons}
+    # the prefix's theta line is theta*residual + c1*1 + c2*t, and its SSE
+    # sum((theta*e_residual + c2*e_t)**2) a quadratic form in the runs' error products
+    c1 = {ni: theta * full.intercept + (1.0 - theta) * f.intercept for ni, f in prefix_fits.items()}
+    c2 = {ni: theta * full.slope + (1.0 - theta) * f.slope for ni, f in prefix_fits.items()}
+    weights = {ni: np.hstack([theta * theta, theta * c, theta * c, c * c]) for ni, c in c2.items()}
     table: dict[int, np.ndarray] = {}
-    last = max(horizons)
-    with np.errstate(all="ignore"):
-        for ni, (e, level, trend, _) in enumerate(_recurrence(runs, **grid), start=2):
-            if e is not None:
-                np.multiply(e[0], e, out=products[:2])
-                np.multiply(e[1], e[1], out=products[2])
-                cross += products
-            if ni not in horizons:
-                continue
-            prefix_fit = fit_linear_trend(series.prefix(ni))
-            # the prefix's theta line is theta*residual + c1*1 + c2*t
-            c1 = theta * full.intercept + (1.0 - theta) * prefix_fit.intercept
-            c2 = theta * full.slope + (1.0 - theta) * prefix_fit.slope
-            # its SSE is sum((theta*e_residual + c2*e_t)**2), a quadratic form
-            weights = np.hstack([theta * theta, theta * c2, theta * c2, c2 * c2])
-            best = np.argmin(_sanitize(weights @ cross[[0, 1, 1, 2]]), axis=1, keepdims=True)
-            k = np.arange(1, horizons[ni] + 1)
-            line = theta * level[0][best] + c1 + c2 * level[1][best]
-            if trend is not None:
-                slope = theta * trend[0][best] + c2 * trend[1][best]
-                line = line + np.cumsum(grid["phi"][best] ** k, axis=1) * slope
-            fx = (1.0 - 1.0 / theta) * trend_value(prefix_fit, ni + k) + (1.0 / theta) * line
-            actual = y[ni : ni + k.size]
-            table[ni] = g(actual, fx).sum(axis=1)
-            if ni == last:
-                break
+    for ni, (_, params, level, trend, _) in _search(extrapolator, family, runs, weights).items():
+        k = np.arange(1, horizons[ni] + 1)
+        line = theta * level[0][:, None] + c1[ni] + c2[ni] * level[1][:, None]
+        if trend is not None:
+            slope = theta * trend[0][:, None] + c2[ni] * trend[1][:, None]
+            line = line + np.cumsum(params["phi"][:, None] ** k, axis=1) * slope
+        fx = (1.0 - 1.0 / theta) * trend_value(prefix_fits[ni], ni + k) + (1.0 / theta) * line
+        table[ni] = g(y[ni : ni + k.size], fx).sum(axis=1)
     return table
 
 

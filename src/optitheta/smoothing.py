@@ -30,18 +30,18 @@ The damped and seasonal-damped grids hold 193,819 and 175,959 points. The
 recursion updates its states in place, with ``alpha*beta`` formed once per
 run and preallocated scratch arrays, so none of its steps allocates. A
 damped step makes 9 numpy passes (7 in the recursion, 2 to add ``e*e`` to
-the SSE) and a seasonal-damped step 15, over at most 12 arrays. At full
-grid size (1.4 MB each) that working set still spills out of a 2 MB
-per-core L2 cache, so a fit searches the flattened grid in consecutive
-blocks of ``_BLOCK`` points and keeps one running best across them, which
-only a strictly smaller block minimum replaces; the winner and its state
-are bit-identical to one whole-grid run. The block size came from a sweep
-of holt, holt_winters, damped and seasonal_damped fits on 17 synthetic
-series (2-core Xeon, best of 3 CPU times, two sweeps), as speed against the
-whole-grid search: 2,048 points 1.18/1.44x, 4,096 1.22/1.81x, 8,192
-1.70/2.08x, 16,384 1.75/2.17x, 32,768 1.41/1.93x. 8,192 points (64 KB per
-array, under 1 MB per step) sits on the plateau with 16,384, which the
-sweep's noise does not separate from it.
+the SSE) and a seasonal-damped step 15, over at most 12 arrays. At full grid
+size (1.4 MB each) that working set still spills out of a 2 MB per-core L2
+cache, so a search (:func:`_search`, for fits and GROE loss tables) runs the
+flattened grid in consecutive blocks of ``_BLOCK`` points and keeps one
+running best across them, which only a strictly smaller block minimum
+replaces; the winner and its state are bit-identical to one whole-grid run.
+The block size came from a sweep of holt, holt_winters, damped and
+seasonal_damped fits on 17 synthetic series (2-core Xeon, best of 3 CPU
+times, two sweeps), as speed against the whole-grid search: 2,048 points
+1.18/1.44x, 4,096 1.22/1.81x, 8,192 1.70/2.08x, 16,384 1.75/2.17x, 32,768
+1.41/1.93x. 8,192 points (64 KB per array, under 1 MB per step) sits on the
+plateau with 16,384, which the sweep's noise does not separate from it.
 
 A fit is summarised by a :class:`FittedForecaster`: the family, the chosen
 parameters and the final state (level, trend, seasonal factors). Every
@@ -58,6 +58,7 @@ random walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -78,8 +79,9 @@ _PHI_GRID = np.round(np.arange(PHI_MIN, PHI_MAX + 1e-9, 0.01), 2)
 # A 0.01 grid on three or four weights is 1e6+ combinations per fit; the
 # seasonal families search a coarser weight grid instead.
 _SEASONAL_WEIGHT_GRID = np.round(np.arange(0.0, 1.0 + 1e-9, 0.05), 2)
-# grid points per _recurrence run in a fit; see the module docstring
+# grid points per _recurrence run in a search; see the module docstring
 _BLOCK = 8192
+_SSE = np.ones((1, 1))  # a fit's weight matrix: a grid point's score is its SSE
 # fit's default for ``indices``: the series' seasonality is not decided yet
 _UNTESTED = object()
 
@@ -235,39 +237,54 @@ def _fit_naive(series: TimeSeries, season) -> FittedForecaster:
     return FittedForecaster("naive2", series.n, sse, level=float(adjusted[-1]), season=season)
 
 
-def _fit_smooth(spec: ForecasterSpec, series: TimeSeries, family: str, season) -> FittedForecaster:
-    """Grid-search one smoothing family, ``_BLOCK`` grid points at a time.
+def _search(spec: ForecasterSpec, family: str, runs: np.ndarray, weights: dict, season=None):
+    """Grid-search ``family`` on ``runs``, ``_BLOCK`` grid points at a time.
 
-    Each block runs :func:`_recurrence` on its slice of the flattened grid
-    and takes the first minimum of its own SSE. That point, with a copy of
-    its final state (the run updates its state arrays in place and holds no
-    other copy), replaces the running best only when its SSE is strictly
-    less, so earlier blocks win ties and the winner is the first minimum of
-    the whole grid: the result equals one whole-grid run bit for bit.
+    ``runs`` is one input, shape (n,), or k inputs side by side, shape
+    (n, k, 1) and no season; a block sums their one-step error products, e*e
+    or e_a*e_b in row a*k + b. ``weights`` maps a prefix length t to a
+    (rows, k*k) matrix, and after y_t each row w scores every grid point by
+    ``w @ products``. A row's winner, with a copy of its state, is the first
+    least sanitised score: a later block replaces it only on a strict ``<``.
+    Returns ``{t: (score, params, level, trend, season)}``, rows last.
     """
     grid = _grid(spec, family)
-    sse, best = np.inf, None  # best: (grid index, level, trend, season)
+    products = np.square if runs.ndim == 1 else lambda e: e[:, None] * e
+    best = {}
     with np.errstate(all="ignore"):
         for start in range(0, grid["alpha"].size, _BLOCK):
             block = {k: v[start : start + _BLOCK] for k, v in grid.items()}
-            block_sse = np.zeros(block["alpha"].size)
-            for e, level, trend, factors in _recurrence(series.values, season=season, **block):
-                if e is not None:
-                    block_sse += e * e
-            block_sse = _sanitize(block_sse)
-            i = int(np.argmin(block_sse))
-            if block_sse[i] < sse:
-                sse = float(block_sse[i])
-                best = (start + i, float(level[i]), 0.0 if trend is None else float(trend[i]),
-                        None if factors is None else factors[:, i].copy())
-    if best is None:
+            steps = _recurrence(runs, season=season, **block)
+            sums, done = 0.0, 1
+            for t, w in sorted(weights.items()):
+                for e, level, trend, factors in islice(steps, t - done):
+                    if e is not None:
+                        sums += products(e)
+                done = t
+                scores = _sanitize(w @ sums.reshape(w.shape[1], -1))
+                i = scores.argmin(axis=1)
+                per_point = (level, trend, factors, *block.values())
+                won = [scores.min(axis=1), *(a if a is None else a.take(i, -1) for a in per_point)]
+                if t in best:
+                    better = won[0] < best[t][0]
+                    won = [a if a is None else np.where(better, a, b) for a, b in zip(won, best[t])]
+                best[t] = won
+    return {t: (s, dict(zip(grid, p)), lev, tr, f) for t, (s, lev, tr, f, *p) in best.items()}
+
+
+def _fit_smooth(spec: ForecasterSpec, series: TimeSeries, family: str, season) -> FittedForecaster:
+    """The grid point of ``family`` with the least in-sample SSE (see :func:`_search`)."""
+    found = _search(spec, family, series.values, {series.n: _SSE}, season)
+    (sse,), params, level, trend, factors = found[series.n]
+    if sse == np.inf:
         raise ValueError(
             f"series {series.id!r}: family {family!r} has no finite in-sample SSE "
             "at any grid point (the recursion overflows)"
         )
-    index, level, trend, factors = best
-    params = {k: float(v[index]) for k, v in grid.items()}
-    return FittedForecaster(family, series.n, sse, level, trend, factors, **params)
+    return FittedForecaster(
+        family, series.n, float(sse), float(level[0]), 0.0 if trend is None else float(trend[0]),
+        None if factors is None else factors[:, 0], **{k: float(v[0]) for k, v in params.items()},
+    )
 
 
 def fit(spec: ForecasterSpec, series: TimeSeries, *, indices=_UNTESTED) -> FittedForecaster:

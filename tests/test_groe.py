@@ -15,11 +15,15 @@ from optitheta import (
     p_max,
     synthetic_dataset,
 )
+from optitheta import smoothing
 from optitheta.groe import (
-    COST_FUNCTIONS, DEFAULT_THETA_GRID, ae, loss_table, sape, scored_origins, se, select_theta,
+    COST_FUNCTIONS, DEFAULT_THETA_GRID, ae, loss_table, resolve_cost, sape, scored_origins, se,
+    select_theta,
 )
 from optitheta.pipeline import MethodSpec, SeriesContext, run_method
+from optitheta.series import fit_linear_trend, trend_value
 from optitheta.smoothing import ForecasterSpec
+from optitheta.theta import SES
 
 
 def naive_candidate(prefix, horizon):
@@ -301,6 +305,82 @@ def test_loss_table_calls_the_cost_once_per_origin(make_rw, monkeypatch):
     origins = scored_origins(config, series.n)
     loss_table(series, DEFAULT_THETA_GRID, origins, config.H, "se")
     assert calls == [(len(DEFAULT_THETA_GRID), min(config.H, series.n - ni)) for ni in origins]
+
+
+@pytest.mark.parametrize("H", [0, -4])
+def test_loss_table_rejects_a_horizon_below_one(H):
+    series = synthetic_dataset(1).entries[0].series
+    with pytest.raises(ValueError, match="horizon"):
+        loss_table(series, DEFAULT_THETA_GRID, [series.n - 6], H)
+
+
+# ---------------------------------------------------------------------------
+# blocked search against the whole-grid reference
+# ---------------------------------------------------------------------------
+
+
+def whole_grid_loss_table(series, grid, origins, H, cost="se", extrapolator=SES):
+    """Reference for ``loss_table``: one ``_recurrence`` run of the two
+    superposed inputs over the whole extrapolator grid, summing the 2x2 error
+    products; at each origin the first argmin of every theta's sanitised
+    quadratic-form SSE, read before the next step updates the states in place.
+    """
+    theta = np.array(grid, dtype=np.float64)[:, None]
+    g = resolve_cost(cost)
+    y, n = series.values, series.n
+    horizons = {ni: min(H, n - ni) for ni in origins}
+    params = smoothing._grid(extrapolator, extrapolator.family)
+    full = fit_linear_trend(series)
+    t = np.arange(1.0, n + 1)
+    runs = np.stack([y - trend_value(full, t), t], axis=1)[:, :, None]
+    cross = np.zeros((3,) + params["alpha"].shape)  # e0*e0, e0*e1, e1*e1
+    products = np.empty_like(cross)
+    table = {}
+    with np.errstate(all="ignore"):
+        for ni, (e, level, trend, _) in enumerate(smoothing._recurrence(runs, **params), start=2):
+            if e is not None:
+                np.multiply(e[0], e, out=products[:2])
+                np.multiply(e[1], e[1], out=products[2])
+                cross += products
+            if ni not in horizons:
+                continue
+            prefix_fit = fit_linear_trend(series.prefix(ni))
+            c1 = theta * full.intercept + (1.0 - theta) * prefix_fit.intercept
+            c2 = theta * full.slope + (1.0 - theta) * prefix_fit.slope
+            weights = np.hstack([theta * theta, theta * c2, theta * c2, c2 * c2])
+            best = np.argmin(smoothing._sanitize(weights @ cross[[0, 1, 1, 2]]), axis=1, keepdims=True)
+            k = np.arange(1, horizons[ni] + 1)
+            line = theta * level[0][best] + c1 + c2 * level[1][best]
+            if trend is not None:
+                slope = theta * trend[0][best] + c2 * trend[1][best]
+                line = line + np.cumsum(params["phi"][best] ** k, axis=1) * slope
+            fx = (1.0 - 1.0 / theta) * trend_value(prefix_fit, ni + k) + (1.0 / theta) * line
+            table[ni] = g(y[ni : ni + k.size], fx).sum(axis=1)
+    return table
+
+
+# pinned damped grids of 1,919 points keep a 7-point block cheap
+@pytest.mark.parametrize(
+    "extrapolator",
+    [SES, ForecasterSpec("damped", alpha=0.3), ForecasterSpec("damped", beta=0.1)],
+    ids=["ses", "damped-alpha", "damped-beta"],
+)
+def test_blocked_loss_table_equals_whole_grid(extrapolator, monkeypatch):
+    # an odd block puts many block boundaries inside the grid and leaves a
+    # ragged last block
+    monkeypatch.setattr(smoothing, "_BLOCK", 7)
+    counts = {"Yearly": 2, "Quarterly": 1, "Monthly": 0, "Other": 1}
+    for entry in synthetic_dataset(42, counts).entries:
+        series, h = entry.series, entry.h
+        union = sorted({
+            ni for a in APPROACHES for ni in scored_origins(approach_config(a, series.n, h), series.n)
+        })
+        for cost in COST_FUNCTIONS:
+            table = loss_table(series, DEFAULT_THETA_GRID, union, h, cost, extrapolator)
+            reference = whole_grid_loss_table(series, DEFAULT_THETA_GRID, union, h, cost, extrapolator)
+            assert table.keys() == reference.keys()
+            for ni in union:
+                assert table[ni].tobytes() == reference[ni].tobytes(), (series.id, ni, cost)
 
 
 # ---------------------------------------------------------------------------

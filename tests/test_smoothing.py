@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from optitheta import (
-    APPROACHES, TimeSeries, approach_config, estimate_theta, groe, smoothing, synthetic_dataset,
+    APPROACHES, TimeSeries, approach_config, estimate_theta, smoothing, synthetic_dataset,
 )
 from optitheta.groe import COST_FUNCTIONS, DEFAULT_THETA_GRID, loss_table, scored_origins
 from optitheta.seasonal import seasonal_indices
@@ -438,7 +438,7 @@ def test_theta_selection_matches_component_form(extrapolator, monkeypatch):
         union = sorted({ni for origins in schedules.values() for ni in origins})
         for cost in COST_FUNCTIONS:
             with monkeypatch.context() as patch:
-                patch.setattr(groe, "_recurrence", component_form_recurrence)
+                patch.setattr(smoothing, "_recurrence", component_form_recurrence)
                 reference = loss_table(series, DEFAULT_THETA_GRID, union, h, cost, extrapolator)
             table = loss_table(series, DEFAULT_THETA_GRID, union, h, cost, extrapolator)
             for ni in union:
