@@ -270,9 +270,13 @@ def select_theta(grid, table: dict[int, np.ndarray], origins, series_id: str = "
     rows, summed over ``origins`` in ascending order, are least: the first
     minimum, so ties go to the smallest theta. A non-finite loss never wins,
     and an :class:`EvaluationError` is raised when no theta has a finite loss.
+    Empty ``origins`` are refused, as :func:`loss_table` refuses them.
     """
+    origins = sorted(origins)
+    if not origins:
+        raise ValueError("origins must be non-empty")
     losses = np.zeros(len(grid))
-    for ni in sorted(origins):
+    for ni in origins:
         losses += table[ni]
     losses = _sanitize(losses)
     best = int(np.argmin(losses))

@@ -6,7 +6,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 GROUPS = ("Yearly", "Quarterly", "Monthly", "Other")
 ALL_GROUP = "All"
@@ -54,20 +53,26 @@ def mase(insample, actuals, forecasts) -> float:
 
 
 def average_ranks(scores: Mapping[str, Sequence[float]]) -> dict[str, float]:
-    """Mean rank of each method across series (rank 1 = lowest error, ties averaged).
+    """Mean rank of each method across series (rank 1 = lowest error).
 
-    Every method must provide a finite score for every series; incomplete
-    matrices are refused.
+    Tied scores in a series share the mean of the positions they occupy:
+    a score with ``below`` strictly smaller and ``tied`` equal scores
+    (itself included) ranks ``below + (tied + 1) / 2``. Every method must
+    provide a finite score for every series; incomplete matrices are refused.
     """
     methods = list(scores)
     if not methods:
         raise ValueError("need at least one method to rank")
-    matrix = np.array([np.asarray(scores[m], dtype=np.float64) for m in methods])
-    if matrix.ndim != 2 or matrix.shape[1] == 0:
+    rows = [np.asarray(scores[m], dtype=np.float64) for m in methods]
+    if any(r.ndim != 1 or r.size == 0 or r.size != rows[0].size for r in rows):
         raise ValueError("every method needs the same, non-empty series list")
+    matrix = np.array(rows)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("missing or non-finite scores: rank matrix must be complete")
-    ranks = rankdata(matrix, axis=0)
+    # (other method, method, series): compare every score with its column
+    below = (matrix[:, None, :] < matrix[None, :, :]).sum(axis=0)
+    tied = (matrix[:, None, :] == matrix[None, :, :]).sum(axis=0)
+    ranks = below + (tied + 1) / 2
     return {m: float(r) for m, r in zip(methods, ranks.mean(axis=1))}
 
 

@@ -192,6 +192,9 @@ def write_outputs(result: ExperimentResult, out_dir) -> dict[str, Path]:
             _csv_row([method, rank, mase_ranks.get(method)])
             for method, rank in result.rank_smape.items()
         ])
+    else:
+        # without this, a rank table an earlier run left here would look current
+        (out_dir / RANKS_FILE).unlink(missing_ok=True)
     paths: dict[str, Path] = {}
     for key, (name, header, rows) in tables.items():
         paths[key] = out_dir / name

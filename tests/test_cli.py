@@ -56,6 +56,23 @@ def test_evaluate_reports_failures_and_skips_ranks(tmp_path, capsys):
     assert not (out_dir / "ranks.csv").exists()
 
 
+def test_evaluate_removes_a_stale_rank_table(tmp_path, capsys):
+    out_dir = tmp_path / "res"
+    first = tmp_path / "first.csv"
+    main(["synth", "--out", str(first), "--seed", "3",
+          "--yearly", "2", "--quarterly", "0", "--monthly", "0", "--other", "0"])
+    assert main(["evaluate", "--data", str(first), "--methods", "naive,otm-a",
+                 "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "ranks.csv").exists()
+    second = tmp_path / "second.csv"
+    second.write_text("id,group,period,h,n,y...,a...\ntiny,Other,1,2,2,5,6,7,8\n", encoding="utf-8")
+    assert main(["evaluate", "--data", str(second), "--methods", "naive,otm-a",
+                 "--out-dir", str(out_dir)]) == 0
+    err = capsys.readouterr().err
+    assert "otm-a failed on tiny" in err and "rank table skipped" in err
+    assert not (out_dir / "ranks.csv").exists()
+
+
 def test_evaluate_rejects_bad_method(tmp_path):
     corpus = tmp_path / "corpus.csv"
     main(["synth", "--out", str(corpus), "--seed", "1",

@@ -314,6 +314,11 @@ def test_loss_table_rejects_a_horizon_below_one(H):
         loss_table(series, DEFAULT_THETA_GRID, [series.n - 6], H)
 
 
+def test_select_theta_rejects_empty_origins():
+    with pytest.raises(ValueError, match="origins must be non-empty"):
+        select_theta((1.0, 2.0, 3.0), {}, [])
+
+
 # ---------------------------------------------------------------------------
 # blocked search against the whole-grid reference
 # ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import rankdata
 
+import optitheta
 from optitheta import (
     UndefinedMetricError,
     aggregate_scores,
@@ -127,6 +134,56 @@ def test_ranks_refuse_missing_cells():
         average_ranks({"a": [1.0, np.nan], "b": [2.0, 3.0]})
     with pytest.raises(ValueError):
         average_ranks({})
+    with pytest.raises(ValueError, match="same, non-empty series list"):
+        average_ranks({"a": [1.0, 2.0], "b": [1.0]})
+
+
+def reference_ranks(matrix) -> list[float]:
+    """``scipy.stats.rankdata``'s average ranks, the test-only reference."""
+    return [float(r) for r in rankdata(np.asarray(matrix), axis=0).mean(axis=1)]
+
+
+def assert_ranks_match_reference(matrix):
+    ranks = average_ranks({f"m{i}": row for i, row in enumerate(matrix)})
+    assert list(ranks.values()) == reference_ranks(matrix)
+
+
+tied_scores = st.integers(-3, 3).map(float) | st.sampled_from([0.0, -0.0])
+
+
+@given(
+    st.integers(1, 6), st.integers(1, 12), st.sampled_from([tied_scores, finite_floats]), st.data()
+)
+def test_ranks_equal_the_scipy_reference(n_methods, n_series, scores, data):
+    row = st.lists(scores, min_size=n_series, max_size=n_series)
+    matrix = data.draw(st.lists(row, min_size=n_methods, max_size=n_methods))
+    assert_ranks_match_reference(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0.4, 2.0, 7.5]],
+        [[3.0], [1.0], [3.0], [2.0]],
+        [[-0.0, 1.0], [0.0, 0.0], [0.0, -0.0]],
+    ],
+    ids=["one-method", "one-series", "signed-zero"],
+)
+def test_rank_edges_equal_the_scipy_reference(matrix):
+    assert_ranks_match_reference(matrix)
+
+
+def test_runtime_does_not_import_scipy():
+    # a fresh interpreter: this one has imported scipy for the reference
+    code = (
+        "import sys, optitheta, optitheta.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(optitheta.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
