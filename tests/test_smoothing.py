@@ -235,6 +235,40 @@ def blocked_and_reference(spec, series):
     return best, fitted
 
 
+def counting(updates):
+    """``smoothing._recurrence``, adding the (step, grid point) updates of
+    each of its runs to ``updates[0]``."""
+    recurrence = smoothing._recurrence
+
+    def run(y, alpha, **kwargs):
+        steps = recurrence(y, alpha, **kwargs)
+        for out in steps:
+            updates[0] += out[1].shape[-1]
+            keep = yield out
+            if keep is not None:
+                yield steps.send(keep)
+
+    return run
+
+
+def unpruned_updates(spec, family, n):
+    """The updates of a search that drops nothing: the grid's, plus those of
+    its ``_STRIDE`` sample when the grid spans blocks."""
+    size = smoothing._grid(spec, family)["alpha"].size
+    sample = -(-size // smoothing._STRIDE) if size > smoothing._BLOCK else 0
+    return (size + sample) * (n - 1)
+
+
+def pruned_and_reference(spec, series, monkeypatch):
+    """:func:`blocked_and_reference`, plus the share of the unpruned updates
+    the fit made."""
+    updates = [0]
+    with monkeypatch.context() as patch:
+        patch.setattr(smoothing, "_recurrence", counting(updates))
+        best, fitted = blocked_and_reference(spec, series)
+    return best, fitted, updates[0] / unpruned_updates(spec, fitted.family_used, series.n)
+
+
 # pins keep each grid under 2,000 points, so a 7-point block stays cheap
 @pytest.mark.parametrize(
     "spec",
@@ -261,12 +295,13 @@ def test_blocked_search_equals_whole_grid(spec, kind, make_rw, make_seasonal, mo
 
 
 @pytest.mark.parametrize("family", ["ses", "holt", "damped"])
-def test_blocked_search_all_tied_picks_first_point(family):
+def test_blocked_search_all_tied_picks_first_point(family, monkeypatch):
     # with y = 2 every update is exact, so every grid point has SSE 0 and the
-    # winner is grid index 0 even though the tie spans every block
+    # winner is grid index 0 even though the tie spans every block; no partial
+    # SSE exceeds the bound 0, so nothing is dropped
     series = TimeSeries("c", np.full(24, 2.0))
-    best, fitted = blocked_and_reference(ForecasterSpec(family), series)
-    assert best == 0 and fitted.sse == 0.0
+    best, fitted, share = pruned_and_reference(ForecasterSpec(family), series, monkeypatch)
+    assert best == 0 and fitted.sse == 0.0 and share == 1.0
     assert (fitted.alpha, fitted.beta, fitted.phi) == (
         0.0,
         None if family == "ses" else 0.0,
@@ -287,15 +322,22 @@ def test_blocked_search_minimum_beyond_first_block(make_rw):
     assert best >= smoothing._BLOCK
 
 
-def fake_recurrence(error_at):
+def fake_recurrence(error_at, finals=None):
     """A stand-in for ``smoothing._recurrence`` whose one-step errors at each
-    grid point are ``error_at(alpha)``, the same at every step."""
+    grid point are ``error_at(alpha)``, the same at every step. Like the real
+    one it keeps only the grid points a consumer sends between two steps;
+    ``finals`` collects the alphas still searched at each run's last step."""
 
     def recurrence(y, alpha, beta=None, phi=None, gamma=None, season=None):
         e = error_at(alpha)
         level = np.full(alpha.shape, y[-1])
-        for _ in range(1, len(y)):
-            yield e, level, None, None
+        for t in range(1, len(y)):
+            if finals is not None and t == len(y) - 1:
+                finals.extend(alpha)
+            keep = yield e, level, None, None
+            if keep is not None:
+                alpha, e, level = alpha[keep], e[keep], level[keep]
+                yield
 
     return recurrence
 
@@ -304,24 +346,103 @@ def fake_recurrence(error_at):
 def test_blocked_search_first_finite_minimum_across_blocks(bad, monkeypatch):
     # NaN below alpha 0.1 and ``bad`` below 0.2 never win; alpha 0.2 is grid
     # index 20, the last point of the third 7-point block, and its SSE ties
-    # with every later point, in every block after it
+    # with every later point, in every block after it. At the check after
+    # y_8 the partial SSE of an inf point exceeds the bound, so it is dropped;
+    # a NaN point compares false and is searched to the end
     monkeypatch.setattr(smoothing, "_BLOCK", 7)
+    finals = []
     monkeypatch.setattr(smoothing, "_recurrence", fake_recurrence(
-        lambda a: np.where(a < 0.1, np.nan, np.where(a < 0.2, bad, 1.0))
+        lambda a: np.where(a < 0.1, np.nan, np.where(a < 0.2, bad, 1.0)), finals
     ))
-    assert smoothing._grid(ForecasterSpec("ses"), "ses")["alpha"][3 * 7 - 1] == 0.2
+    grid = smoothing._grid(ForecasterSpec("ses"), "ses")["alpha"]
+    assert grid[3 * 7 - 1] == 0.2
     series = TimeSeries("s", np.arange(10.0))
     fitted = fit(ForecasterSpec("ses"), series)
     assert fitted.alpha == 0.2 and fitted.sse == series.n - 1
+    pruned = grid[(grid >= 0.1) & (grid < 0.2)] if bad == np.inf else grid[:0]
+    assert set(grid) - set(finals) == set(pruned)
 
 
 def test_blocked_search_no_finite_point_raises(monkeypatch):
+    # no grid point has a finite SSE, so the bound stays inf and prunes nothing
     monkeypatch.setattr(smoothing, "_BLOCK", 7)
+    finals = []
     monkeypatch.setattr(smoothing, "_recurrence", fake_recurrence(
-        lambda a: np.where(a < 0.5, np.nan, np.inf)
+        lambda a: np.where(a < 0.5, np.nan, np.inf), finals
     ))
     with pytest.raises(ValueError, match="no finite in-sample SSE"):
         fit(ForecasterSpec("ses"), TimeSeries("s", np.arange(10.0)))
+    assert set(finals) == set(smoothing._grid(ForecasterSpec("ses"), "ses")["alpha"])
+
+
+# ---------------------------------------------------------------------------
+# Early abandoning against the unpruned whole-grid reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["damped", "seasonal_damped"])
+def test_pruned_search_equals_whole_grid(family, make_seasonal, monkeypatch):
+    series = make_seasonal(4, 60, MONTHLY_PATTERN, noise=0.03)
+    _, fitted, share = pruned_and_reference(ForecasterSpec(family), series, monkeypatch)
+    assert fitted.family_used == family
+    assert share < 0.9
+
+
+@pytest.mark.parametrize("family", ["holt", "damped"])
+def test_pruned_search_keeps_ties_at_the_minimum(family, monkeypatch):
+    # a step from 2 to 5: (alpha, beta) = (1, 0) tracks it with one error of
+    # 3, so SSE 9 ties at every phi and the first phi wins
+    series = TimeSeries("step", np.repeat([2.0, 5.0], 12))
+    _, fitted, share = pruned_and_reference(ForecasterSpec(family), series, monkeypatch)
+    assert (fitted.alpha, fitted.beta, fitted.sse) == (1.0, 0.0, 9.0)
+    if family == "damped":
+        assert fitted.phi == smoothing.PHI_MIN
+        last_phi = ForecasterSpec(family, alpha=1.0, beta=0.0, phi=smoothing.PHI_MAX)
+        assert fit(last_phi, series).sse == 9.0
+    assert share < 0.9
+
+
+def test_pruned_search_drops_overflowed_points(monkeypatch):
+    # 14,075 of the damped grid points overflow to an infinite SSE here
+    series = TimeSeries("o", [1e153, -1e153] * 5)
+    _, fitted, share = pruned_and_reference(ForecasterSpec("damped"), series, monkeypatch)
+    assert np.isfinite(fitted.sse) and share < 0.9
+
+
+def test_pruned_search_with_no_finite_point_prunes_nothing(monkeypatch):
+    # every point overflows, so no bound is finite: nothing is dropped, and
+    # the fit raises as the whole-grid reference finds no finite SSE
+    spec, series, updates = ForecasterSpec("damped"), TimeSeries("o", [1e200, -1e200] * 5), [0]
+    monkeypatch.setattr(smoothing, "_recurrence", counting(updates))
+    with pytest.raises(ValueError, match="no finite in-sample SSE"):
+        fit(spec, series)
+    assert updates[0] == unpruned_updates(spec, "damped", series.n)
+    assert whole_grid_fit(spec, "damped", series)[1].sse == np.inf
+
+
+@pytest.mark.parametrize(
+    "pins", [{}, {"alpha": 0.3}, {"beta": 0.1, "gamma": 0.2, "phi": 0.9}], ids=["free", "a", "bgp"]
+)
+@pytest.mark.parametrize(
+    "family, keys, size",
+    [
+        ("ses", "alpha", 101),
+        ("holt", "alpha beta", 10_201),
+        ("damped", "alpha beta phi", 193_819),
+        ("holt_winters", "alpha beta gamma", 9_261),
+        ("seasonal_damped", "alpha beta gamma phi", 175_959),
+    ],
+)
+def test_grid_is_the_lexicographic_meshgrid(family, keys, size, pins):
+    grid = smoothing._grid(ForecasterSpec(family, **pins), family)
+    assert list(grid) == keys.split()
+    dims = {k: np.unique(v) for k, v in grid.items()}
+    assert all(dims[k].tolist() == [v] for k, v in pins.items() if k in dims)
+    if not pins:
+        assert grid["alpha"].size == size
+    mesh = np.meshgrid(*dims.values(), indexing="ij")
+    for v, m in zip(grid.values(), mesh):
+        assert v.tobytes() == m.ravel().tobytes()
 
 
 def test_unknown_family_rejected():
