@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .series import TimeSeries, fit_linear_trend, trend_value
-from .smoothing import ForecasterSpec, _min_n, _sanitize, _search
+from .smoothing import ForecasterSpec, _grid, _min_n, _sanitize, _search
 from .theta import SES, check_extrapolator, otm_forecast
 
 DEFAULT_THETA_GRID = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
@@ -254,7 +254,8 @@ def loss_table(
     c2 = {ni: theta * full.slope + (1.0 - theta) * f.slope for ni, f in prefix_fits.items()}
     weights = {ni: np.hstack([theta * theta, theta * c, theta * c, c * c]) for ni, c in c2.items()}
     table: dict[int, np.ndarray] = {}
-    for ni, (_, params, level, trend, _) in _search(extrapolator, family, runs, weights).items():
+    found = _search(_grid(extrapolator, family), runs, weights)
+    for ni, (_, params, level, trend, _) in found.items():
         k = np.arange(1, horizons[ni] + 1)
         line = theta * level[0][:, None] + c1[ni] + c2[ni] * level[1][:, None]
         if trend is not None:

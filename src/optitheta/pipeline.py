@@ -128,18 +128,18 @@ class SeriesContext:
         self.series = series
         self.h = h
         self.specs = tuple(specs)
-        self._adjusted: tuple[bool, SeasonalIndices | None, TimeSeries] | None = None
+        self._adjusted: tuple[SeasonalIndices | None, TimeSeries] | None = None
         self._tables: dict[tuple, dict[int, np.ndarray]] = {}
         self._forecasts: dict[tuple[float, ForecasterSpec], np.ndarray] = {}
 
-    def adjusted(self) -> tuple[bool, SeasonalIndices | None, TimeSeries]:
-        """(seasonal, indices or None, the series theta is selected and fitted on)."""
+    def adjusted(self) -> tuple[SeasonalIndices | None, TimeSeries]:
+        """(indices or None, the series theta is selected and fitted on)."""
         if self._adjusted is None:
             if seasonality_applies(self.series):
                 idx = seasonal_indices(self.series)
-                self._adjusted = (True, idx, deseasonalize(self.series, idx))
+                self._adjusted = (idx, deseasonalize(self.series, idx))
             else:
-                self._adjusted = (False, None, self.series)
+                self._adjusted = (None, self.series)
         return self._adjusted
 
     def _origins(self, spec: MethodSpec) -> list[int]:
@@ -155,7 +155,7 @@ class SeriesContext:
                         union.update(self._origins(other))
                     except ValueError:
                         pass  # that token falls back and reads no table
-            _, _, work = self.adjusted()
+            _, work = self.adjusted()
             self._tables[key] = loss_table(
                 work, spec.grid, sorted(union), self.h, spec.cost, spec.extrapolator
             )
@@ -175,9 +175,9 @@ class SeriesContext:
         """Reseasonalised combined forecasts of one (theta, extrapolator)."""
         key = (theta, extrapolator)
         if key not in self._forecasts:
-            seasonal, idx, work = self.adjusted()
+            idx, work = self.adjusted()
             forecasts = otm_forecast(work, theta, self.h, extrapolator)
-            if seasonal:
+            if idx is not None:
                 forecasts = reseasonalize(forecasts, idx, start_t=self.series.n + 1)
             forecasts.setflags(write=False)  # handed to every token with this key
             self._forecasts[key] = forecasts
@@ -204,7 +204,7 @@ def run_method(
         )
     if spec.family is not None:
         # the other families never read the seasonal decision, so it is not made for them
-        indices = context.adjusted()[1] if spec.family in SEASONAL else None
+        indices = context.adjusted()[0] if spec.family in SEASONAL else None
         fitted = smoothing.fit(ForecasterSpec(spec.family), series, indices=indices)
         return ForecastResult(
             series_id=series.id,
@@ -215,13 +215,13 @@ def run_method(
         )
     if series.n < 3:
         raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
-    seasonal, _, _ = context.adjusted()
+    indices, _ = context.adjusted()
     theta, note = context.theta(spec)
     return ForecastResult(
         series_id=series.id,
         method=spec.name,
         forecasts=context.forecast(theta, spec.extrapolator),
         theta=theta,
-        seasonal=seasonal,
+        seasonal=indices is not None,
         note=note,
     )

@@ -19,12 +19,14 @@ This is the component form ``l' = alpha*y_t/s_t + (1-alpha)*(l + phi*b)``,
 (1-gamma)*s_t`` rearranged, so the two differ by rounding only. SES has no
 trend and no season, Holt has phi = 1 (its recursion skips the damping
 multiply), damped trend searches phi, and holt_winters/seasonal_damped add
-the season to Holt/damped. :func:`_recurrence` runs this recursion at every
-point of a parameter grid at once, and a fit keeps the grid point with the
-least in-sample one-step squared error, ties going to the lexicographically
-smallest parameter vector. naive and naive2 (naive on the seasonally
-adjusted series) have no parameters; their SSE is computed in one
-vectorised pass.
+the season to Holt/damped. One table, ``_PARAMS``, names the parameters
+each family searches, in grid order; the grid, the least series length and
+the fitted parameters all follow from it. :func:`_recurrence` runs this
+recursion at every point of a parameter grid at once, and a fit keeps the
+grid point with the least in-sample one-step squared error, ties going to
+the lexicographically smallest parameter vector. naive and naive2 (naive on
+the seasonally adjusted series) have no parameters; their SSE is computed
+in one vectorised pass.
 
 The damped and seasonal-damped grids hold 193,819 and 175,959 points. The
 recursion updates its states in place, with ``alpha*beta`` formed once per
@@ -47,27 +49,29 @@ A fit whose grid spans more than one block also abandons grid points early
 (the bound of Rakthanmanon et al., KDD 2012). A point's in-sample SSE is a
 running sum of non-negative terms, and a rounded sum of them never falls,
 so a point whose partial SSE already exceeds the full SSE of some grid
-point can never win. The first bound is the least sanitised SSE of every
-``_STRIDE``-th grid point (about 1% of the grid, run unpruned); each block
-that finishes lowers it to the running best. Every ``_CHECK`` steps a
-block counts the points whose partial SSE is strictly ``>`` the bound; once
-they are at least ``1/_COMPACT`` of its live points, it sends the indices of
-the others to :func:`_recurrence`, which keeps only those, and it abandons
-the block when none is left. The winner and every point tied with it have
-partial SSE <= final SSE <= bound, so they always survive; a NaN compares
-false and is never dropped (it still never wins), and a point that
-overflowed to inf is dropped once the bound is finite. Each survivor's
-arithmetic is elementwise and unchanged, so the fit is bit-identical to the
-unpruned search. GROE loss tables and one-block grids (SES's, and small
-pinned ones) get an infinite bound and are never checked. About 60% of the
-damped and seasonal-damped updates survive. A sweep of the check interval
-and the compaction threshold on the damped and seasonal-damped fits of 17
-synthetic series (2-core Xeon, best of 3 CPU times, speed against the
-unpruned search, damped/seasonal-damped): every 4 steps at 1/2, 1/4 and 1/8
-of the live points 1.35/1.34x, 1.25/1.25x, 1.21/1.21x; every 8 steps
-1.40/1.37x, 1.35/1.37x, 1.27/1.20x; every 16 steps 1.30/1.35x, 1.36/1.27x,
-1.40/1.35x; every 32 steps 1.33/1.26x, 1.32/1.33x, 1.45/1.30x. The surface
-is a plateau within the sweep's noise, and 8 steps at 1/4 sit on it.
+point can never win. The first bound is the least sanitised SSE that a
+search of every ``_STRIDE``-th grid point finds (about 1% of the grid, one
+block, so not pruned itself); each block that finishes lowers it to the
+running best. Every ``_CHECK`` steps a block counts the points whose
+partial SSE is strictly ``>`` the bound; once they are at least
+``1/_COMPACT`` of its live points, it sends the indices of the others to
+:func:`_recurrence`, which keeps only those, and it abandons the block when
+none is left. The winner and every point tied with it have partial SSE <=
+final SSE <= bound, so they always survive; a NaN compares false and is
+never dropped (it still never wins), and a point that overflowed to inf is
+dropped once the bound is finite. Each survivor's arithmetic is elementwise
+and unchanged, so the fit is bit-identical to the unpruned search. GROE
+loss tables (whose scores are quadratic forms of several inputs' errors,
+which may fall) and one-block grids (SES's, and small pinned ones) get an
+infinite bound and are never checked. About 60% of the damped and
+seasonal-damped updates survive. A sweep of the check interval and the
+compaction threshold on the damped and seasonal-damped fits of 17 synthetic
+series (2-core Xeon, best of 3 CPU times, speed against the unpruned
+search, damped/seasonal-damped): every 4 steps at 1/2, 1/4 and 1/8 of the
+live points 1.35/1.34x, 1.25/1.25x, 1.21/1.21x; every 8 steps 1.40/1.37x,
+1.35/1.37x, 1.27/1.20x; every 16 steps 1.30/1.35x, 1.36/1.27x, 1.40/1.35x;
+every 32 steps 1.33/1.26x, 1.32/1.33x, 1.45/1.30x. The surface is a plateau
+within the sweep's noise, and 8 steps at 1/4 sit on it.
 
 A fit is summarised by a :class:`FittedForecaster`: the family, the chosen
 parameters and the final state (level, trend, seasonal factors). Every
@@ -84,7 +88,7 @@ random walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -92,12 +96,20 @@ import numpy as np
 from .seasonal import seasonal_indices, seasonality_applies
 from .series import TimeSeries
 
-FAMILIES = ("naive", "naive2", "ses", "holt", "holt_winters", "damped", "seasonal_damped")
-
-_TRENDED = frozenset({"holt", "damped", "holt_winters", "seasonal_damped"})
-_DAMPED = frozenset({"damped", "seasonal_damped"})
-SEASONAL = frozenset({"naive2", "holt_winters", "seasonal_damped"})
+# each family's searched parameters, in grid order
+_PARAMS = {
+    "naive": (),
+    "naive2": (),
+    "ses": ("alpha",),
+    "holt": ("alpha", "beta"),
+    "holt_winters": ("alpha", "beta", "gamma"),
+    "damped": ("alpha", "beta", "phi"),
+    "seasonal_damped": ("alpha", "beta", "gamma", "phi"),
+}
+FAMILIES = tuple(_PARAMS)
+# each seasonal family's fallback when its series is not seasonal
 _SIBLING = {"naive2": "naive", "holt_winters": "holt", "seasonal_damped": "damped"}
+SEASONAL = frozenset(_SIBLING)
 
 PHI_MIN, PHI_MAX = 0.80, 0.98
 
@@ -148,8 +160,8 @@ class FittedForecaster:
     """Frozen result of a fit: family, chosen parameters, final state, minimum SSE.
 
     ``trend`` is 0.0 for the untrended families and ``season`` holds the
-    final seasonal factors (None without a season). A parameter the family
-    used does not have is None.
+    final seasonal factors (None without a season). ``params`` holds the
+    chosen value of each key of ``family_used``'s :func:`_grid` (none for naive).
     """
 
     family_used: str
@@ -158,10 +170,7 @@ class FittedForecaster:
     level: float
     trend: float = 0.0
     season: np.ndarray | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    gamma: float | None = None
-    phi: float | None = None
+    params: dict[str, float] = field(default_factory=dict)
 
     @property
     def seasonal(self) -> bool:
@@ -176,21 +185,14 @@ def _sanitize(sse: np.ndarray) -> np.ndarray:
 def _grid(spec: ForecasterSpec, family: str) -> dict[str, np.ndarray]:
     """The flattened search grid of a smoothing fit, one named dimension per parameter.
 
-    Keys in the order of an ``indexing="ij"`` meshgrid, so the flat index
-    runs through the parameter vectors lexicographically: ``alpha``, then
-    ``beta`` for the trended families, ``gamma`` for the seasonal ones and
-    ``phi`` for the damped ones. A family lacks the keys of the parameters
-    it does not have (Holt's recursion then skips the damping multiply), and
-    a pinned parameter is a one-point dimension.
+    Keys are the family's ``_PARAMS``, in the order of an ``indexing="ij"``
+    meshgrid, so the flat index runs through the parameter vectors
+    lexicographically. A family lacks the keys of the parameters it does not
+    have (Holt's recursion then skips the damping multiply), and a pinned
+    parameter is a one-point dimension.
     """
     weights = _SEASONAL_WEIGHT_GRID if family in SEASONAL else _WEIGHT_GRID
-    dims = {"alpha": weights}
-    if family in _TRENDED:
-        dims["beta"] = weights
-    if family in SEASONAL:
-        dims["gamma"] = weights
-    if family in _DAMPED:
-        dims["phi"] = _PHI_GRID
+    dims = {k: _PHI_GRID if k == "phi" else weights for k in _PARAMS[family]}
     dims = {k: v if getattr(spec, k) is None else np.array([float(getattr(spec, k))])
             for k, v in dims.items()}
     # each value repeats once per point of the later dimensions, and that run
@@ -204,7 +206,7 @@ def _grid(spec: ForecasterSpec, family: str) -> dict[str, np.ndarray]:
 
 
 def _min_n(family: str) -> int:
-    return 3 if family in _TRENDED else 2
+    return 3 if "beta" in _PARAMS[family] else 2
 
 
 def _recurrence(y: np.ndarray, alpha: np.ndarray, beta=None, phi=None, gamma=None, season=None):
@@ -288,29 +290,34 @@ def _fit_naive(series: TimeSeries, season) -> FittedForecaster:
     return FittedForecaster("naive2", series.n, sse, level=float(adjusted[-1]), season=season)
 
 
-def _search(spec: ForecasterSpec, family: str, runs: np.ndarray, weights: dict, season=None):
-    """Grid-search ``family`` on ``runs``, ``_BLOCK`` grid points at a time.
+def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: dict, season=None):
+    """Search the flattened ``grid`` (see :func:`_grid`) on ``runs``, ``_BLOCK`` points at a time.
 
     ``runs`` is one input, shape (n,), or k inputs side by side, shape
     (n, k, 1) and no season; a block sums their one-step error products, e*e
     or e_a*e_b in row a*k + b. ``weights`` maps a prefix length t to a
     (rows, k*k) matrix, and after y_t each row w scores every grid point by
-    ``w @ products``. A row's winner, with a copy of its state, is the first
-    least sanitised score: a later block replaces it only on a strict ``<``.
-    A fit (``{n: _SSE}``) whose grid spans blocks drops the points that can
-    no longer win (see the module docstring). Returns
-    ``{t: (score, params, level, trend, season)}``, rows last.
+    ``w @ products``; one input's matrix is ``_SSE``, so its score is its
+    SSE. A row's winner, with a copy of its state, is the first least
+    sanitised score: a later block replaces it only on a strict ``<``.
+    A search of one input with one checkpoint on a grid wider than one block
+    drops the points that can no longer win, its first bound being this
+    search on every ``_STRIDE``-th grid point (see the module docstring).
+    Returns ``{t: (score, params, level, trend, season)}``, rows last.
     """
-    grid = _grid(spec, family)
     products = np.square if runs.ndim == 1 else lambda e: e[:, None] * e
     last = max(weights)
-    prune = grid["alpha"].size > _BLOCK and len(weights) == 1 and weights.get(len(runs)) is _SSE
+    # a single run's score is its running SSE, which never falls
+    prune = runs.ndim == 1 and len(weights) == 1 and grid["alpha"].size > _BLOCK
     # prefix lengths at which a block stops: the checkpoints, and a pruned
-    # fit's checks before its one checkpoint
+    # search's checks before its one checkpoint
     stops = [*range(_CHECK, last, _CHECK), last] if prune else sorted(weights)
     best = {}
     with np.errstate(all="ignore"):
-        bound = _sampled_sse(grid, runs, season) if prune else np.inf
+        bound = np.inf
+        if prune:  # every grid's strided sample fits in one block, so it is not pruned
+            sample = {k: v[::_STRIDE] for k, v in grid.items()}
+            bound = _search(sample, runs, weights, season)[last][0][0]
         for start in range(0, grid["alpha"].size, _BLOCK):
             block = {k: v[start : start + _BLOCK] for k, v in grid.items()}
             live = np.arange(block["alpha"].size)  # the block indices still searched
@@ -346,19 +353,9 @@ def _search(spec: ForecasterSpec, family: str, runs: np.ndarray, weights: dict, 
     return {t: (s, dict(zip(grid, p)), lev, tr, f) for t, (s, lev, tr, f, *p) in best.items()}
 
 
-def _sampled_sse(grid: dict, runs: np.ndarray, season) -> float:
-    """The least sanitised SSE of every ``_STRIDE``-th point of ``grid``: an
-    SSE that some grid point reaches, so a fit's first pruning bound."""
-    sse = 0.0
-    for e, *_ in _recurrence(runs, season=season, **{k: v[::_STRIDE] for k, v in grid.items()}):
-        if e is not None:
-            sse += e * e
-    return float(_sanitize(sse).min())
-
-
 def _fit_smooth(spec: ForecasterSpec, series: TimeSeries, family: str, season) -> FittedForecaster:
     """The grid point of ``family`` with the least in-sample SSE (see :func:`_search`)."""
-    found = _search(spec, family, series.values, {series.n: _SSE}, season)
+    found = _search(_grid(spec, family), series.values, {series.n: _SSE}, season)
     (sse,), params, level, trend, factors = found[series.n]
     if sse == np.inf:
         raise ValueError(
@@ -367,7 +364,7 @@ def _fit_smooth(spec: ForecasterSpec, series: TimeSeries, family: str, season) -
         )
     return FittedForecaster(
         family, series.n, float(sse), float(level[0]), 0.0 if trend is None else float(trend[0]),
-        None if factors is None else factors[:, 0], **{k: float(v[0]) for k, v in params.items()},
+        None if factors is None else factors[:, 0], {k: float(v[0]) for k, v in params.items()},
     )
 
 
@@ -394,7 +391,7 @@ def fit(spec: ForecasterSpec, series: TimeSeries, *, indices=_UNTESTED) -> Fitte
             f"series {series.id!r}: family {family!r} needs n >= {min_n}, got n={series.n}"
         )
     season = indices.indices if seasonal else None
-    if effective in ("naive", "naive2"):
+    if not _PARAMS[effective]:
         return _fit_naive(series, season)
     return _fit_smooth(spec, series, effective, season)
 
@@ -404,7 +401,7 @@ def forecast(fitted: FittedForecaster, h: int) -> np.ndarray:
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
     k = np.arange(1, h + 1)
-    damping = k if fitted.phi is None else np.cumsum(fitted.phi ** k)
+    damping = np.cumsum(fitted.params.get("phi", 1.0) ** k)
     out = fitted.level + damping * fitted.trend
     if fitted.season is not None:
         out = out * fitted.season[(fitted.n + k - 1) % fitted.season.size]

@@ -557,12 +557,13 @@ def test_scale_leaves_theta_unchanged(cost):
     # and the adjusted series scales too
     selections = 0
     for series, h in scaled_series():
-        seasonal, _, work = SeriesContext(series, h).adjusted()
+        indices, work = SeriesContext(series, h).adjusted()
         moved = []
         for c in SCALES:
-            scaled = SeriesContext(series.with_values(c * series.values), h).adjusted()
-            assert scaled[0] == seasonal
-            moved.append(scaled[2])
+            scaled = series.with_values(c * series.values)
+            scaled_indices, scaled_work = SeriesContext(scaled, h).adjusted()
+            assert (scaled_indices is None) == (indices is None)
+            moved.append(scaled_work)
         selections += assert_selections_kept(work, h, moved, cost)
     assert selections == 170 * 3 * 8
 

@@ -179,7 +179,7 @@ def test_shared_context_equals_fresh_context_per_token():
 
 def test_estimate_theta_equals_selection_over_a_union_table():
     for series, h in synthetic_cases():
-        work = SeriesContext(series, h).adjusted()[2]
+        work = SeriesContext(series, h).adjusted()[1]
         configs = {a: approach_config(a, series.n, h) for a in APPROACHES}
         union = sorted({ni for c in configs.values() for ni in scored_origins(c, series.n)})
         for cost in COST_FUNCTIONS:

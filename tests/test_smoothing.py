@@ -45,7 +45,7 @@ def test_ses_forecasts_flat_across_steps(make_rw):
 
 def test_ses_picks_alpha_one_on_ramp():
     fitted, fx = run("ses", np.arange(1.0, 11.0))
-    assert fitted.alpha == 1.0
+    assert fitted.params == {"alpha": 1.0}
     assert fitted.sse == pytest.approx(9.0, abs=1e-12)
     assert np.allclose(fx, 10.0)
 
@@ -59,7 +59,7 @@ def test_holt_exact_line_continues_it():
     # every grid point reproduces a perfect line; tie-break picks (0, 0)
     fitted, fx = run("holt", np.arange(1.0, 13.0), h=4)
     assert fitted.sse == 0.0
-    assert (fitted.alpha, fitted.beta) == (0.0, 0.0)
+    assert fitted.params == {"alpha": 0.0, "beta": 0.0}
     assert np.array_equal(fx, np.array([13.0, 14.0, 15.0, 16.0]))
 
 
@@ -175,8 +175,7 @@ def test_fit_is_deterministic(family, make_seasonal):
     series = make_seasonal(9, 48, [0.9, 1.1, 0.8, 1.2], noise=0.1)
     first = fit(ForecasterSpec(family), series)
     second = fit(ForecasterSpec(family), series)
-    params = lambda f: (f.alpha, f.beta, f.gamma, f.phi, f.sse)  # noqa: E731
-    assert params(first) == params(second)
+    assert (first.params, first.sse) == (second.params, second.sse)
     assert np.array_equal(forecast(first, 6), forecast(second, 6))
 
 
@@ -214,12 +213,12 @@ def whole_grid_fit(spec, family, series, recurrence=smoothing._recurrence):
         level=float(level[best]),
         trend=0.0 if trend is None else float(trend[best]),
         season=None if factors is None else factors[:, best].copy(),
-        **{k: float(v[best]) for k, v in grid.items()},
+        params={k: float(v[best]) for k, v in grid.items()},
     )
 
 
 def assert_same_fit(fitted, reference):
-    fields = ("family_used", "n", "sse", "level", "trend", "alpha", "beta", "gamma", "phi")
+    fields = ("family_used", "n", "sse", "level", "trend", "params")
     assert [getattr(fitted, f) for f in fields] == [getattr(reference, f) for f in fields]
     if reference.season is None:
         assert fitted.season is None
@@ -235,12 +234,15 @@ def blocked_and_reference(spec, series):
     return best, fitted
 
 
-def counting(updates):
+def counting(updates, sizes=None):
     """``smoothing._recurrence``, adding the (step, grid point) updates of
-    each of its runs to ``updates[0]``."""
+    each of its runs to ``updates[0]`` and, given ``sizes``, appending each
+    run's grid size to it."""
     recurrence = smoothing._recurrence
 
     def run(y, alpha, **kwargs):
+        if sizes is not None:
+            sizes.append(alpha.size)
         steps = recurrence(y, alpha, **kwargs)
         for out in steps:
             updates[0] += out[1].shape[-1]
@@ -302,11 +304,11 @@ def test_blocked_search_all_tied_picks_first_point(family, monkeypatch):
     series = TimeSeries("c", np.full(24, 2.0))
     best, fitted, share = pruned_and_reference(ForecasterSpec(family), series, monkeypatch)
     assert best == 0 and fitted.sse == 0.0 and share == 1.0
-    assert (fitted.alpha, fitted.beta, fitted.phi) == (
-        0.0,
-        None if family == "ses" else 0.0,
-        smoothing.PHI_MIN if family == "damped" else None,
-    )
+    assert fitted.params == {
+        "ses": {"alpha": 0.0},
+        "holt": {"alpha": 0.0, "beta": 0.0},
+        "damped": {"alpha": 0.0, "beta": 0.0, "phi": smoothing.PHI_MIN},
+    }[family]
 
 
 def test_blocked_search_grid_smaller_than_one_block(make_rw):
@@ -358,7 +360,7 @@ def test_blocked_search_first_finite_minimum_across_blocks(bad, monkeypatch):
     assert grid[3 * 7 - 1] == 0.2
     series = TimeSeries("s", np.arange(10.0))
     fitted = fit(ForecasterSpec("ses"), series)
-    assert fitted.alpha == 0.2 and fitted.sse == series.n - 1
+    assert fitted.params == {"alpha": 0.2} and fitted.sse == series.n - 1
     pruned = grid[(grid >= 0.1) & (grid < 0.2)] if bad == np.inf else grid[:0]
     assert set(grid) - set(finals) == set(pruned)
 
@@ -394,9 +396,9 @@ def test_pruned_search_keeps_ties_at_the_minimum(family, monkeypatch):
     # 3, so SSE 9 ties at every phi and the first phi wins
     series = TimeSeries("step", np.repeat([2.0, 5.0], 12))
     _, fitted, share = pruned_and_reference(ForecasterSpec(family), series, monkeypatch)
-    assert (fitted.alpha, fitted.beta, fitted.sse) == (1.0, 0.0, 9.0)
+    assert (fitted.params["alpha"], fitted.params["beta"], fitted.sse) == (1.0, 0.0, 9.0)
     if family == "damped":
-        assert fitted.phi == smoothing.PHI_MIN
+        assert fitted.params["phi"] == smoothing.PHI_MIN
         last_phi = ForecasterSpec(family, alpha=1.0, beta=0.0, phi=smoothing.PHI_MAX)
         assert fit(last_phi, series).sse == 9.0
     assert share < 0.9
@@ -420,6 +422,62 @@ def test_pruned_search_with_no_finite_point_prunes_nothing(monkeypatch):
     assert whole_grid_fit(spec, "damped", series)[1].sse == np.inf
 
 
+def search_runs(call, monkeypatch):
+    """(the grid size of each ``_recurrence`` run ``call()`` makes, their updates)."""
+    updates, sizes = [0], []
+    with monkeypatch.context() as patch:
+        patch.setattr(smoothing, "_recurrence", counting(updates, sizes))
+        call()
+    return sizes, updates[0]
+
+
+def blocks(size):
+    """The sizes of the ``_BLOCK`` slices of a ``size``-point grid."""
+    return [min(smoothing._BLOCK, size - start) for start in range(0, size, smoothing._BLOCK)]
+
+
+def test_fit_spanning_blocks_runs_its_sample_and_prunes(make_seasonal, monkeypatch):
+    # the strided sample runs first, in one block, then every block of the grid
+    spec, series = ForecasterSpec("damped"), make_seasonal(4, 60, MONTHLY_PATTERN, noise=0.03)
+    size = smoothing._grid(spec, "damped")["alpha"].size
+    sizes, updates = search_runs(lambda: fit(spec, series), monkeypatch)
+    assert sizes == [-(-size // smoothing._STRIDE), *blocks(size)]
+    assert updates < unpruned_updates(spec, "damped", series.n)
+
+
+@pytest.mark.parametrize(
+    "spec", [ForecasterSpec("ses"), ForecasterSpec("damped", alpha=0.3)], ids=["ses", "pinned"]
+)
+def test_fit_within_one_block_runs_no_sample_and_prunes_nothing(spec, make_rw, monkeypatch):
+    series = make_rw(21, 40, drift=0.3)
+    size = smoothing._grid(spec, spec.family)["alpha"].size
+    assert size <= smoothing._BLOCK
+    sizes, updates = search_runs(lambda: fit(spec, series), monkeypatch)
+    assert sizes == [size] and updates == size * (series.n - 1)
+
+
+@pytest.mark.parametrize("origins", [[30], [20, 25, 30]], ids=["one_origin", "three_origins"])
+def test_loss_table_spanning_blocks_prunes_nothing(origins, make_rw, monkeypatch):
+    # a table's scores are quadratic forms in the errors of two inputs, which
+    # may fall as the recursion runs, so no bound holds: even a one-origin
+    # table makes every update of every block and runs no sample
+    monkeypatch.setattr(smoothing, "_BLOCK", 7)
+    series = make_rw(21, 40, drift=0.3)
+    size = smoothing._grid(ForecasterSpec("ses"), "ses")["alpha"].size
+    sizes, updates = search_runs(
+        lambda: loss_table(series, DEFAULT_THETA_GRID, origins, 6), monkeypatch
+    )
+    assert sizes == blocks(size) and updates == size * (max(origins) - 1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pinning_a_fits_own_params_reproduces_it(family, make_seasonal):
+    series = make_seasonal(9, 48, [0.9, 1.1, 0.8, 1.2], noise=0.1)
+    fitted = fit(ForecasterSpec(family), series)
+    assert fitted.family_used == family
+    assert_same_fit(fit(ForecasterSpec(family, **fitted.params), series), fitted)
+
+
 @pytest.mark.parametrize(
     "pins", [{}, {"alpha": 0.3}, {"beta": 0.1, "gamma": 0.2, "phi": 0.9}], ids=["free", "a", "bgp"]
 )
@@ -433,9 +491,14 @@ def test_pruned_search_with_no_finite_point_prunes_nothing(monkeypatch):
         ("seasonal_damped", "alpha beta gamma phi", 175_959),
     ],
 )
-def test_grid_is_the_lexicographic_meshgrid(family, keys, size, pins):
-    grid = smoothing._grid(ForecasterSpec(family, **pins), family)
+def test_grid_is_the_lexicographic_meshgrid(family, keys, size, pins, make_seasonal):
+    spec = ForecasterSpec(family, **pins)
+    grid = smoothing._grid(spec, family)
     assert list(grid) == keys.split()
+    # a fit names exactly the grid's parameters, pinned ones included
+    series = make_seasonal(2, 16, [0.9, 1.1, 0.8, 1.2], noise=0.05)
+    fitted = fit(spec, series, indices=seasonal_indices(series))
+    assert fitted.family_used == family and list(fitted.params) == list(grid)
     dims = {k: np.unique(v) for k, v in grid.items()}
     assert all(dims[k].tolist() == [v] for k, v in pins.items() if k in dims)
     if not pins:
@@ -504,7 +567,6 @@ def component_form_recurrence(y, alpha, beta=None, phi=None, gamma=None, season=
 # SSE_RTOL.
 SSE_RTOL = 1e-12
 FORECAST_RTOL = 1e-9
-PARAMETERS = ("alpha", "beta", "gamma", "phi")
 
 
 def assert_matches_component_form(family, series):
@@ -512,10 +574,9 @@ def assert_matches_component_form(family, series):
     _, reference = whole_grid_fit(
         ForecasterSpec(family), fitted.family_used, series, component_form_recurrence
     )
-    chosen = {name: getattr(fitted, name) for name in PARAMETERS}
-    if chosen != {name: getattr(reference, name) for name in PARAMETERS}:
+    if fitted.params != reference.params:
         # a flip: the reference at the new choice must tie with its own best
-        pinned = ForecasterSpec(family, **{k: v for k, v in chosen.items() if v is not None})
+        pinned = ForecasterSpec(family, **fitted.params)
         best_sse = reference.sse
         _, reference = whole_grid_fit(pinned, fitted.family_used, series, component_form_recurrence)
         assert reference.sse == pytest.approx(best_sse, rel=SSE_RTOL, abs=0.0), (series.id, family)
@@ -605,7 +666,7 @@ def test_scaling_by_a_power_of_two_is_exact(seed, k, seasonal, approach):
     for family in FAMILIES:
         base = fit(ForecasterSpec(family), series)
         moved = fit(ForecasterSpec(family), scaled)
-        assert [getattr(moved, p) for p in PARAMETERS] == [getattr(base, p) for p in PARAMETERS]
+        assert moved.params == base.params, family
         assert moved.sse == base.sse * c * c, family
         assert np.array_equal(forecast(moved, h), forecast(base, h) * c), family
     config = approach_config(approach, n, h)
