@@ -18,7 +18,11 @@ grid point, the prefix's one-step errors and final states are
 ``theta*E(y) + (1-theta)*a_o*E(1) + (1-theta)*b_o*E(t)``, where ``E(x)`` is
 the run on input x (superposition). ``E(1)`` makes no errors and ends at
 level 1 and trend 0, so two runs, on y and on t, serve every (theta, origin)
-pair. :func:`loss_table` reads every pair's winner from one blocked search.
+pair. :func:`forecast_table` reads every pair's winner from one blocked
+search and forecasts from it; at origin n that is the final otm forecast, so
+the search that selects theta also yields the forecasts of the chosen theta.
+:func:`select_theta` scores a table with the cost, which the search does not
+depend on.
 """
 
 from __future__ import annotations
@@ -211,33 +215,32 @@ def scored_origins(config: GroeConfig, n: int) -> list[int]:
     return [ni for ni in origin_schedule(config, n) if ni < n]
 
 
-def loss_table(
-    series: TimeSeries, grid, origins, H: int, cost="se", extrapolator: ForecasterSpec = SES
+def forecast_table(
+    series: TimeSeries, grid, origins, H: int, extrapolator: ForecasterSpec = SES
 ) -> dict[int, np.ndarray]:
-    """``{origin: losses}``: ``losses[i]`` is what :func:`groe_loss` with
-    :func:`otm_candidate` of ``grid[i]`` adds at that origin, computed by
-    superposition (see the module docstring). It does not depend on the other
-    origins, so one table serves every schedule with this H whose origins it
-    holds. The fits at an origin are the search's winners there, and one call
-    of the cost scores their ``(thetas, horizon)`` forecast array. H must be at
-    least 1; if the candidates cannot be fitted (a prefix too short for the
-    extrapolator) an :class:`EvaluationError` is raised.
+    """``{origin: forecasts}``: row i of ``forecasts``, shape (len(grid), H),
+    is what :func:`otm_candidate` of ``grid[i]`` forecasts from that origin,
+    computed by superposition (see the module docstring); at origin n it is
+    :func:`otm_forecast` up to rounding. Origins lie in [2, n], and one
+    origin's rows depend neither on the others nor on a cost. H must be at
+    least 1. Candidates that cannot be fitted (a prefix too short for the
+    extrapolator) raise :class:`EvaluationError`, and a theta line with no
+    finite SSE at n at any grid point raises ``ValueError``.
     """
     values = check_grid(grid)
     check_extrapolator(extrapolator)
     if H < 1:
         raise ValueError(f"horizon must be >= 1, got {H}")
     family = extrapolator.family
-    g = resolve_cost(cost)
     y = series.values
     n = series.n
-    horizons = {ni: min(H, n - ni) for ni in origins}
-    if not horizons or min(horizons) < 2 or max(horizons) >= n:
-        raise ValueError(f"origins must be non-empty and lie in [2, n) for n={n}, got {origins}")
-    if min(horizons) < _min_n(family):
+    origins = sorted(set(origins))
+    if not origins or origins[0] < 2 or origins[-1] > n:
+        raise ValueError(f"origins must be non-empty and lie in [2, n] for n={n}, got {origins}")
+    if origins[0] < _min_n(family):
         raise EvaluationError(
             f"series {series.id!r}: every theta candidate failed (family {family!r} needs "
-            f"a prefix of n >= {_min_n(family)}, the first origin is {min(horizons)})"
+            f"a prefix of n >= {_min_n(family)}, the first origin is {origins[0]})"
         )
 
     theta = np.array(values)[:, None]  # one row per grid theta
@@ -247,42 +250,49 @@ def loss_table(
     # back through the coefficients of 1 and t, and the quadratic form below
     # then does not cancel on strongly trended series.
     runs = np.stack([y - trend_value(full, t), t], axis=1)[:, :, None]
-    prefix_fits = {ni: fit_linear_trend(series.prefix(ni)) for ni in horizons}
+    prefix_fits = {ni: fit_linear_trend(series.prefix(ni)) for ni in origins}
     # the prefix's theta line is theta*residual + c1*1 + c2*t, and its SSE
     # sum((theta*e_residual + c2*e_t)**2) a quadratic form in the runs' error products
     c1 = {ni: theta * full.intercept + (1.0 - theta) * f.intercept for ni, f in prefix_fits.items()}
     c2 = {ni: theta * full.slope + (1.0 - theta) * f.slope for ni, f in prefix_fits.items()}
     weights = {ni: np.hstack([theta * theta, theta * c, theta * c, c * c]) for ni, c in c2.items()}
-    table: dict[int, np.ndarray] = {}
     found = _search(_grid(extrapolator, family), runs, weights)
+    if n in found and not np.isfinite(found[n][0]).all():
+        raise ValueError(
+            f"series {series.id!r}: a theta line has no finite in-sample SSE at any "
+            f"{family!r} grid point (the recursion overflows)"
+        )
+    k = np.arange(1, H + 1)
+    table: dict[int, np.ndarray] = {}
     for ni, (_, params, level, trend, _) in found.items():
-        k = np.arange(1, horizons[ni] + 1)
         line = theta * level[0][:, None] + c1[ni] + c2[ni] * level[1][:, None]
         if trend is not None:
             slope = theta * trend[0][:, None] + c2[ni] * trend[1][:, None]
             line = line + np.cumsum(params["phi"][:, None] ** k, axis=1) * slope
-        fx = (1.0 - 1.0 / theta) * trend_value(prefix_fits[ni], ni + k) + (1.0 / theta) * line
-        table[ni] = g(y[ni : ni + k.size], fx).sum(axis=1)
+        table[ni] = (1.0 - 1.0 / theta) * trend_value(prefix_fits[ni], ni + k) + (1.0 / theta) * line
     return table
 
 
-def select_theta(grid, table: dict[int, np.ndarray], origins, series_id: str = "") -> float:
-    """The theta of ``grid`` (as checked by :func:`loss_table`) whose table
-    rows, summed over ``origins`` in ascending order, are least: the first
-    minimum, so ties go to the smallest theta. A non-finite loss never wins,
-    and an :class:`EvaluationError` is raised when no theta has a finite loss.
-    Empty ``origins`` are refused, as :func:`loss_table` refuses them.
+def select_theta(series: TimeSeries, grid, table: dict[int, np.ndarray], origins, cost="se") -> float:
+    """The theta of ``grid`` (as checked by :func:`forecast_table`) whose
+    ``table`` rows have the least GROE loss: one call of the cost per origin
+    scores them on the observations after it, summed over ``origins`` in
+    ascending order. The first minimum wins, so ties go to the smallest theta.
+    A non-finite loss never wins, and an :class:`EvaluationError` is raised
+    when no theta has a finite loss. Empty ``origins`` are refused.
     """
+    g = resolve_cost(cost)
     origins = sorted(origins)
     if not origins:
         raise ValueError("origins must be non-empty")
     losses = np.zeros(len(grid))
     for ni in origins:
-        losses += table[ni]
+        actual = series.values[ni : ni + table[ni].shape[1]]
+        losses += g(actual, table[ni][:, : actual.size]).sum(axis=1)
     losses = _sanitize(losses)
     best = int(np.argmin(losses))
     if not np.isfinite(losses[best]):
-        raise EvaluationError(f"series {series_id!r}: every theta candidate failed (no finite loss)")
+        raise EvaluationError(f"series {series.id!r}: every theta candidate failed (no finite loss)")
     return float(grid[best])
 
 
@@ -296,8 +306,8 @@ def estimate_theta(
 ) -> float:
     """Grid-search theta minimising the GROE loss of :func:`groe_loss` with
     :func:`otm_candidate`; ties go to the smallest theta. It is
-    :func:`loss_table` over the schedule's origins, then :func:`select_theta`.
+    :func:`forecast_table` over the schedule's origins, then :func:`select_theta`.
     """
     origins = scored_origins(config, series.n)
-    table = loss_table(series, grid, origins, config.H, cost, extrapolator)
-    return select_theta(grid, table, origins, series.id)
+    table = forecast_table(series, grid, origins, config.H, extrapolator)
+    return select_theta(series, grid, table, origins, cost)

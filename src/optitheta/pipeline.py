@@ -12,12 +12,12 @@ built, by the same ``groe`` and ``theta`` checks its run makes.
 The method tokens of one series share a :class:`SeriesContext`, given to
 ``run_method``, which does each piece of their common work once, when a
 token first needs it: the seasonal decision and adjusted series, whose
-decision the seasonal benchmark families read too; one GROE loss table per
-(grid, cost, extrapolator) over the union of the otm tokens' origins (every
-schedule uses H = h, so a (theta, origin) loss is the same for each token
-that visits it); and one reseasonalised forecast per (theta, extrapolator).
-Each otm token sums its own origins' rows as ``estimate_theta`` does, so its
-result does not depend on the other tokens.
+decision the seasonal benchmark families read too; and one GROE forecast
+table per (grid, extrapolator) over n and the union of the selecting otm
+tokens' origins (every schedule uses H = h, and the search has no cost).
+Each selecting token scores its own origins' rows with its own cost, as
+``estimate_theta`` does, and takes its chosen theta's row at n. Classic Theta
+and the theta=2 fallback select nothing and fit their theta directly.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import smoothing
 from .groe import (
-    DEFAULT_THETA_GRID, approach_config, check_approach, check_grid, loss_table, resolve_cost,
+    DEFAULT_THETA_GRID, approach_config, check_approach, check_grid, forecast_table, resolve_cost,
     scored_origins, select_theta,
 )
 from .seasonal import (
@@ -113,10 +113,6 @@ class ForecastResult:
         object.__setattr__(self, "forecasts", forecasts)
 
 
-def _table_key(spec: MethodSpec) -> tuple:
-    return (spec.grid, spec.cost, spec.extrapolator)
-
-
 class SeriesContext:
     """Per-series work shared by the method tokens ``specs`` run on ``series``.
 
@@ -130,7 +126,6 @@ class SeriesContext:
         self.specs = tuple(specs)
         self._adjusted: tuple[SeasonalIndices | None, TimeSeries] | None = None
         self._tables: dict[tuple, dict[int, np.ndarray]] = {}
-        self._forecasts: dict[tuple[float, ForecasterSpec], np.ndarray] = {}
 
     def adjusted(self) -> tuple[SeasonalIndices | None, TimeSeries]:
         """(indices or None, the series theta is selected and fitted on)."""
@@ -146,42 +141,37 @@ class SeriesContext:
         return scored_origins(approach_config(spec.approach, self.series.n, self.h), self.series.n)
 
     def _table(self, spec: MethodSpec) -> dict[int, np.ndarray]:
-        key = _table_key(spec)
+        key = (spec.grid, spec.extrapolator)
         if key not in self._tables:
-            union: set[int] = set()
+            union = {self.series.n}
             for other in self.specs:
-                if other.family is None and _table_key(other) == key:
+                if other.family is None and (other.grid, other.extrapolator) == key:
                     try:
                         union.update(self._origins(other))
                     except ValueError:
                         pass  # that token falls back and reads no table
             _, work = self.adjusted()
-            self._tables[key] = loss_table(
-                work, spec.grid, sorted(union), self.h, spec.cost, spec.extrapolator
-            )
+            self._tables[key] = forecast_table(work, spec.grid, union, self.h, spec.extrapolator)
         return self._tables[key]
 
-    def theta(self, spec: MethodSpec) -> tuple[float, str | None]:
-        """The token's theta and, when it fell back to theta=2, why."""
-        if len(spec.grid) == 1:
-            return spec.grid[0], None
-        try:
-            origins = self._origins(spec)
-        except ValueError as exc:
-            return FALLBACK_THETA, f"fallback to theta={FALLBACK_THETA:g}: {exc}"
-        return select_theta(spec.grid, self._table(spec), origins, self.series.id), None
-
-    def forecast(self, theta: float, extrapolator: ForecasterSpec) -> np.ndarray:
-        """Reseasonalised combined forecasts of one (theta, extrapolator)."""
-        key = (theta, extrapolator)
-        if key not in self._forecasts:
-            idx, work = self.adjusted()
-            forecasts = otm_forecast(work, theta, self.h, extrapolator)
-            if idx is not None:
-                forecasts = reseasonalize(forecasts, idx, start_t=self.series.n + 1)
-            forecasts.setflags(write=False)  # handed to every token with this key
-            self._forecasts[key] = forecasts
-        return self._forecasts[key]
+    def theta_forecast(self, spec: MethodSpec) -> tuple[float, np.ndarray, str | None]:
+        """The token's theta, reseasonalised forecasts and, when it fell back to theta=2, why."""
+        idx, work = self.adjusted()
+        theta, forecasts, note = spec.grid[0], None, None
+        if len(spec.grid) > 1:
+            try:
+                origins = self._origins(spec)
+            except ValueError as exc:
+                theta, note = FALLBACK_THETA, f"fallback to theta={FALLBACK_THETA:g}: {exc}"
+            else:
+                table = self._table(spec)
+                theta = select_theta(work, spec.grid, table, origins, spec.cost)
+                forecasts = table[self.series.n][spec.grid.index(theta)]
+        if forecasts is None:
+            forecasts = otm_forecast(work, theta, self.h, spec.extrapolator)
+        if idx is not None:
+            forecasts = reseasonalize(forecasts, idx, start_t=self.series.n + 1)
+        return theta, forecasts, note
 
 
 def run_method(
@@ -215,13 +205,12 @@ def run_method(
         )
     if series.n < 3:
         raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
-    indices, _ = context.adjusted()
-    theta, note = context.theta(spec)
+    theta, forecasts, note = context.theta_forecast(spec)
     return ForecastResult(
         series_id=series.id,
         method=spec.name,
-        forecasts=context.forecast(theta, spec.extrapolator),
+        forecasts=forecasts,
         theta=theta,
-        seasonal=indices is not None,
+        seasonal=context.adjusted()[0] is not None,
         note=note,
     )

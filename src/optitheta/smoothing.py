@@ -34,7 +34,7 @@ run and preallocated scratch arrays, so none of its steps allocates. A
 damped step makes 9 numpy passes (7 in the recursion, 2 to add ``e*e`` to
 the SSE) and a seasonal-damped step 15, over at most 12 arrays. At full grid
 size (1.4 MB each) that working set still spills out of a 2 MB per-core L2
-cache, so a search (:func:`_search`, for fits and GROE loss tables) runs the
+cache, so a search (:func:`_search`, for fits and GROE forecast tables) runs the
 flattened grid in consecutive blocks of ``_BLOCK`` points and keeps one
 running best across them, which only a strictly smaller block minimum
 replaces; the winner and its state are bit-identical to one whole-grid run.
@@ -61,7 +61,7 @@ final SSE <= bound, so they always survive; a NaN compares false and is
 never dropped (it still never wins), and a point that overflowed to inf is
 dropped once the bound is finite. Each survivor's arithmetic is elementwise
 and unchanged, so the fit is bit-identical to the unpruned search. GROE
-loss tables (whose scores are quadratic forms of several inputs' errors,
+forecast tables (whose scores are quadratic forms of several inputs' errors,
 which may fall) and one-block grids (SES's, and small pinned ones) get an
 infinite bound and are never checked. About 60% of the damped and
 seasonal-damped updates survive. A sweep of the check interval and the
@@ -234,7 +234,7 @@ def _recurrence(y: np.ndarray, alpha: np.ndarray, beta=None, phi=None, gamma=Non
     shorter states from its next step on.
 
     Without a season the recursion is linear in ``y`` for fixed parameters,
-    which ``groe.loss_table`` relies on.
+    which ``groe.forecast_table`` relies on.
     """
     shape = np.broadcast_shapes(np.shape(y[0]), alpha.shape)
     level = np.full(shape, y[0])

@@ -14,19 +14,19 @@ from optitheta.groe import DEFAULT_THETA_GRID
 TOKENS = ("theta", "otm-a", "otm-d", *BENCHMARK_TOKENS)
 
 GOLDEN = {
-    "forecasts.csv": "1f587d75d327a32756fc84f720cdbcbbd40d4596a73a1fd42c52b704a0e8345c",
-    "scores.csv": "1ba297d608119e829ffa8b1e1018b80f18574994e47fa357f68f2a89683c14f7",
-    "ranks.csv": "b7ad4abf603cc04fd6d7d31a567717a7979553218ddc4e4c21e889d446cce520",
+    "forecasts.csv": "8c11ed5714f79c8e858bdcb8216106729778adc59b7fb76c20773c152fb5d20b",
+    "scores.csv": "bd3a2765db99da678dda3f5ea9aebbe95647500d6d19418b470dc9b899dfaf20",
+    "ranks.csv": "ec907e7c822ec7c83a7759a8d3b98c43dcfa02e7c8dd3541e5a9056e8b3dbac1",
 }
 # aggregate.csv without its last column, elapsed_sec, which is wall time
-AGGREGATE_GOLDEN = "931325684a5188adbd303311a1fbc7338149e57a6adbbeb6872bda046737a82e"
+AGGREGATE_GOLDEN = "21ec3fa43d03b53a97887d278a91d8f6678217bbfb2567caf83ce3f79820ccbe"
 
 # the damped extrapolator's theta selection searches the 193,819-point grid
 # at every origin; three short series keep it to a few seconds
 DAMPED_COUNTS = {"Yearly": 1, "Quarterly": 1, "Monthly": 0, "Other": 1}
 DAMPED_GOLDEN = {
-    "forecasts.csv": "ec73414f9d0d50608b3eb514184bbbf1e0bbcf67dcce332f87d46660934fa409",
-    "scores.csv": "e5a090b8e1641cabed02d64bb1a0f6699c67095b2f98a12c1532212d4d55c159",
+    "forecasts.csv": "12e6e274b4dea77b5f63e52411c12c0ce66a5ae45456b24138d35686d27be176",
+    "scores.csv": "729f94da8b05a087a4cdd532ab037e56365c0b1bf3cfe8add8917cf1cae7a0d3",
 }
 
 

@@ -17,17 +17,25 @@ from optitheta import (
 )
 from optitheta import smoothing
 from optitheta.groe import (
-    COST_FUNCTIONS, DEFAULT_THETA_GRID, ae, loss_table, resolve_cost, sape, scored_origins, se,
-    select_theta,
+    COST_FUNCTIONS, DEFAULT_THETA_GRID, ae, forecast_table, sape, scored_origins, se, select_theta,
 )
 from optitheta.pipeline import MethodSpec, SeriesContext, run_method
 from optitheta.series import fit_linear_trend, trend_value
 from optitheta.smoothing import ForecasterSpec
-from optitheta.theta import SES
+from optitheta.theta import SES, otm_forecast
 
 
 def naive_candidate(prefix, horizon):
     return np.full(horizon, prefix[-1])
+
+
+def table_losses(series, table, origins, cost):
+    """Each grid theta's GROE loss over ``origins``, scored from a forecast table."""
+    total = 0.0
+    for ni in sorted(origins):
+        actual = series.values[ni : ni + table[ni].shape[1]]
+        total = total + COST_FUNCTIONS[cost](actual, table[ni][:, : actual.size]).sum(axis=1)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +300,8 @@ def test_estimate_raises_when_all_candidates_fail():
 
 
 def test_loss_table_calls_the_cost_once_per_origin(make_rw, monkeypatch):
-    # every grid theta of an origin is scored by one call on a (thetas, horizon) array
+    # select_theta scores every grid theta of an origin by one call on a
+    # (thetas, horizon) array of the forecast table
     calls = []
 
     def counting(actual, forecast):
@@ -303,7 +312,8 @@ def test_loss_table_calls_the_cost_once_per_origin(make_rw, monkeypatch):
     series = make_rw(11, 40, drift=0.2)
     config = approach_config("d", 40, 6)
     origins = scored_origins(config, series.n)
-    loss_table(series, DEFAULT_THETA_GRID, origins, config.H, "se")
+    table = forecast_table(series, DEFAULT_THETA_GRID, origins, config.H)
+    select_theta(series, DEFAULT_THETA_GRID, table, origins, "se")
     assert calls == [(len(DEFAULT_THETA_GRID), min(config.H, series.n - ni)) for ni in origins]
 
 
@@ -311,12 +321,12 @@ def test_loss_table_calls_the_cost_once_per_origin(make_rw, monkeypatch):
 def test_loss_table_rejects_a_horizon_below_one(H):
     series = synthetic_dataset(1).entries[0].series
     with pytest.raises(ValueError, match="horizon"):
-        loss_table(series, DEFAULT_THETA_GRID, [series.n - 6], H)
+        forecast_table(series, DEFAULT_THETA_GRID, [series.n - 6], H)
 
 
 def test_select_theta_rejects_empty_origins():
     with pytest.raises(ValueError, match="origins must be non-empty"):
-        select_theta((1.0, 2.0, 3.0), {}, [])
+        select_theta(TimeSeries("s", np.arange(1.0, 9.0)), (1.0, 2.0, 3.0), {}, [])
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +334,21 @@ def test_select_theta_rejects_empty_origins():
 # ---------------------------------------------------------------------------
 
 
-def whole_grid_loss_table(series, grid, origins, H, cost="se", extrapolator=SES):
-    """Reference for ``loss_table``: one ``_recurrence`` run of the two
+def whole_grid_forecast_table(series, grid, origins, H, extrapolator=SES):
+    """Reference for ``forecast_table``: one ``_recurrence`` run of the two
     superposed inputs over the whole extrapolator grid, summing the 2x2 error
     products; at each origin the first argmin of every theta's sanitised
     quadratic-form SSE, read before the next step updates the states in place.
     """
     theta = np.array(grid, dtype=np.float64)[:, None]
-    g = resolve_cost(cost)
     y, n = series.values, series.n
-    horizons = {ni: min(H, n - ni) for ni in origins}
     params = smoothing._grid(extrapolator, extrapolator.family)
     full = fit_linear_trend(series)
     t = np.arange(1.0, n + 1)
     runs = np.stack([y - trend_value(full, t), t], axis=1)[:, :, None]
     cross = np.zeros((3,) + params["alpha"].shape)  # e0*e0, e0*e1, e1*e1
     products = np.empty_like(cross)
+    k = np.arange(1, H + 1)
     table = {}
     with np.errstate(all="ignore"):
         for ni, (e, level, trend, _) in enumerate(smoothing._recurrence(runs, **params), start=2):
@@ -347,20 +356,18 @@ def whole_grid_loss_table(series, grid, origins, H, cost="se", extrapolator=SES)
                 np.multiply(e[0], e, out=products[:2])
                 np.multiply(e[1], e[1], out=products[2])
                 cross += products
-            if ni not in horizons:
+            if ni not in origins:
                 continue
             prefix_fit = fit_linear_trend(series.prefix(ni))
             c1 = theta * full.intercept + (1.0 - theta) * prefix_fit.intercept
             c2 = theta * full.slope + (1.0 - theta) * prefix_fit.slope
             weights = np.hstack([theta * theta, theta * c2, theta * c2, c2 * c2])
             best = np.argmin(smoothing._sanitize(weights @ cross[[0, 1, 1, 2]]), axis=1, keepdims=True)
-            k = np.arange(1, horizons[ni] + 1)
             line = theta * level[0][best] + c1 + c2 * level[1][best]
             if trend is not None:
                 slope = theta * trend[0][best] + c2 * trend[1][best]
                 line = line + np.cumsum(params["phi"][best] ** k, axis=1) * slope
-            fx = (1.0 - 1.0 / theta) * trend_value(prefix_fit, ni + k) + (1.0 / theta) * line
-            table[ni] = g(y[ni : ni + k.size], fx).sum(axis=1)
+            table[ni] = (1.0 - 1.0 / theta) * trend_value(prefix_fit, ni + k) + (1.0 / theta) * line
     return table
 
 
@@ -372,20 +379,20 @@ def whole_grid_loss_table(series, grid, origins, H, cost="se", extrapolator=SES)
 )
 def test_blocked_loss_table_equals_whole_grid(extrapolator, monkeypatch):
     # an odd block puts many block boundaries inside the grid and leaves a
-    # ragged last block
+    # ragged last block; the forecast table holds every cost's losses, and
+    # checkpoint n the final forecasts
     monkeypatch.setattr(smoothing, "_BLOCK", 7)
     counts = {"Yearly": 2, "Quarterly": 1, "Monthly": 0, "Other": 1}
     for entry in synthetic_dataset(42, counts).entries:
         series, h = entry.series, entry.h
-        union = sorted({
+        union = sorted({series.n} | {
             ni for a in APPROACHES for ni in scored_origins(approach_config(a, series.n, h), series.n)
         })
-        for cost in COST_FUNCTIONS:
-            table = loss_table(series, DEFAULT_THETA_GRID, union, h, cost, extrapolator)
-            reference = whole_grid_loss_table(series, DEFAULT_THETA_GRID, union, h, cost, extrapolator)
-            assert table.keys() == reference.keys()
-            for ni in union:
-                assert table[ni].tobytes() == reference[ni].tobytes(), (series.id, ni, cost)
+        table = forecast_table(series, DEFAULT_THETA_GRID, union, h, extrapolator)
+        reference = whole_grid_forecast_table(series, DEFAULT_THETA_GRID, union, h, extrapolator)
+        assert table.keys() == reference.keys() == set(union)
+        for ni in union:
+            assert table[ni].tobytes() == reference[ni].tobytes(), (series.id, ni)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +476,57 @@ def test_superposition_matches_reference_on_random_walks(seed, n, h, drift, appr
     assert_matches_reference(series, config, EXTRAPOLATORS[family])
 
 
+def assert_final_forecasts_match(series, h, spec):
+    """Every grid theta's row of the table at n is ``otm_forecast`` of that theta."""
+    table = forecast_table(series, DEFAULT_THETA_GRID, [series.n], h, spec)
+    assert table[series.n].shape == (len(DEFAULT_THETA_GRID), h)
+    for row, theta in zip(table[series.n], DEFAULT_THETA_GRID):
+        reference = otm_forecast(series, theta, h, spec)
+        np.testing.assert_allclose(row, reference, rtol=1e-12, atol=0.0, err_msg=f"{series.id} {theta}")
+
+
+@pytest.mark.parametrize("family", sorted(EXTRAPOLATORS))
+def test_final_forecasts_match_otm_forecast_on_corpus(family):
+    counts = {"Yearly": 2, "Quarterly": 2, "Monthly": 2, "Other": 1}
+    for entry in synthetic_dataset(42, counts).entries:
+        work = SeriesContext(entry.series, entry.h).adjusted()[1]
+        assert_final_forecasts_match(work, entry.h, EXTRAPOLATORS[family])
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 48),
+    h=st.integers(1, 8),
+    drift=st.floats(-3.0, 3.0),
+    family=st.sampled_from(sorted(EXTRAPOLATORS)),
+)
+def test_final_forecasts_match_otm_forecast_on_random_walks(seed, n, h, drift, family):
+    rng = np.random.default_rng(seed)
+    series = TimeSeries("rw", 100.0 + np.cumsum(rng.normal(drift, 2.0, n)))
+    assert_final_forecasts_match(series, h, EXTRAPOLATORS[family])
+
+
+def test_a_final_fit_with_no_finite_sse_fails_the_cell(make_rw, monkeypatch):
+    # the selecting search's checkpoint n replaces otm_forecast's final fit,
+    # so it must refuse, as that fit does, a theta line whose SSE at n is
+    # non-finite at every grid point; its argmin would be grid point 0
+    real = smoothing._recurrence
+
+    def last_step_overflows(y, *args, **kwargs):
+        for t, (e, *state) in enumerate(real(y, *args, **kwargs), start=2):
+            yield (np.full_like(e, np.nan) if t == len(y) else e), *state
+
+    series = make_rw(12, 40, drift=0.3)
+    monkeypatch.setattr(smoothing, "_recurrence", last_step_overflows)
+    origins = scored_origins(approach_config("a", series.n, 6), series.n)
+    assert forecast_table(series, DEFAULT_THETA_GRID, origins, 6).keys() == set(origins)
+    with pytest.raises(ValueError, match="no finite in-sample SSE"):
+        forecast_table(series, DEFAULT_THETA_GRID, origins + [series.n], 6)
+    with pytest.raises(ValueError, match="no finite in-sample SSE"):
+        run_method(series, 6, MethodSpec.otm("a"))
+
+
 # ---------------------------------------------------------------------------
 # shift equivariance
 # ---------------------------------------------------------------------------
@@ -498,16 +556,16 @@ def assert_selections_kept(series, h, moved, cost):
             continue
     own = {a: scored_origins(config, series.n) for a, config in configs.items()}
     union = sorted({ni for origins in own.values() for ni in origins})
-    table = loss_table(series, DEFAULT_THETA_GRID, union, h, cost)
+    table = forecast_table(series, DEFAULT_THETA_GRID, union, h)
     selections = 0
     for k, other in enumerate(moved):
-        moved_table = loss_table(other, DEFAULT_THETA_GRID, union, h, cost)
+        moved_table = forecast_table(other, DEFAULT_THETA_GRID, union, h)
         for approach, origins in own.items():
-            base = select_theta(DEFAULT_THETA_GRID, table, origins)
-            chosen = select_theta(DEFAULT_THETA_GRID, moved_table, origins)
+            base = select_theta(series, DEFAULT_THETA_GRID, table, origins, cost)
+            chosen = select_theta(other, DEFAULT_THETA_GRID, moved_table, origins, cost)
             selections += 1
             if chosen != base:
-                losses = dict(zip(DEFAULT_THETA_GRID, sum(table[ni] for ni in origins)))
+                losses = dict(zip(DEFAULT_THETA_GRID, table_losses(series, table, origins, cost)))
                 assert losses[chosen] == pytest.approx(losses[base], rel=1e-9, abs=0.0), (
                     series.id, k, approach, base, chosen,
                 )

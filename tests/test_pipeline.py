@@ -17,13 +17,13 @@ from optitheta import (
 )
 from optitheta import pipeline, smoothing
 from optitheta.groe import (
-    COST_FUNCTIONS, DEFAULT_THETA_GRID, loss_table, scored_origins, select_theta,
+    COST_FUNCTIONS, DEFAULT_THETA_GRID, forecast_table, scored_origins, select_theta,
 )
 from optitheta.pipeline import SeriesContext
 from optitheta.seasonal import SeasonalIndices, reseasonalize
 from optitheta.series import fit_linear_trend, trend_value
 from optitheta.smoothing import ForecasterSpec, fit as fit_forecaster, forecast as smooth_forecast
-from optitheta.theta import theta_line
+from optitheta.theta import otm_forecast, theta_line
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +182,58 @@ def test_estimate_theta_equals_selection_over_a_union_table():
         work = SeriesContext(series, h).adjusted()[1]
         configs = {a: approach_config(a, series.n, h) for a in APPROACHES}
         union = sorted({ni for c in configs.values() for ni in scored_origins(c, series.n)})
-        for cost in COST_FUNCTIONS:
-            for extrapolator in SHARED_EXTRAPOLATORS.values():
-                table = loss_table(work, DEFAULT_THETA_GRID, union, h, cost, extrapolator)
+        for extrapolator in SHARED_EXTRAPOLATORS.values():
+            table = forecast_table(work, DEFAULT_THETA_GRID, union, h, extrapolator)
+            for cost in COST_FUNCTIONS:
                 for approach, config in configs.items():
                     own = scored_origins(config, series.n)
                     assert len(own) < len(union)
-                    assert select_theta(DEFAULT_THETA_GRID, table, own) == estimate_theta(
+                    assert select_theta(work, DEFAULT_THETA_GRID, table, own, cost) == estimate_theta(
                         work, config=config, cost=cost, extrapolator=extrapolator
                     ), (series.id, approach, cost, extrapolator)
+
+
+def test_selecting_tokens_forecast_the_chosen_theta():
+    # a selecting token's forecasts come from its search's checkpoint n; they
+    # are the final fit of the chosen theta, up to rounding
+    specs = shared_specs()
+    for series, h in synthetic_cases():
+        context = SeriesContext(series, h, specs)
+        indices, work = context.adjusted()
+        for spec in specs[1:]:
+            result = run_method(series, h, spec, context=context)
+            assert result.note is None
+            expected = otm_forecast(work, result.theta, h, spec.extrapolator)
+            if indices is not None:
+                expected = reseasonalize(expected, indices, start_t=series.n + 1)
+            np.testing.assert_allclose(result.forecasts, expected, rtol=1e-12, atol=0.0,
+                                       err_msg=f"{series.id} {spec.name}")
+
+
+def test_tokens_with_different_costs_share_one_search(monkeypatch):
+    # the search does not depend on the cost, so one table serves every cost,
+    # and each token still selects as estimate_theta does with its own cost
+    tables = []
+
+    def counting(series, *args):
+        tables.append(series.id)
+        return forecast_table(series, *args)
+
+    monkeypatch.setattr(pipeline, "forecast_table", counting)
+    specs = [MethodSpec.otm("d", cost=cost, name=f"otm-d-{cost}") for cost in COST_FUNCTIONS]
+    differ = 0
+    for series, h in synthetic_cases():
+        context = SeriesContext(series, h, specs)
+        work = context.adjusted()[1]
+        config = approach_config("d", series.n, h)
+        thetas = set()
+        for spec in specs:
+            result = run_method(series, h, spec, context=context)
+            assert result.theta == estimate_theta(work, config=config, cost=spec.cost), spec.name
+            thetas.add(result.theta)
+        assert tables.count(series.id) == 1
+        differ += len(thetas) > 1
+    assert differ > 0
 
 
 def test_context_rejects_a_token_it_was_not_built_for(make_rw):
@@ -213,14 +256,14 @@ def _selecting_corpus():
 def test_failed_loss_table_fails_only_the_cells_that_select(monkeypatch, tmp_path):
     dataset = _selecting_corpus()
     target = dataset.entries[1].series.id
-    original = pipeline.loss_table
+    original = pipeline.forecast_table
 
     def failing(series, *args):
         if series.id == target:
             raise RuntimeError("table failed")
         return original(series, *args)
 
-    monkeypatch.setattr(pipeline, "loss_table", failing)
+    monkeypatch.setattr(pipeline, "forecast_table", failing)
     methods = (MethodSpec.classic_theta(), MethodSpec.otm("a"), MethodSpec.otm("d"),
                MethodSpec.benchmark("naive"), MethodSpec.benchmark("ses"))
     outputs = []
@@ -236,7 +279,7 @@ def test_failed_loss_table_fails_only_the_cells_that_select(monkeypatch, tmp_pat
 
 def test_shared_work_runs_once_per_series(monkeypatch):
     dataset = synthetic_dataset(8, {"Yearly": 2, "Quarterly": 2, "Monthly": 2, "Other": 1})
-    calls = {"seasonality_applies": [], "loss_table": [], "otm_forecast": []}
+    calls = {"seasonality_applies": [], "forecast_table": [], "otm_forecast": []}
     for name, log in calls.items():
         original = getattr(pipeline, name)
 
@@ -250,10 +293,10 @@ def test_shared_work_runs_once_per_series(monkeypatch):
     assert all(s.error is None and s.theta is not None for s in result.scores)
     ids = [entry.series.id for entry in dataset.entries]
     assert sorted(calls["seasonality_applies"]) == sorted(ids)
-    assert sorted(calls["loss_table"]) == sorted(ids)
-    for sid in ids:
-        thetas = {s.theta for s in result.scores if s.series_id == sid}
-        assert calls["otm_forecast"].count(sid) == len(thetas), sid
+    assert sorted(calls["forecast_table"]) == sorted(ids)
+    # the selecting tokens take their forecasts from the table, so only the
+    # fixed-theta cells, classic Theta here, fit a theta line directly
+    assert sorted(calls["otm_forecast"]) == sorted(ids)
 
 
 def test_benchmark_tokens_share_the_seasonal_test(monkeypatch, make_seasonal):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from optitheta import (
     APPROACHES, TimeSeries, approach_config, estimate_theta, smoothing, synthetic_dataset,
 )
-from optitheta.groe import COST_FUNCTIONS, DEFAULT_THETA_GRID, loss_table, scored_origins
+from optitheta.groe import COST_FUNCTIONS, DEFAULT_THETA_GRID, forecast_table, scored_origins
 from optitheta.seasonal import seasonal_indices
 from optitheta.smoothing import FAMILIES, FittedForecaster, ForecasterSpec, fit, forecast
 
@@ -465,7 +465,7 @@ def test_loss_table_spanning_blocks_prunes_nothing(origins, make_rw, monkeypatch
     series = make_rw(21, 40, drift=0.3)
     size = smoothing._grid(ForecasterSpec("ses"), "ses")["alpha"].size
     sizes, updates = search_runs(
-        lambda: loss_table(series, DEFAULT_THETA_GRID, origins, 6), monkeypatch
+        lambda: forecast_table(series, DEFAULT_THETA_GRID, origins, 6), monkeypatch
     )
     assert sizes == blocks(size) and updates == size * (max(origins) - 1)
 
@@ -618,17 +618,20 @@ def test_theta_selection_matches_component_form(extrapolator, monkeypatch):
         series, h = entry.series, entry.h
         schedules = {a: scored_origins(approach_config(a, series.n, h), series.n) for a in APPROACHES}
         union = sorted({ni for origins in schedules.values() for ni in origins})
+        with monkeypatch.context() as patch:
+            patch.setattr(smoothing, "_recurrence", component_form_recurrence)
+            reference = forecast_table(series, DEFAULT_THETA_GRID, union, h, extrapolator)
+        table = forecast_table(series, DEFAULT_THETA_GRID, union, h, extrapolator)
+        for ni in union:
+            np.testing.assert_allclose(table[ni], reference[ni], rtol=FORECAST_RTOL)
         for cost in COST_FUNCTIONS:
-            with monkeypatch.context() as patch:
-                patch.setattr(smoothing, "_recurrence", component_form_recurrence)
-                reference = loss_table(series, DEFAULT_THETA_GRID, union, h, cost, extrapolator)
-            table = loss_table(series, DEFAULT_THETA_GRID, union, h, cost, extrapolator)
-            for ni in union:
-                np.testing.assert_allclose(table[ni], reference[ni], rtol=FORECAST_RTOL)
             for approach, origins in schedules.items():
                 config = approach_config(approach, series.n, h)
                 chosen = estimate_theta(series, config=config, cost=cost, extrapolator=extrapolator)
-                losses = dict(zip(DEFAULT_THETA_GRID, sum(reference[ni] for ni in origins)))
+                g = COST_FUNCTIONS[cost]
+                scored = [g(series.values[ni : ni + h], reference[ni][:, : series.n - ni])
+                          for ni in sorted(origins)]
+                losses = dict(zip(DEFAULT_THETA_GRID, sum(a.sum(axis=1) for a in scored)))
                 best = min(DEFAULT_THETA_GRID, key=lambda theta: (losses[theta], theta))
                 if chosen != best:
                     assert losses[chosen] == pytest.approx(losses[best], rel=SSE_RTOL, abs=0.0), (
