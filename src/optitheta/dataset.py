@@ -47,7 +47,8 @@ class DatasetEntry:
         if actuals.ndim != 1 or actuals.size == 0 or not np.all(np.isfinite(actuals)):
             raise ValueError(f"entry {self.series.id!r}: held-out actuals must be finite and non-empty")
         if self.group not in GROUPS:
-            raise ValueError(f"entry {self.series.id!r}: unknown group {self.group!r}")
+            raise ValueError(f"entry {self.series.id!r}: unknown group {self.group!r}; "
+                             f"expected one of {GROUPS}")
         actuals = actuals.copy()
         actuals.setflags(write=False)
         object.__setattr__(self, "actuals", actuals)
@@ -117,8 +118,6 @@ def _parse_entry(fields: list[str]) -> DatasetEntry:
         period, h, n = (int(fields[i]) for i in (2, 3, 4))
     except ValueError:
         raise ValueError("period, h and n must be integers") from None
-    if group not in GROUPS:
-        raise ValueError(f"unknown group {group!r}; expected one of {GROUPS}")
     if h < 1 or n < 1 or period < 1:
         raise ValueError("period, h and n must be positive")
     if len(fields) != 5 + n + h:

@@ -215,6 +215,7 @@ def scored_origins(config: GroeConfig, n: int) -> list[int]:
     return [ni for ni in origin_schedule(config, n) if ni < n]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _search and select_theta sanitise overflow
 def forecast_table(
     series: TimeSeries, grid, origins, H: int, extrapolator: ForecasterSpec = SES
 ) -> dict[int, np.ndarray]:
@@ -273,6 +274,7 @@ def forecast_table(
     return table
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed loss is sanitised below
 def select_theta(series: TimeSeries, grid, table: dict[int, np.ndarray], origins, cost="se") -> float:
     """The theta of ``grid`` (as checked by :func:`forecast_table`) whose
     ``table`` rows have the least GROE loss: one call of the cost per origin

@@ -117,12 +117,8 @@ def aggregate_scores(scores: Iterable[SeriesScore]) -> list[AggregateRow]:
     series, not over group means.
     """
     scores = list(scores)
-    methods: list[str] = []
-    for s in scores:
-        if s.method not in methods:
-            methods.append(s.method)
     rows: list[AggregateRow] = []
-    for method in methods:
+    for method in dict.fromkeys(s.method for s in scores):
         per_method = [s for s in scores if s.method == method]
         for group in GROUPS + (ALL_GROUP,):
             cells = per_method if group == ALL_GROUP else [s for s in per_method if s.group == group]

@@ -22,7 +22,7 @@ and the theta=2 fallback select nothing and fit their theta directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .seasonal import (
 )
 from .series import TimeSeries
 from .smoothing import FAMILIES, SEASONAL, ForecasterSpec
-from .theta import check_extrapolator, otm_forecast
+from .theta import SES, check_extrapolator, otm_forecast
 
 FALLBACK_THETA = 2.0
 
@@ -55,7 +55,7 @@ class MethodSpec:
     approach: str = "a"
     cost: str = "se"
     grid: tuple[float, ...] = DEFAULT_THETA_GRID
-    extrapolator: ForecasterSpec = field(default_factory=lambda: ForecasterSpec("ses"))
+    extrapolator: ForecasterSpec = SES
 
     def __post_init__(self) -> None:
         if self.family is None:
@@ -118,6 +118,8 @@ class SeriesContext:
 
     Nothing is computed until a token asks for it, and a piece that raises
     is not stored, so it fails every token that needs it and no other.
+    Whether a token has GROE origins depends on n and h only, not on its
+    approach, so every token that shares a table has them.
     """
 
     def __init__(self, series: TimeSeries, h: int, specs=()) -> None:
@@ -146,10 +148,7 @@ class SeriesContext:
             union = {self.series.n}
             for other in self.specs:
                 if other.family is None and (other.grid, other.extrapolator) == key:
-                    try:
-                        union.update(self._origins(other))
-                    except ValueError:
-                        pass  # that token falls back and reads no table
+                    union.update(self._origins(other))
             _, work = self.adjusted()
             self._tables[key] = forecast_table(work, spec.grid, union, self.h, spec.extrapolator)
         return self._tables[key]

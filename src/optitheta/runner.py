@@ -105,19 +105,16 @@ def _rank_table(
     """Average ranks over the series every method scored.
 
     ``per_entry`` holds one row per series and one cell per method, in
-    ``methods`` order. Ranking is refused (None) when a cell failed, when
-    a series is scored by some methods but not others, or when no series
-    is scored at all.
+    ``methods`` order. Ranking is refused (None) when a cell failed or when
+    no series is scored at all. A series with no failed cell is scored by
+    every method or by none: MASE alone can be undefined, on a constant series.
     """
     rows = []
     for cells in per_entry:
         if any(score.error is not None for score, _ in cells):
             return None
         values = [getattr(score, attr) for score, _ in cells]
-        defined = [v is not None for v in values]
-        if any(defined) != all(defined):
-            return None
-        if all(defined):
+        if all(v is not None for v in values):
             rows.append(values)
     if not rows:
         return None

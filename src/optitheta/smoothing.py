@@ -87,7 +87,6 @@ random walk.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -185,24 +184,17 @@ def _sanitize(sse: np.ndarray) -> np.ndarray:
 def _grid(spec: ForecasterSpec, family: str) -> dict[str, np.ndarray]:
     """The flattened search grid of a smoothing fit, one named dimension per parameter.
 
-    Keys are the family's ``_PARAMS``, in the order of an ``indexing="ij"``
-    meshgrid, so the flat index runs through the parameter vectors
-    lexicographically. A family lacks the keys of the parameters it does not
-    have (Holt's recursion then skips the damping multiply), and a pinned
-    parameter is a one-point dimension.
+    Keys are the family's ``_PARAMS`` and values their raveled
+    ``indexing="ij"`` meshgrid, so the flat index runs through the parameter
+    vectors lexicographically. A family lacks the keys of the parameters it
+    does not have (Holt's recursion then skips the damping multiply), and a
+    pinned parameter is a one-point dimension.
     """
     weights = _SEASONAL_WEIGHT_GRID if family in SEASONAL else _WEIGHT_GRID
     dims = {k: _PHI_GRID if k == "phi" else weights for k in _PARAMS[family]}
     dims = {k: v if getattr(spec, k) is None else np.array([float(getattr(spec, k))])
             for k, v in dims.items()}
-    # each value repeats once per point of the later dimensions, and that run
-    # once per point of the earlier ones
-    size = math.prod(v.size for v in dims.values())
-    grid, inner = {}, size
-    for k, v in dims.items():
-        inner //= v.size
-        grid[k] = np.tile(v.repeat(inner), size // (inner * v.size))
-    return grid
+    return dict(zip(dims, (g.ravel() for g in np.meshgrid(*dims.values(), indexing="ij"))))
 
 
 def _min_n(family: str) -> int:
@@ -277,6 +269,7 @@ def _recurrence(y: np.ndarray, alpha: np.ndarray, beta=None, phi=None, gamma=Non
             yield
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed SSE is only reported
 def _fit_naive(series: TimeSeries, season) -> FittedForecaster:
     # the random walk (on the seasonally adjusted series for naive2) has no
     # parameters, so its SSE needs no recursion

@@ -37,9 +37,8 @@ def theta_line(series: TimeSeries, fit: TrendFit, theta: float) -> TimeSeries:
 
     The theta line keeps the series' id and period.
     """
-    t = np.arange(1, series.n + 1, dtype=np.float64)
-    values = theta * series.values + (1.0 - theta) * (fit.intercept + fit.slope * t)
-    return series.with_values(values)
+    t = np.arange(1, series.n + 1)
+    return series.with_values(theta * series.values + (1.0 - theta) * trend_value(fit, t))
 
 
 def combination_weight(theta1: float, theta2: float) -> float:

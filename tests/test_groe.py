@@ -17,7 +17,8 @@ from optitheta import (
 )
 from optitheta import smoothing
 from optitheta.groe import (
-    COST_FUNCTIONS, DEFAULT_THETA_GRID, ae, forecast_table, sape, scored_origins, se, select_theta,
+    COST_FUNCTIONS, DEFAULT_THETA_GRID, MIN_FIRST_ORIGIN, ae, forecast_table, sape, scored_origins,
+    se, select_theta,
 )
 from optitheta.pipeline import MethodSpec, SeriesContext, run_method
 from optitheta.series import fit_linear_trend, trend_value
@@ -206,6 +207,21 @@ def test_approach_p_clamped_by_p_max():
     assert config.p == min(6, p_max(12, 6, 1))
 
 
+def test_every_approach_has_origins_exactly_when_n_exceeds_h_and_the_first_origin():
+    # GROE eligibility depends on n and h, never on the approach, so a token
+    # that reaches SeriesContext's shared table finds origins for every token
+    # that shares it
+    for n in range(1, 151):
+        for h in range(1, 41):
+            found = []
+            for approach in APPROACHES:
+                try:
+                    found.append(bool(scored_origins(approach_config(approach, n, h), n)))
+                except ValueError:
+                    found.append(False)
+            assert found == [n > max(h, MIN_FIRST_ORIGIN)] * len(APPROACHES), (n, h)
+
+
 def test_approach_errors():
     with pytest.raises(ValueError, match="too short"):
         approach_config("a", 8, 8)
@@ -297,6 +313,26 @@ def test_estimate_raises_when_all_candidates_fail():
     config = GroeConfig(p=1, m=1, H=1, n1=2)
     with pytest.raises(EvaluationError, match="every theta candidate failed"):
         estimate_theta(series, config=config, extrapolator=ForecasterSpec("damped"))
+
+
+def overflow_scale_series():
+    """A period-1 random walk near 1e200, whose squares overflow float64."""
+    steps = np.random.default_rng(0).standard_normal(30)
+    return TimeSeries("big", 1e200 * (1.0 + 0.01 * np.cumsum(steps)))
+
+
+def test_overflow_scale_series_has_no_finite_loss():
+    # the table's weights and the cost overflow; under warnings-as-errors the
+    # caller still gets the documented error, not a RuntimeWarning
+    series = overflow_scale_series()
+    with pytest.raises(EvaluationError, match="no finite loss"):
+        estimate_theta(series, config=approach_config("a", series.n, 6), cost="se")
+
+
+def test_overflow_scale_series_fails_at_checkpoint_n():
+    series = overflow_scale_series()
+    with pytest.raises(ValueError, match="no finite in-sample SSE"):
+        run_method(series, 6, MethodSpec.otm("d"))
 
 
 def test_loss_table_calls_the_cost_once_per_origin(make_rw, monkeypatch):

@@ -159,6 +159,27 @@ def test_ranks_when_complete():
     assert np.mean(values) == pytest.approx(1.5)  # (K+1)/2 for K=2
 
 
+def test_mase_is_defined_for_every_method_of_a_series_or_for_none():
+    # _rank_table relies on this: a series without a failed cell is scored by
+    # every method or by none, so no rank row is ever partly defined
+    flat = DatasetEntry(TimeSeries("flat", np.full(12, 3.0)), np.array([3.0, 4.0, 2.0]), "Other")
+    entries = [*synthetic_dataset(9, {"Yearly": 3, "Quarterly": 2, "Monthly": 1}), flat,
+               *constant_dataset()]
+    names = ("theta", "otm-a", "otm-d", "naive", "naive2", "ses", "holt", "damped")
+    methods = (MethodSpec.classic_theta(), MethodSpec.otm("a"), MethodSpec.otm("d"),
+               *(MethodSpec.benchmark(name) for name in names[3:]))
+    result = run_experiment(Dataset(tuple(entries)), ExperimentConfig(methods=methods))
+    assert all(s.error is None and s.smape is not None for s in result.scores)
+    undefined = {}
+    for s in result.scores:
+        undefined.setdefault(s.series_id, set()).add(s.mase is None)
+    assert {sid for sid, kinds in undefined.items() if kinds == {True}} == {
+        "flat", "c0", "c1", "c2", "c3",
+    }
+    assert all(len(kinds) == 1 for kinds in undefined.values())
+    assert list(result.rank_mase) == list(names)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="at least one method"):
         ExperimentConfig(methods=())

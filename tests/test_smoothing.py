@@ -187,6 +187,15 @@ def test_overflow_at_every_grid_point_raises(family):
         fit(ForecasterSpec(family), TimeSeries("s", [1e200, -1e200] * 5))
 
 
+def test_naive_on_overflow_scale_series_repeats_last_value():
+    # its in-sample SSE overflows to inf, which is only reported
+    steps = np.random.default_rng(0).standard_normal(30)
+    series = TimeSeries("big", 1e200 * (1.0 + 0.01 * np.cumsum(steps)))
+    fitted = fit(ForecasterSpec("naive"), series)
+    assert fitted.sse == np.inf
+    assert np.array_equal(forecast(fitted, 6), np.full(6, series.values[-1]))
+
+
 # ---------------------------------------------------------------------------
 # Blocked grid search against the whole-grid reference
 # ---------------------------------------------------------------------------

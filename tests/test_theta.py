@@ -15,6 +15,8 @@ from optitheta import (
     trend_value,
 )
 from optitheta.cli import main
+from optitheta.groe import DEFAULT_THETA_GRID, forecast_table
+from optitheta.pipeline import run_method
 from optitheta.smoothing import ForecasterSpec, fit as fit_forecaster, forecast as run_forecast
 
 
@@ -178,6 +180,68 @@ def test_theta_four_on_exact_line_fitted_alpha():
     # fitted alpha is 1 on a ramp, so the line forecast is flat at 10
     expected = 0.75 * np.array([11.0, 12.0, 13.0]) + 0.25 * 10.0
     assert np.allclose(fx, expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# closed-form oracle: OTM with SES is SES with drift
+# ---------------------------------------------------------------------------
+
+
+def ses_with_drift_forecasts(values, theta, h, alpha):
+    """OTM forecasts with SES at a pinned alpha, from the closed form of SES on
+    a line (Hyndman & Billah, IJF 2003; Fiorucci et al., IJF 2016).
+
+    SES seeded at the first value of ``a + b*t`` has level
+    ``a + b*t - b*(1-alpha)/alpha * (1 - (1-alpha)**(t-1))`` at time t, and SES
+    is linear in its input, so the theta line's final level is
+    ``theta*l_n(y) + (1-theta)*l_n(a + b*t)``. Plain Python, no package code.
+    """
+    n = len(values)
+    t_mean = (n + 1) / 2
+    y_mean = sum(values) / n
+    sxy = sum((t - t_mean) * (y - y_mean) for t, y in enumerate(values, start=1))
+    sxx = sum((t - t_mean) ** 2 for t in range(1, n + 1))
+    b = sxy / sxx
+    a = y_mean - b * t_mean
+    level = values[0]
+    for y in values[1:]:
+        level += alpha * (y - level)
+    line_level = a + b * n - b * (1 - alpha) / alpha * (1 - (1 - alpha) ** (n - 1))
+    theta_level = theta * level + (1 - theta) * line_level
+    return [(1 - 1 / theta) * (a + b * (n + k)) + theta_level / theta for k in range(1, h + 1)]
+
+
+def oracle_cases():
+    """(series, alpha): 30 seeded random walks with a seeded pinned alpha."""
+    for seed in range(30):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(12, 80))
+        values = 100.0 + np.cumsum(rng.normal(rng.uniform(-1.0, 1.0), 2.0, n))
+        yield TimeSeries(f"rw{seed}", values), float(rng.uniform(0.05, 1.0))
+
+
+def test_otm_forecast_matches_the_closed_form():
+    for series, alpha in oracle_cases():
+        spec = ForecasterSpec("ses", alpha=alpha)
+        values = series.values.tolist()
+        table = forecast_table(series, DEFAULT_THETA_GRID, [series.n], 6, spec)[series.n]
+        for row, theta in zip(table, DEFAULT_THETA_GRID):
+            expected = ses_with_drift_forecasts(values, theta, 6, alpha)
+            np.testing.assert_allclose(otm_forecast(series, theta, 6, spec), expected,
+                                       rtol=1e-12, atol=0.0, err_msg=f"{series.id} {theta}")
+            np.testing.assert_allclose(row, expected, rtol=1e-12, atol=0.0,
+                                       err_msg=f"{series.id} {theta}")
+
+
+@pytest.mark.parametrize("approach", ["a", "d", "h"])
+def test_selecting_token_matches_the_closed_form(approach):
+    for series, alpha in oracle_cases():
+        spec = MethodSpec.otm(approach, extrapolator=ForecasterSpec("ses", alpha=alpha))
+        result = run_method(series, 6, spec)
+        assert result.note is None and not result.seasonal
+        expected = ses_with_drift_forecasts(series.values.tolist(), result.theta, 6, alpha)
+        np.testing.assert_allclose(result.forecasts, expected, rtol=1e-12, atol=0.0,
+                                   err_msg=series.id)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
