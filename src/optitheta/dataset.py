@@ -43,6 +43,9 @@ class DatasetEntry:
     group: str
 
     def __post_init__(self) -> None:
+        sid = self.series.id
+        if "," in sid or "".join(sid.splitlines()) != sid:  # any break that read_rows splits at
+            raise ValueError(f"entry {sid!r}: an id must not contain a comma or a line break")
         actuals = np.asarray(self.actuals, dtype=np.float64)
         if actuals.ndim != 1 or actuals.size == 0 or not np.all(np.isfinite(actuals)):
             raise ValueError(f"entry {self.series.id!r}: held-out actuals must be finite and non-empty")

@@ -33,9 +33,10 @@ from typing import Callable
 
 import numpy as np
 
+from .metrics import sape
 from .series import TimeSeries, fit_linear_trend, trend_value
-from .smoothing import ForecasterSpec, _grid, _min_n, _sanitize, _search
-from .theta import SES, check_extrapolator, otm_forecast
+from .smoothing import ForecasterSpec, _grid, _min_n, _sanitize, _search, damping
+from .theta import SES, check_extrapolator, otm_forecast, recombine
 
 DEFAULT_THETA_GRID = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
 APPROACHES = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -56,16 +57,6 @@ def se(a, b):
 def ae(a, b):
     """Absolute error."""
     return np.abs(np.asarray(a, dtype=np.float64) - b)
-
-
-def sape(a, b):
-    """Symmetric absolute percentage error 2|a-b| / (|a|+|b|), with 0/0 -> 0."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    num = 2.0 * np.abs(a - b)
-    denom = np.abs(a) + np.abs(b)
-    out = np.divide(num, denom, out=np.zeros_like(num), where=denom != 0)
-    return out if out.ndim else float(out)
 
 
 COST_FUNCTIONS = {"se": se, "ae": ae, "sape": sape}
@@ -263,14 +254,13 @@ def forecast_table(
             f"series {series.id!r}: a theta line has no finite in-sample SSE at any "
             f"{family!r} grid point (the recursion overflows)"
         )
-    k = np.arange(1, H + 1)
     table: dict[int, np.ndarray] = {}
     for ni, (_, params, level, trend, _) in found.items():
         line = theta * level[0][:, None] + c1[ni] + c2[ni] * level[1][:, None]
         if trend is not None:
             slope = theta * trend[0][:, None] + c2[ni] * trend[1][:, None]
-            line = line + np.cumsum(params["phi"][:, None] ** k, axis=1) * slope
-        table[ni] = (1.0 - 1.0 / theta) * trend_value(prefix_fits[ni], ni + k) + (1.0 / theta) * line
+            line = line + damping(params["phi"], H) * slope
+        table[ni] = recombine(prefix_fits[ni], theta, ni, line, H)
     return table
 
 

@@ -25,15 +25,20 @@ def _paired(actuals, forecasts) -> tuple[np.ndarray, np.ndarray]:
     return a, f
 
 
-def smape(actuals, forecasts) -> float:
-    """Symmetric MAPE in percent: (200/h) * sum(|y - yhat| / (|y| + |yhat|)).
+def sape(a, b):
+    """Symmetric absolute percentage error 2|a-b| / (|a|+|b|), with 0/0 -> 0."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    denom = np.abs(a) + np.abs(b)
+    # doubled after the division, so it cannot overflow
+    out = 2.0 * np.divide(np.abs(a - b), denom, out=np.zeros_like(denom), where=denom != 0)
+    return out if out.ndim else float(out)
 
-    A term with |y| + |yhat| = 0 contributes zero. Always in [0, 200].
-    """
+
+def smape(actuals, forecasts) -> float:
+    """Symmetric MAPE in percent: (100/h) * sum(sape(y, yhat)). Always in [0, 200]."""
     a, f = _paired(actuals, forecasts)
-    denom = np.abs(a) + np.abs(f)
-    terms = np.divide(np.abs(a - f), denom, out=np.zeros_like(denom), where=denom != 0)
-    return float(200.0 * terms.sum() / a.size)
+    return float(100.0 * sape(a, f).sum() / a.size)
 
 
 def mase(insample, actuals, forecasts) -> float:

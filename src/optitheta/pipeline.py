@@ -7,7 +7,7 @@ rolling-origin validation on the adjusted series, theta-line decomposition
 and extrapolation, recombination, and reseasonalization. Classic Theta,
 ``MethodSpec.classic_theta()``, fixes theta to 2 (no selection step). A spec
 with a ``family`` runs that reference family. A spec is checked when it is
-built, by the same ``groe`` and ``theta`` checks its run makes.
+built, by the same ``groe``, ``theta`` and ``smoothing`` checks its run makes.
 
 The method tokens of one series share a :class:`SeriesContext`, given to
 ``run_method``, which does each piece of their common work once, when a
@@ -35,7 +35,7 @@ from .seasonal import (
     SeasonalIndices, deseasonalize, reseasonalize, seasonal_indices, seasonality_applies,
 )
 from .series import TimeSeries
-from .smoothing import FAMILIES, SEASONAL, ForecasterSpec
+from .smoothing import SEASONAL, ForecasterSpec
 from .theta import SES, check_extrapolator, otm_forecast
 
 FALLBACK_THETA = 2.0
@@ -58,12 +58,12 @@ class MethodSpec:
     extrapolator: ForecasterSpec = SES
 
     def __post_init__(self) -> None:
-        if self.family is None:
+        if self.family is not None:
+            ForecasterSpec(self.family)  # refuses an unknown family
+        else:
             check_extrapolator(self.extrapolator)
             check_approach(self.approach)
             resolve_cost(self.cost)
-        elif self.family not in FAMILIES:
-            raise ValueError(f"benchmark family must be one of {FAMILIES}, got {self.family!r}")
         object.__setattr__(self, "grid", check_grid(self.grid))
 
     @staticmethod
@@ -195,21 +195,11 @@ def run_method(
         # the other families never read the seasonal decision, so it is not made for them
         indices = context.adjusted()[0] if spec.family in SEASONAL else None
         fitted = smoothing.fit(ForecasterSpec(spec.family), series, indices=indices)
-        return ForecastResult(
-            series_id=series.id,
-            method=spec.name,
-            forecasts=smoothing.forecast(fitted, h),
-            theta=None,
-            seasonal=fitted.seasonal,
-        )
-    if series.n < 3:
-        raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
-    theta, forecasts, note = context.theta_forecast(spec)
-    return ForecastResult(
-        series_id=series.id,
-        method=spec.name,
-        forecasts=forecasts,
-        theta=theta,
-        seasonal=context.adjusted()[0] is not None,
-        note=note,
-    )
+        theta, forecasts, note = None, smoothing.forecast(fitted, h), None
+        seasonal = fitted.seasonal
+    else:
+        if series.n < 3:
+            raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
+        theta, forecasts, note = context.theta_forecast(spec)
+        seasonal = context.adjusted()[0] is not None
+    return ForecastResult(series.id, spec.name, forecasts, theta, seasonal, note)

@@ -52,6 +52,7 @@ def autocorrelations(values, nlags: int) -> np.ndarray:
     y = np.asarray(values, dtype=np.float64)
     if nlags >= y.size:
         raise ValueError(f"need more than {nlags} observations for lag-{nlags} autocorrelation")
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])  # exact: y's scale cannot overflow or underflow d*d
     d = y - y.mean()
     denom = float(np.dot(d, d))
     if denom == 0.0:

@@ -76,7 +76,8 @@ within the sweep's noise, and 8 steps at 1/4 sit on it.
 A fit is summarised by a :class:`FittedForecaster`: the family, the chosen
 parameters and the final state (level, trend, seasonal factors). Every
 family forecasts k steps ahead with one formula,
-``(level + damping(k) * trend) * season[(n + k - 1) % m]``.
+``(level + damping(phi, h)[k-1] * trend) * season[(n + k - 1) % m]``, where
+:func:`damping` gives the trend multiples ``phi + ... + phi**k`` (k at phi = 1).
 
 Seasonal-capable families follow the seasonality test, or the decision a
 caller already made (see :func:`fit`), and silently fall back to their
@@ -389,13 +390,17 @@ def fit(spec: ForecasterSpec, series: TimeSeries, *, indices=_UNTESTED) -> Fitte
     return _fit_smooth(spec, series, effective, season)
 
 
+def damping(phi, h: int) -> np.ndarray:
+    """The trend multiples phi + phi**2 + ... + phi**k for k = 1..h, along a new
+    last axis of ``phi``; exactly k when phi is 1 (SES and Holt)."""
+    return np.cumsum(np.asarray(phi)[..., None] ** np.arange(1, h + 1), axis=-1)
+
+
 def forecast(fitted: FittedForecaster, h: int) -> np.ndarray:
     """Point forecasts for steps 1..h from the fitted final state."""
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
-    k = np.arange(1, h + 1)
-    damping = np.cumsum(fitted.params.get("phi", 1.0) ** k)
-    out = fitted.level + damping * fitted.trend
+    out = fitted.level + damping(fitted.params.get("phi", 1.0), h) * fitted.trend
     if fitted.season is not None:
-        out = out * fitted.season[(fitted.n + k - 1) % fitted.season.size]
+        out = out * fitted.season[(fitted.n + np.arange(h)) % fitted.season.size]
     return out

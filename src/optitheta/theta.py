@@ -82,6 +82,11 @@ def otm_forecast(
     check_extrapolator(extrapolator)
     fit = fit_linear_trend(series)
     fitted = smoothing.fit(extrapolator, theta_line(series, fit, theta))
-    line_forecast = smoothing.forecast(fitted, h)
+    return recombine(fit, theta, series.n, smoothing.forecast(fitted, h), h)
+
+
+def recombine(fit: TrendFit, theta, origin: int, line, h: int) -> np.ndarray:
+    """``(1 - 1/theta) * (trend at origin+k) + (1/theta) * line`` for k = 1..h, where ``line``
+    is the theta line's forecasts from ``origin``; ``theta`` may be a column, one row per theta."""
     k = np.arange(1, h + 1)
-    return (1.0 - 1.0 / theta) * trend_value(fit, series.n + k) + (1.0 / theta) * line_forecast
+    return (1.0 - 1.0 / theta) * trend_value(fit, origin + k) + (1.0 / theta) * line

@@ -54,6 +54,8 @@ def test_sape_guards():
     assert sape(0.0, 0.0) == 0.0
     assert sape(0.0, 5.0) == pytest.approx(2.0)
     assert sape(-5.0, 0.0) == pytest.approx(2.0)
+    # 2*|a-b| is above the largest float here, while |a| + |b| is not
+    assert sape(1e308, -1e307) == 2.0
 
 
 def test_costs_are_symmetric():

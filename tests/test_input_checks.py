@@ -45,6 +45,10 @@ CHECKS = {
     "entry-no-actuals": (lambda: DatasetEntry(SHORT, [], "Yearly"), "finite and non-empty"),
     "entry-nan-actual": (
         lambda: DatasetEntry(SHORT, [1.0, np.nan], "Yearly"), "finite and non-empty"),
+    "entry-id-comma": (
+        lambda: DatasetEntry(TimeSeries("a,b", [1.0]), [1.0], "Yearly"), "'a,b': an id must not"),
+    "entry-id-line-break": (
+        lambda: DatasetEntry(TimeSeries("a\nb", [1.0]), [1.0], "Yearly"), "a line break"),
     "entry-group": (
         lambda: DatasetEntry(SHORT, [1.0], "Weekly"), "unknown group 'Weekly'; expected one of"),
     "row-group": (lambda: _parse_entry("X1,Weekly,1,1,2,10,11,12".split(",")), "expected one of"),

@@ -16,7 +16,8 @@ from optitheta import (
     mase,
     smape,
 )
-from optitheta.metrics import SeriesScore
+from optitheta.groe import COST_FUNCTIONS
+from optitheta.metrics import SeriesScore, sape
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -51,6 +52,22 @@ def test_smape_symmetric_and_bounded(actuals, data):
     forward = smape(actuals, forecasts)
     assert forward == pytest.approx(smape(forecasts, actuals), abs=1e-9)
     assert 0.0 <= forward <= 200.0
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0]) | finite_floats, min_size=1, max_size=20), st.data())
+def test_smape_is_the_textbook_formula_bit_for_bit(actuals, data):
+    # written out, with zeros and sign changes: (200/h) * sum(|a-f| / (|a|+|f|)), 0/0 -> 0
+    forecasts = data.draw(
+        st.lists(st.sampled_from([0.0]) | finite_floats, min_size=len(actuals), max_size=len(actuals))
+    )
+    a, f = np.array(actuals), np.array(forecasts)
+    denom = np.abs(a) + np.abs(f)
+    terms = np.divide(np.abs(a - f), denom, out=np.zeros_like(denom), where=denom != 0)
+    assert smape(a, f) == float(200.0 * terms.sum() / a.size)
+
+
+def test_groe_sape_cost_is_the_metrics_term():
+    assert COST_FUNCTIONS["sape"] is sape
 
 
 def test_smape_bound_holds_when_every_term_is_one():

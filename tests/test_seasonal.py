@@ -70,6 +70,20 @@ def test_seasonality_invariant_to_positive_rescaling(make_seasonal, make_rw):
             assert is_seasonal(series.with_values(c * series.values)) is expected
 
 
+def test_seasonality_decision_holds_at_every_power_of_two_scale():
+    # squaring raw deviations would overflow above about 1e154 and underflow
+    # below about 1e-154; a power-of-two rescale is exact, so nothing may move
+    t = np.arange(60.0)
+    series = TimeSeries("m", 100.0 + 30.0 * np.sin(2.0 * np.pi * t / 12.0), period=12)
+    acf, idx = autocorrelations(series.values, 12), seasonal_indices(series).indices
+    assert is_seasonal(series)
+    for k in range(-1000, 1001):
+        scaled = series.with_values(np.ldexp(series.values, k))
+        assert is_seasonal(scaled), k
+        assert np.array_equal(autocorrelations(scaled.values, 12), acf), k
+        assert np.array_equal(seasonal_indices(scaled).indices, idx), k
+
+
 def test_seasonality_applies_needs_positive_values(make_seasonal):
     series = make_seasonal(3, 48, [0.8, 1.2, 0.9, 1.1])
     assert seasonality_applies(series)

@@ -7,7 +7,7 @@ from optitheta import (
 )
 from optitheta.groe import COST_FUNCTIONS, DEFAULT_THETA_GRID, forecast_table, scored_origins
 from optitheta.seasonal import seasonal_indices
-from optitheta.smoothing import FAMILIES, FittedForecaster, ForecasterSpec, fit, forecast
+from optitheta.smoothing import FAMILIES, FittedForecaster, ForecasterSpec, damping, fit, forecast
 
 
 def run(family, values, h=3, period=1, **pins):
@@ -77,6 +77,13 @@ def test_damped_forecast_formula():
     b = 0.9 ** 11
     expected = 12.0 + np.cumsum(0.9 ** np.arange(1, 4)) * b
     assert np.allclose(fx, expected, atol=1e-12)
+
+
+def test_damping_without_phi_is_the_exact_step_count():
+    # SES and Holt forecast with phi = 1, whose multiples must stay exactly k
+    for h in (1, 6, 18, 1000):
+        assert np.array_equal(damping(1.0, h), np.arange(1.0, h + 1))
+    assert damping(np.array([0.5, 1.0]), 2).tolist() == [[0.5, 0.75], [1.0, 2.0]]
 
 
 def test_trended_families_need_three_points():
