@@ -46,6 +46,8 @@ class DatasetEntry:
         sid = self.series.id
         if "," in sid or "".join(sid.splitlines()) != sid:  # any break that read_rows splits at
             raise ValueError(f"entry {sid!r}: an id must not contain a comma or a line break")
+        if sid != sid.strip():  # read_rows strips every field
+            raise ValueError(f"entry {sid!r}: an id must not start or end with whitespace")
         actuals = np.asarray(self.actuals, dtype=np.float64)
         if actuals.ndim != 1 or actuals.size == 0 or not np.all(np.isfinite(actuals)):
             raise ValueError(f"entry {self.series.id!r}: held-out actuals must be finite and non-empty")

@@ -99,26 +99,20 @@ def _evaluate_entry(entry: DatasetEntry, methods: tuple[MethodSpec, ...]) -> lis
     return out
 
 
-def _rank_table(
-    per_entry: list[list[Cell]], methods: list[str], attr: str
-) -> dict[str, float] | None:
+def _rank_table(scores: tuple[SeriesScore, ...], methods: list[str],
+                attr: str) -> dict[str, float] | None:
     """Average ranks over the series every method scored.
 
-    ``per_entry`` holds one row per series and one cell per method, in
-    ``methods`` order. Ranking is refused (None) when a cell failed or when
-    no series is scored at all. A series with no failed cell is scored by
-    every method or by none: MASE alone can be undefined, on a constant series.
+    ``scores`` holds each series' cells in ``methods`` order, a None score
+    read as NaN. Ranking is refused (None) when a cell failed or when no
+    series is scored at all. A series with no failed cell is scored by every
+    method or by none: MASE alone can be undefined, on a constant series.
     """
-    rows = []
-    for cells in per_entry:
-        if any(score.error is not None for score, _ in cells):
-            return None
-        values = [getattr(score, attr) for score, _ in cells]
-        if all(v is not None for v in values):
-            rows.append(values)
-    if not rows:
+    if any(s.error is not None for s in scores):
         return None
-    return average_ranks(dict(zip(methods, zip(*rows))))
+    values = np.array([getattr(s, attr) for s in scores], dtype=np.float64).reshape(-1, len(methods))
+    rows = values[~np.isnan(values).any(axis=1)]
+    return average_ranks(dict(zip(methods, rows.T))) if rows.size else None
 
 
 def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResult:
@@ -144,8 +138,8 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
         scores=scores,
         table=tuple(aggregate_scores(scores)),
         forecasts=forecasts,
-        rank_smape=_rank_table(per_entry, method_names, "smape"),
-        rank_mase=_rank_table(per_entry, method_names, "mase"),
+        rank_smape=_rank_table(scores, method_names, "smape"),
+        rank_mase=_rank_table(scores, method_names, "mase"),
     )
     if config.out_dir is not None:
         write_outputs(result, config.out_dir)

@@ -47,31 +47,31 @@ plateau with 16,384, which the sweep's noise does not separate from it.
 
 A fit whose grid spans more than one block also abandons grid points early
 (the bound of Rakthanmanon et al., KDD 2012). A point's in-sample SSE is a
-running sum of non-negative terms, and a rounded sum of them never falls,
-so a point whose partial SSE already exceeds the full SSE of some grid
-point can never win. The first bound is the least sanitised SSE that a
-search of every ``_STRIDE``-th grid point finds (about 1% of the grid, one
-block, so not pruned itself); each block that finishes lowers it to the
-running best. Every ``_CHECK`` steps a block counts the points whose
-partial SSE is strictly ``>`` the bound; once they are at least
-``1/_COMPACT`` of its live points, it sends the indices of the others to
-:func:`_recurrence`, which keeps only those, and it abandons the block when
-none is left. The winner and every point tied with it have partial SSE <=
-final SSE <= bound, so they always survive; a NaN compares false and is
-never dropped (it still never wins), and a point that overflowed to inf is
-dropped once the bound is finite. Each survivor's arithmetic is elementwise
-and unchanged, so the fit is bit-identical to the unpruned search. GROE
-forecast tables (whose scores are quadratic forms of several inputs' errors,
-which may fall) and one-block grids (SES's, and small pinned ones) get an
-infinite bound and are never checked. About 60% of the damped and
-seasonal-damped updates survive. A sweep of the check interval and the
-compaction threshold on the damped and seasonal-damped fits of 17 synthetic
-series (2-core Xeon, best of 3 CPU times, speed against the unpruned
-search, damped/seasonal-damped): every 4 steps at 1/2, 1/4 and 1/8 of the
-live points 1.35/1.34x, 1.25/1.25x, 1.21/1.21x; every 8 steps 1.40/1.37x,
-1.35/1.37x, 1.27/1.20x; every 16 steps 1.30/1.35x, 1.36/1.27x, 1.40/1.35x;
-every 32 steps 1.33/1.26x, 1.32/1.33x, 1.45/1.30x. The surface is a plateau
-within the sweep's noise, and 8 steps at 1/4 sit on it.
+running sum of non-negative terms, and a rounded sum of them never falls, so
+a point whose partial SSE already exceeds the full SSE of some grid point
+can never win. The first bound is the least sanitised SSE that a search of
+every ``_STRIDE``-th grid point finds (about 1% of the grid, one block, so
+not pruned itself); each block that finishes lowers it to the running best.
+Every ``_CHECK`` steps a block counts the points whose partial SSE is
+strictly ``>`` the bound; once they are at least ``1/_COMPACT`` of its live
+points, it sends the indices of the others to :func:`_recurrence`, which
+keeps only those, and slices the block's grid to them too; it abandons the
+block when none is left. The winner and every point tied with it have
+partial SSE <= final SSE <= bound, so they always survive; a NaN compares
+false and is never dropped (it still never wins), and a point that
+overflowed to inf is dropped once the bound is finite. Each survivor's
+arithmetic is elementwise and unchanged, so the fit is bit-identical to the
+unpruned search. GROE forecast tables (whose scores are quadratic forms of
+several inputs' errors, which may fall) and one-block grids (SES's, and
+small pinned ones) get an infinite bound and are never checked. About 60% of
+the damped and seasonal-damped updates survive. A sweep of the check
+interval and the compaction threshold on the damped and seasonal-damped fits
+of 17 synthetic series (2-core Xeon, best of 3 CPU times, speed against the
+unpruned search, damped/seasonal-damped): every 4 steps at 1/2, 1/4 and 1/8
+of the live points 1.35/1.34x, 1.25/1.25x, 1.21/1.21x; every 8 steps
+1.40/1.37x, 1.35/1.37x, 1.27/1.20x; every 16 steps 1.30/1.35x, 1.36/1.27x,
+1.40/1.35x; every 32 steps 1.33/1.26x, 1.32/1.33x, 1.45/1.30x. The surface
+is a plateau within the sweep's noise, and 8 steps at 1/4 sit on it.
 
 A fit is summarised by a :class:`FittedForecaster`: the family, the chosen
 parameters and the final state (level, trend, seasonal factors). Every
@@ -89,7 +89,6 @@ random walk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -303,9 +302,6 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: dict, season
     last = max(weights)
     # a single run's score is its running SSE, which never falls
     prune = runs.ndim == 1 and len(weights) == 1 and grid["alpha"].size > _BLOCK
-    # prefix lengths at which a block stops: the checkpoints, and a pruned
-    # search's checks before its one checkpoint
-    stops = [*range(_CHECK, last, _CHECK), last] if prune else sorted(weights)
     best = {}
     with np.errstate(all="ignore"):
         bound = np.inf
@@ -314,15 +310,24 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: dict, season
             bound = _search(sample, runs, weights, season)[last][0][0]
         for start in range(0, grid["alpha"].size, _BLOCK):
             block = {k: v[start : start + _BLOCK] for k, v in grid.items()}
-            live = np.arange(block["alpha"].size)  # the block indices still searched
             steps = _recurrence(runs, season=season, **block)
-            sums, done = 0.0, 1
-            for t in stops:
-                for e, level, trend, factors in islice(steps, t - done):
-                    if e is not None:
-                        sums += products(e)
-                done = t
-                if t not in weights:  # a pruning check
+            sums = 0.0
+            for t, (e, level, trend, factors) in enumerate(steps, start=2):
+                if e is not None:
+                    sums += products(e)
+                if t in weights:
+                    w = weights[t]
+                    scores = _sanitize(w @ sums.reshape(w.shape[1], -1))
+                    i = scores.argmin(axis=1)
+                    state = (level, trend, factors, *block.values())
+                    won = [scores.min(axis=1), *(a if a is None else a.take(i, -1) for a in state)]
+                    if t in best:
+                        better = won[0] < best[t][0]
+                        won = [a if a is None else np.where(better, a, b) for a, b in zip(won, best[t])]
+                    best[t] = won
+                    if t == last:
+                        break
+                elif prune and t % _CHECK == 0:
                     over = sums > bound
                     dropped = np.count_nonzero(over)
                     if dropped == over.size:
@@ -330,18 +335,7 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: dict, season
                     if dropped * _COMPACT >= over.size:
                         keep = np.flatnonzero(~over)
                         steps.send(keep)
-                        sums, live = sums[keep], live[keep]
-                    continue
-                w = weights[t]
-                scores = _sanitize(w @ sums.reshape(w.shape[1], -1))
-                i = scores.argmin(axis=1)
-                state = (level, trend, factors)
-                won = [scores.min(axis=1), *(a if a is None else a.take(i, -1) for a in state)]
-                won += [v.take(live.take(i)) for v in block.values()]
-                if t in best:
-                    better = won[0] < best[t][0]
-                    won = [a if a is None else np.where(better, a, b) for a, b in zip(won, best[t])]
-                best[t] = won
+                        sums, block = sums[keep], {k: v[keep] for k, v in block.items()}
             if prune and best:
                 bound = min(bound, best[last][0][0])
     return {t: (s, dict(zip(grid, p)), lev, tr, f) for t, (s, lev, tr, f, *p) in best.items()}

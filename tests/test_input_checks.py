@@ -49,6 +49,8 @@ CHECKS = {
         lambda: DatasetEntry(TimeSeries("a,b", [1.0]), [1.0], "Yearly"), "'a,b': an id must not"),
     "entry-id-line-break": (
         lambda: DatasetEntry(TimeSeries("a\nb", [1.0]), [1.0], "Yearly"), "a line break"),
+    "entry-id-padded": (
+        lambda: DatasetEntry(TimeSeries(" S1", [1.0]), [1.0], "Yearly"), "' S1': an id must not start"),
     "entry-group": (
         lambda: DatasetEntry(SHORT, [1.0], "Weekly"), "unknown group 'Weekly'; expected one of"),
     "row-group": (lambda: _parse_entry("X1,Weekly,1,1,2,10,11,12".split(",")), "expected one of"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from optitheta import (
     Dataset,
@@ -178,6 +179,11 @@ def test_mase_is_defined_for_every_method_of_a_series_or_for_none():
     }
     assert all(len(kinds) == 1 for kinds in undefined.values())
     assert list(result.rank_mase) == list(names)
+    # the ranks are those of the series whose MASE is defined, averaged per method
+    defined = [sid for sid, kinds in undefined.items() if kinds == {False}]
+    values = {(s.series_id, s.method): s.mase for s in result.scores}
+    matrix = np.array([[values[sid, m] for sid in defined] for m in names])
+    assert result.rank_mase == dict(zip(names, map(float, rankdata(matrix, axis=0).mean(axis=1))))
 
 
 def test_config_validation():
