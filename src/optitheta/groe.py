@@ -21,6 +21,9 @@ level 1 and trend 0, so two runs, on y and on t, serve every (theta, origin)
 pair. :func:`forecast_table` reads every pair's winner from one blocked
 search and forecasts from it; at origin n that is the final otm forecast, so
 the search that selects theta also yields the forecasts of the chosen theta.
+Everything outside the search (the prefix lines, the score weights and the
+forecasts) is computed as arrays over all origins at once, with a leading
+origin axis, so a table's cost per origin is little beyond the recurrence's.
 :func:`select_theta` scores a table with the cost, which the search does not
 depend on.
 """
@@ -34,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .metrics import sape
-from .series import TimeSeries, fit_linear_trend, trend_value
+from .series import TimeSeries, TrendFit, fit_linear_trend, prefix_trends, trend_value
 from .smoothing import ForecasterSpec, _grid, _min_n, _sanitize, _search, damping
 from .theta import SES, check_extrapolator, otm_forecast, recombine
 
@@ -214,10 +217,12 @@ def forecast_table(
     is what :func:`otm_candidate` of ``grid[i]`` forecasts from that origin,
     computed by superposition (see the module docstring); at origin n it is
     :func:`otm_forecast` up to rounding. Origins lie in [2, n], and one
-    origin's rows depend neither on the others nor on a cost. H must be at
-    least 1. Candidates that cannot be fitted (a prefix too short for the
-    extrapolator) raise :class:`EvaluationError`, and a theta line with no
-    finite SSE at n at any grid point raises ``ValueError``.
+    origin's rows depend neither on the others nor on a cost; the prefix
+    lines, the score weights and the rows of every origin are each computed
+    once as one array over all origins, bit-identical to one origin at a
+    time. H must be at least 1. Candidates that cannot be fitted (a prefix
+    too short for the extrapolator) raise :class:`EvaluationError`, and a
+    theta line with no finite SSE at n at any grid point raises ``ValueError``.
     """
     values = check_grid(grid)
     check_extrapolator(extrapolator)
@@ -242,26 +247,27 @@ def forecast_table(
     # back through the coefficients of 1 and t, and the quadratic form below
     # then does not cancel on strongly trended series.
     runs = np.stack([y - trend_value(full, t), t], axis=1)[:, :, None]
-    prefix_fits = {ni: fit_linear_trend(series.prefix(ni)) for ni in origins}
+    # arrays of shape (origins, thetas, ...), one prefix line per origin
+    prefix = TrendFit(*(v[:, None, None] for v in prefix_trends(y, origins)))
     # the prefix's theta line is theta*residual + c1*1 + c2*t, and its SSE
     # sum((theta*e_residual + c2*e_t)**2) a quadratic form in the runs' error products
-    c1 = {ni: theta * full.intercept + (1.0 - theta) * f.intercept for ni, f in prefix_fits.items()}
-    c2 = {ni: theta * full.slope + (1.0 - theta) * f.slope for ni, f in prefix_fits.items()}
-    weights = {ni: np.hstack([theta * theta, theta * c, theta * c, c * c]) for ni, c in c2.items()}
-    found = _search(_grid(extrapolator, family), runs, weights)
+    c1 = theta * full.intercept + (1.0 - theta) * prefix.intercept
+    c2 = theta * full.slope + (1.0 - theta) * prefix.slope
+    weights = np.concatenate(np.broadcast_arrays(theta * theta, theta * c2, theta * c2, c2 * c2), axis=2)
+    found = _search(_grid(extrapolator, family), runs, dict(zip(origins, weights)))
     if n in found and not np.isfinite(found[n][0]).all():
         raise ValueError(
             f"series {series.id!r}: a theta line has no finite in-sample SSE at any "
             f"{family!r} grid point (the recursion overflows)"
         )
-    table: dict[int, np.ndarray] = {}
-    for ni, (_, params, level, trend, _) in found.items():
-        line = theta * level[0][:, None] + c1[ni] + c2[ni] * level[1][:, None]
-        if trend is not None:
-            slope = theta * trend[0][:, None] + c2[ni] * trend[1][:, None]
-            line = line + damping(params["phi"], H) * slope
-        table[ni] = recombine(prefix_fits[ni], theta, ni, line, H)
-    return table
+    _, params, level, trend, _ = zip(*(found[ni] for ni in origins))
+    level = np.stack(level)
+    line = theta * level[:, 0, :, None] + c1 + c2 * level[:, 1, :, None]
+    if trend[0] is not None:
+        trend = np.stack(trend)
+        slope = theta * trend[:, 0, :, None] + c2 * trend[:, 1, :, None]
+        line = line + damping(np.stack([p["phi"] for p in params]), H) * slope
+    return dict(zip(origins, recombine(prefix, theta, np.array(origins)[:, None, None], line, H)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed loss is sanitised below
@@ -271,7 +277,8 @@ def select_theta(series: TimeSeries, grid, table: dict[int, np.ndarray], origins
     scores them on the observations after it, summed over ``origins`` in
     ascending order. The first minimum wins, so ties go to the smallest theta.
     A non-finite loss never wins, and an :class:`EvaluationError` is raised
-    when no theta has a finite loss. Empty ``origins`` are refused.
+    when no theta has a finite loss. Empty ``origins``, an origin missing from
+    ``table`` and rows that are not one per grid theta are refused.
     """
     g = resolve_cost(cost)
     origins = sorted(origins)
@@ -279,6 +286,13 @@ def select_theta(series: TimeSeries, grid, table: dict[int, np.ndarray], origins
         raise ValueError("origins must be non-empty")
     losses = np.zeros(len(grid))
     for ni in origins:
+        if ni not in table:
+            raise ValueError(f"the forecast table has no rows for origin {ni}")
+        if len(table[ni]) != len(grid):
+            raise ValueError(
+                f"the forecast table has {len(table[ni])} rows at origin {ni}, "
+                f"not one per grid theta ({len(grid)})"
+            )
         actual = series.values[ni : ni + table[ni].shape[1]]
         losses += g(actual, table[ni][:, : actual.size]).sum(axis=1)
     losses = _sanitize(losses)

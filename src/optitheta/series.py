@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TimeSeries", "TrendFit", "fit_linear_trend", "trend_value"]
+__all__ = ["TimeSeries", "TrendFit", "fit_linear_trend", "prefix_trends", "trend_value"]
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,32 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class TrendFit:
-    """Least-squares line ``intercept + slope * t`` on the time index t = 1..n."""
+    """Least-squares line ``intercept + slope * t`` on the time index t = 1..n.
+
+    The fields may also be arrays, one line per element (see :func:`prefix_trends`).
+    """
 
     intercept: float
     slope: float
+
+
+def prefix_trends(y: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Intercepts and slopes of the least-squares lines of y_1..y_L on t = 1..L,
+    one per length L of ``lengths`` (each at least 2 and at most ``y.size``).
+
+    Each line is computed on its prefix alone, with ``(L + 1) / 2`` and
+    ``y[:L].sum() / L`` for the means of t and y (both exactly what ``mean``
+    returns), so it is bit-identical to :func:`fit_linear_trend` of the prefix.
+    """
+    t = np.arange(1.0, max(lengths) + 1)
+    intercepts, slopes = np.empty(len(lengths)), np.empty(len(lengths))
+    for i, n in enumerate(lengths):
+        t_mean = (n + 1) / 2
+        t_dev = t[:n] - t_mean
+        y_mean = y[:n].sum() / n
+        slopes[i] = np.dot(t_dev, y[:n] - y_mean) / np.dot(t_dev, t_dev)
+        intercepts[i] = y_mean - slopes[i] * t_mean
+    return intercepts, slopes
 
 
 def fit_linear_trend(series: TimeSeries) -> TrendFit:
@@ -64,15 +86,11 @@ def fit_linear_trend(series: TimeSeries) -> TrendFit:
     Returns the unique minimizer of sum((y_t - a - b*t)^2). Raises
     ``ValueError`` for series shorter than two observations.
     """
-    y = series.values
-    n = y.size
+    n = series.n
     if n < 2:
         raise ValueError(f"series {series.id!r}: trend fitting needs n >= 2, got n={n}")
-    t = np.arange(1, n + 1, dtype=np.float64)
-    t_dev = t - t.mean()
-    y_mean = y.mean()
-    slope = float(np.dot(t_dev, y - y_mean) / np.dot(t_dev, t_dev))
-    return TrendFit(intercept=float(y_mean - slope * t.mean()), slope=slope)
+    (intercept,), (slope,) = prefix_trends(series.values, [n])
+    return TrendFit(intercept=float(intercept), slope=float(slope))
 
 
 def trend_value(fit: TrendFit, t):

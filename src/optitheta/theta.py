@@ -85,8 +85,9 @@ def otm_forecast(
     return recombine(fit, theta, series.n, smoothing.forecast(fitted, h), h)
 
 
-def recombine(fit: TrendFit, theta, origin: int, line, h: int) -> np.ndarray:
+def recombine(fit: TrendFit, theta, origin, line, h: int) -> np.ndarray:
     """``(1 - 1/theta) * (trend at origin+k) + (1/theta) * line`` for k = 1..h, where ``line``
-    is the theta line's forecasts from ``origin``; ``theta`` may be a column, one row per theta."""
+    is the theta line's forecasts from ``origin``; ``theta`` may be a column, one row per theta,
+    and ``fit``'s fields and ``origin`` arrays that broadcast against ``line``, one per origin."""
     k = np.arange(1, h + 1)
     return (1.0 - 1.0 / theta) * trend_value(fit, origin + k) + (1.0 / theta) * line

@@ -409,6 +409,14 @@ def whole_grid_forecast_table(series, grid, origins, H, extrapolator=SES):
     return table
 
 
+def assert_table_equals_whole_grid(series, origins, H, extrapolator):
+    table = forecast_table(series, DEFAULT_THETA_GRID, origins, H, extrapolator)
+    reference = whole_grid_forecast_table(series, DEFAULT_THETA_GRID, origins, H, extrapolator)
+    assert table.keys() == reference.keys() == set(origins)
+    for ni in origins:
+        assert table[ni].tobytes() == reference[ni].tobytes(), (series.id, ni)
+
+
 # pinned damped grids of 1,919 points keep a 7-point block cheap
 @pytest.mark.parametrize(
     "extrapolator",
@@ -426,11 +434,62 @@ def test_blocked_loss_table_equals_whole_grid(extrapolator, monkeypatch):
         union = sorted({series.n} | {
             ni for a in APPROACHES for ni in scored_origins(approach_config(a, series.n, h), series.n)
         })
-        table = forecast_table(series, DEFAULT_THETA_GRID, union, h, extrapolator)
-        reference = whole_grid_forecast_table(series, DEFAULT_THETA_GRID, union, h, extrapolator)
-        assert table.keys() == reference.keys() == set(union)
-        for ni in union:
-            assert table[ni].tobytes() == reference[ni].tobytes(), (series.id, ni)
+        assert_table_equals_whole_grid(series, union, h, extrapolator)
+
+
+@st.composite
+def table_case(draw, lowest):
+    """A random walk, a horizon and one kind of origin set, every origin at least ``lowest``:
+    n alone; a set without n; one from ``lowest`` (2 for SES); or origins whose H runs past n."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(lowest + 2, 40))
+    H = draw(st.integers(1, 12))
+    series = TimeSeries("rw", 100.0 + np.cumsum(rng.normal(draw(st.floats(-3.0, 3.0)), 2.0, n)))
+    kind = draw(st.sampled_from(["n-alone", "without-n", "from-lowest", "past-n"]))
+    if kind == "n-alone":
+        return series, [n], H
+    pool = {
+        "without-n": range(lowest, n),
+        "from-lowest": range(lowest, n + 1),
+        "past-n": range(max(lowest, n - H + 1), n + 1),
+    }[kind]
+    origins = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=12))
+    return series, sorted(origins | ({lowest} if kind == "from-lowest" else set())), H
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=table_case(2))
+def test_ses_table_equals_whole_grid_on_drawn_origins(case):
+    # SES's grid is one block at the real _BLOCK
+    assert_table_equals_whole_grid(*case, SES)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    case=table_case(3),
+    extrapolator=st.sampled_from([ForecasterSpec("damped", alpha=0.3), ForecasterSpec("damped", beta=0.1)]),
+)
+def test_damped_table_equals_whole_grid_on_drawn_origins(case, extrapolator):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smoothing, "_BLOCK", 7)
+        assert_table_equals_whole_grid(*case, extrapolator)
+
+
+def test_table_builds_no_prefix_series(monkeypatch):
+    # the prefix lines come from one array pass, not from a TimeSeries per origin
+    entry = synthetic_dataset(42, {"Monthly": 1}).entries[0]
+    series, h = entry.series, entry.h
+    union = sorted({series.n} | {
+        ni for a in APPROACHES for ni in scored_origins(approach_config(a, series.n, h), series.n)
+    })
+    assert len(union) == 37
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("forecast_table built a TimeSeries")
+
+    monkeypatch.setattr(TimeSeries, "prefix", refuse)
+    monkeypatch.setattr(TimeSeries, "__post_init__", refuse)
+    assert forecast_table(series, DEFAULT_THETA_GRID, union, h).keys() == set(union)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from optitheta import TimeSeries, fit_linear_trend, trend_value
+from optitheta.series import prefix_trends
 
 
 def test_exact_line():
@@ -96,3 +98,30 @@ def test_prefix():
     assert head.n == 2 and head.period == 2 and head.id == "s"
     with pytest.raises(ValueError):
         series.prefix(5)
+
+
+def mean_based_trend(y):
+    """Reference for the OLS line: the textbook form with ``np.mean`` for both means."""
+    t = np.arange(1, y.size + 1, dtype=np.float64)
+    t_dev = t - t.mean()
+    slope = np.dot(t_dev, y - y.mean()) / np.dot(t_dev, t_dev)
+    return y.mean() - slope * t.mean(), slope
+
+
+@given(
+    values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60)
+    | st.tuples(st.floats(-1e3, 1e3), st.integers(2, 60)).map(lambda vn: [vn[0]] * vn[1]),
+    exponent=st.integers(-500, 500),
+)
+@example(values=[7.0] * 37, exponent=500)
+@example(values=[-3.0, 1.0, 4.0], exponent=-500)
+def test_prefix_trends_equal_fit_linear_trend_bit_for_bit(values, exponent):
+    # every prefix line of one call is the single-series fit of that prefix,
+    # and the textbook np.mean form, at scales from 2**-500 to 2**500
+    series = TimeSeries("s", np.array(values) * 2.0**exponent)
+    lengths = range(2, series.n + 1)
+    intercepts, slopes = prefix_trends(series.values, lengths)
+    for length, line in zip(lengths, np.stack([intercepts, slopes], axis=1)):
+        fit = fit_linear_trend(series.prefix(length))
+        assert line.tobytes() == np.array([fit.intercept, fit.slope]).tobytes(), length
+        assert line.tobytes() == np.array(mean_based_trend(series.values[:length])).tobytes()
