@@ -10,14 +10,14 @@ with a ``family`` runs that reference family. A spec is checked when it is
 built, by the same ``groe``, ``theta`` and ``smoothing`` checks its run makes.
 
 The method tokens of one series share a :class:`SeriesContext`, given to
-``run_method``, which does each piece of their common work once, when a
-token first needs it: the seasonal decision and adjusted series, whose
-decision the seasonal benchmark families read too; and one GROE forecast
-table per (grid, extrapolator) over n and the union of the selecting otm
-tokens' origins (every schedule uses H = h, and the search has no cost).
-Each selecting token scores its own origins' rows with its own cost, as
-``estimate_theta`` does, and takes its chosen theta's row at n. Classic Theta
-and the theta=2 fallback select nothing and fit their theta directly.
+``run_method``. It plans each otm token once, from n and h: one with more
+than one grid theta selects, or falls back to theta=2 when its schedule does
+not fit; any other fits its one theta. The common work is done once, when a
+token first needs it: the seasonal decision and adjusted series, which the
+seasonal families read too, and one GROE forecast table per (grid,
+extrapolator) over n and its selecting tokens' origins (every schedule uses
+H = h; the search has no cost). Each selecting token scores its origins' rows
+with its own cost, as ``estimate_theta`` does, and takes the chosen row at n.
 """
 
 from __future__ import annotations
@@ -116,10 +116,9 @@ class ForecastResult:
 class SeriesContext:
     """Per-series work shared by the method tokens ``specs`` run on ``series``.
 
-    Nothing is computed until a token asks for it, and a piece that raises
-    is not stored, so it fails every token that needs it and no other.
-    Whether a token has GROE origins depends on n and h only, not on its
-    approach, so every token that shares a table has them.
+    Construction stores each selecting token's scored origins, or its fallback
+    note. Nothing else is computed until a token asks for it, and a piece that
+    raises is not stored, so it fails every token that needs it and no other.
     """
 
     def __init__(self, series: TimeSeries, h: int, specs=()) -> None:
@@ -128,6 +127,15 @@ class SeriesContext:
         self.specs = tuple(specs)
         self._adjusted: tuple[SeasonalIndices | None, TimeSeries] | None = None
         self._tables: dict[tuple, dict[int, np.ndarray]] = {}
+        self._origins: dict[MethodSpec, list[int]] = {}
+        self._fallback: dict[MethodSpec, str] = {}
+        for spec in self.specs:
+            if spec.family is None and len(spec.grid) > 1:
+                try:
+                    config = approach_config(spec.approach, series.n, h)
+                    self._origins[spec] = scored_origins(config, series.n)
+                except ValueError as exc:
+                    self._fallback[spec] = f"fallback to theta={FALLBACK_THETA:g}: {exc}"
 
     def adjusted(self) -> tuple[SeasonalIndices | None, TimeSeries]:
         """(indices or None, the series theta is selected and fitted on)."""
@@ -139,16 +147,13 @@ class SeriesContext:
                 self._adjusted = (None, self.series)
         return self._adjusted
 
-    def _origins(self, spec: MethodSpec) -> list[int]:
-        return scored_origins(approach_config(spec.approach, self.series.n, self.h), self.series.n)
-
     def _table(self, spec: MethodSpec) -> dict[int, np.ndarray]:
         key = (spec.grid, spec.extrapolator)
         if key not in self._tables:
             union = {self.series.n}
-            for other in self.specs:
-                if other.family is None and (other.grid, other.extrapolator) == key:
-                    union.update(self._origins(other))
+            for other, origins in self._origins.items():
+                if (other.grid, other.extrapolator) == key:
+                    union.update(origins)
             _, work = self.adjusted()
             self._tables[key] = forecast_table(work, spec.grid, union, self.h, spec.extrapolator)
         return self._tables[key]
@@ -156,17 +161,13 @@ class SeriesContext:
     def theta_forecast(self, spec: MethodSpec) -> tuple[float, np.ndarray, str | None]:
         """The token's theta, reseasonalised forecasts and, when it fell back to theta=2, why."""
         idx, work = self.adjusted()
-        theta, forecasts, note = spec.grid[0], None, None
-        if len(spec.grid) > 1:
-            try:
-                origins = self._origins(spec)
-            except ValueError as exc:
-                theta, note = FALLBACK_THETA, f"fallback to theta={FALLBACK_THETA:g}: {exc}"
-            else:
-                table = self._table(spec)
-                theta = select_theta(work, spec.grid, table, origins, spec.cost)
-                forecasts = table[self.series.n][spec.grid.index(theta)]
-        if forecasts is None:
+        note = self._fallback.get(spec)
+        if spec in self._origins:
+            table = self._table(spec)
+            theta = select_theta(work, spec.grid, table, self._origins[spec], spec.cost)
+            forecasts = table[self.series.n][spec.grid.index(theta)]
+        else:
+            theta = spec.grid[0] if note is None else FALLBACK_THETA
             forecasts = otm_forecast(work, theta, self.h, spec.extrapolator)
         if idx is not None:
             forecasts = reseasonalize(forecasts, idx, start_t=self.series.n + 1)

@@ -160,8 +160,7 @@ def _csv_row(fields) -> str:
 
 def forecast_row(fc: ForecastResult) -> str:
     """One forecasts row (see ``FORECASTS_HEADER``), shared by ``evaluate`` and ``forecast``."""
-    values = map(repr, fc.forecasts.tolist())
-    return ",".join([fc.series_id, fc.method, _fmt(fc.theta), str(int(fc.seasonal)), *values])
+    return _csv_row([fc.series_id, fc.method, fc.theta, int(fc.seasonal), *fc.forecasts.tolist()])
 
 
 def write_outputs(result: ExperimentResult, out_dir) -> dict[str, Path]:

@@ -156,7 +156,13 @@ def shared_specs():
         for label, extrapolator in SHARED_EXTRAPOLATORS.items():
             specs += [MethodSpec.otm(a, cost=cost, extrapolator=extrapolator,
                                      name=f"otm-{a}-{cost}-{label}") for a in APPROACHES]
-    return specs
+    # a fixed token, and a selecting token with a table of its own
+    return specs + [MethodSpec.otm("a", grid=(3.0,), name="otm-a-fixed3"),
+                    MethodSpec.otm("d", grid=(1.0, 2.0, 3.0), name="otm-d-grid3")]
+
+
+def selecting(specs):
+    return [spec for spec in specs if spec.family is None and len(spec.grid) > 1]
 
 
 def test_shared_context_equals_fresh_context_per_token():
@@ -174,7 +180,26 @@ def test_shared_context_equals_fresh_context_per_token():
             seasonal_seen.add(shared.seasonal)
             fallbacks += shared.note is not None
     assert seasonal_seen == {False, True}
-    assert fallbacks == len(SHORT_CASES) * (len(specs) - 1)
+    assert fallbacks == len(SHORT_CASES) * len(selecting(specs))
+
+
+def test_shared_context_plans_each_selecting_token_once(monkeypatch):
+    # a token's origins depend on n and h alone, so its schedule is worked
+    # out once per series, not again for the table and for the selection
+    calls = []
+
+    def counting(approach, n, h):
+        calls.append(approach)
+        return approach_config(approach, n, h)
+
+    monkeypatch.setattr(pipeline, "approach_config", counting)
+    specs = shared_specs()
+    for series, h in synthetic_cases() + SHORT_CASES:
+        calls.clear()
+        context = SeriesContext(series, h, specs)
+        for spec in specs:
+            run_method(series, h, spec, context=context)
+        assert sorted(calls) == sorted(spec.approach for spec in selecting(specs)), series.id
 
 
 def test_estimate_theta_equals_selection_over_a_union_table():
