@@ -25,7 +25,8 @@ Everything outside the search (the prefix lines, the score weights and the
 forecasts) is computed as arrays over all origins at once, with a leading
 origin axis, so a table's cost per origin is little beyond the recurrence's.
 :func:`select_theta` scores a table with the cost, which the search does not
-depend on.
+depend on; :func:`loss_rows` gives each origin's losses once, for every schedule
+that scores that origin with that cost.
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ def forecast_table(
     c1 = theta * full.intercept + (1.0 - theta) * prefix.intercept
     c2 = theta * full.slope + (1.0 - theta) * prefix.slope
     weights = np.concatenate(np.broadcast_arrays(theta * theta, theta * c2, theta * c2, c2 * c2), axis=2)
-    found = _search(_grid(extrapolator, family), runs, dict(zip(origins, weights)))
+    found = _search(_grid(extrapolator, family), runs[:, None], [dict(zip(origins, weights))])[0]
     if n in found and not np.isfinite(found[n][0]).all():
         raise ValueError(
             f"series {series.id!r}: a theta line has no finite in-sample SSE at any "
@@ -270,21 +271,19 @@ def forecast_table(
     return dict(zip(origins, recombine(prefix, theta, np.array(origins)[:, None, None], line, H)))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed loss is sanitised below
-def select_theta(series: TimeSeries, grid, table: dict[int, np.ndarray], origins, cost="se") -> float:
-    """The theta of ``grid`` (as checked by :func:`forecast_table`) whose
-    ``table`` rows have the least GROE loss: one call of the cost per origin
-    scores them on the observations after it, summed over ``origins`` in
-    ascending order. The first minimum wins, so ties go to the smallest theta.
-    A non-finite loss never wins, and an :class:`EvaluationError` is raised
-    when no theta has a finite loss. Empty ``origins``, an origin missing from
-    ``table`` and rows that are not one per grid theta are refused.
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed loss is sanitised by select_theta
+def loss_rows(series: TimeSeries, grid, table: dict[int, np.ndarray], origins, cost="se") -> dict:
+    """``{origin: losses}``: each grid theta's cost of its ``table`` row (as
+    made by :func:`forecast_table`) on the observations after the origin,
+    summed over them. One cost call scores every origin whose window holds
+    all H observations, and one more each origin whose window is shorter.
+    Empty ``origins``, an origin missing from ``table`` and rows that are not
+    one per grid theta are refused.
     """
     g = resolve_cost(cost)
     origins = sorted(origins)
     if not origins:
         raise ValueError("origins must be non-empty")
-    losses = np.zeros(len(grid))
     for ni in origins:
         if ni not in table:
             raise ValueError(f"the forecast table has no rows for origin {ni}")
@@ -293,8 +292,31 @@ def select_theta(series: TimeSeries, grid, table: dict[int, np.ndarray], origins
                 f"the forecast table has {len(table[ni])} rows at origin {ni}, "
                 f"not one per grid theta ({len(grid)})"
             )
-        actual = series.values[ni : ni + table[ni].shape[1]]
-        losses += g(actual, table[ni][:, : actual.size]).sum(axis=1)
+    y, H = series.values, table[origins[0]].shape[1]
+    full = [ni for ni in origins if ni + H <= series.n]
+    rows = {}
+    if full:
+        windows = y[np.array(full)[:, None, None] + np.arange(H)]  # (origins, 1, H)
+        rows.update(zip(full, g(windows, np.stack([table[ni] for ni in full])).sum(axis=-1)))
+    for ni in origins[len(full):]:
+        rows[ni] = g(y[ni:], table[ni][:, : series.n - ni]).sum(axis=1)
+    return rows
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed loss is sanitised below
+def select_theta(series: TimeSeries, grid, table: dict[int, np.ndarray], origins, cost="se",
+                 rows: dict | None = None) -> float:
+    """The theta of ``grid`` (as checked by :func:`forecast_table`) whose
+    ``table`` rows have the least GROE loss: their :func:`loss_rows` with
+    ``cost`` (or ``rows``, made by it over these origins and maybe more)
+    summed over ``origins`` in ascending order. The first minimum wins, so
+    ties go to the smallest theta. A non-finite loss never wins, and an
+    :class:`EvaluationError` is raised when no theta has a finite loss.
+    """
+    rows = loss_rows(series, grid, table, origins, cost) if rows is None else rows
+    losses = np.zeros(len(grid))
+    for ni in sorted(origins):
+        losses += rows[ni]
     losses = _sanitize(losses)
     best = int(np.argmin(losses))
     if not np.isfinite(losses[best]):

@@ -16,29 +16,35 @@ not fit; any other fits its one theta. The common work is done once, when a
 token first needs it: the seasonal decision and adjusted series, which the
 seasonal families read too, and one GROE forecast table per (grid,
 extrapolator) over n and its selecting tokens' origins (every schedule uses
-H = h; the search has no cost). Each selecting token scores its origins' rows
-with its own cost, as ``estimate_theta`` does, and takes the chosen row at n.
+H = h; the search has no cost). The tokens of a table and a cost share each
+origin's loss rows, and each selecting token sums its own origins' rows, as
+``estimate_theta`` does, and takes the chosen row at n. A smoothing fit is
+made once per series and family (with pins), so a seasonal family falling back
+to its sibling reuses that token's fit, and the series of one runner task share
+a :class:`TaskContext`, which makes each fit for all of them in one batch.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import smoothing
 from .groe import (
-    DEFAULT_THETA_GRID, approach_config, check_approach, check_grid, forecast_table, resolve_cost,
-    scored_origins, select_theta,
+    DEFAULT_THETA_GRID, approach_config, check_approach, check_grid, forecast_table,
+    loss_rows, resolve_cost, scored_origins, select_theta,
 )
 from .seasonal import (
     SeasonalIndices, deseasonalize, reseasonalize, seasonal_indices, seasonality_applies,
 )
-from .series import TimeSeries
+from .series import TimeSeries, fit_linear_trend
 from .smoothing import SEASONAL, ForecasterSpec
-from .theta import SES, check_extrapolator, otm_forecast
+from .theta import SES, check_extrapolator, otm_forecast, theta_line
 
 FALLBACK_THETA = 2.0
+MIN_THETA_N = 3
 
 
 @dataclass(frozen=True)
@@ -113,29 +119,80 @@ class ForecastResult:
         object.__setattr__(self, "forecasts", forecasts)
 
 
+class TaskContext:
+    """Smoothing fits shared by the :class:`SeriesContext` of each series of a runner task.
+
+    A fit is made, the first time a cell asks for it, for the asking series
+    and every member that plans it, by one :func:`smoothing.fit_all`; a
+    series whose input or fit fails keeps its error. ``members`` are the
+    series whose cells have yet to run. :meth:`settle` gives the cell that
+    just ran its time correction: minus the batches it ran, plus its shares.
+    """
+
+    def __init__(self) -> None:
+        self.members: list[SeriesContext] = []
+        self.charge = 0.0
+
+    def fit(self, key: tuple, asker: SeriesContext) -> None:
+        start = time.perf_counter()
+        inputs, season = {}, None  # no member plans a fit with a season, so it runs alone
+        members = [asker]
+        if key in asker._planned:  # then every member that plans it and lacks it
+            members += [m for m in self.members
+                        if m is not asker and key in m._planned and key not in m._fits]
+        for member in members:
+            try:
+                inputs[member], season = member._input(*key)
+            except Exception as exc:
+                member._fits[key] = exc, 0.0
+        fits = smoothing.fit_all(key[1], list(inputs.values()), season=season)
+        elapsed = time.perf_counter() - start
+        total = sum(line.n for line in inputs.values())
+        for (member, line), fitted in zip(inputs.items(), fits):
+            member._fits[key] = fitted, elapsed * line.n / total
+        self.charge -= elapsed
+
+    def settle(self) -> float:
+        charge, self.charge = self.charge, 0.0
+        return charge
+
+
 class SeriesContext:
     """Per-series work shared by the method tokens ``specs`` run on ``series``.
 
-    Construction stores each selecting token's scored origins, or its fallback
-    note. Nothing else is computed until a token asks for it, and a piece that
-    raises is not stored, so it fails every token that needs it and no other.
+    Construction plans each otm token (its scored origins, or its one theta
+    and any fallback note) and the fits without a season that its tokens will
+    ask ``task`` for. Nothing else is computed until a token asks for it, and
+    a piece that raises is not stored (a fit keeps its error), so it fails
+    every token that needs it and no other.
     """
 
-    def __init__(self, series: TimeSeries, h: int, specs=()) -> None:
+    def __init__(self, series: TimeSeries, h: int, specs=(), task: TaskContext | None = None) -> None:
         self.series = series
         self.h = h
         self.specs = tuple(specs)
+        self.task = task or TaskContext()
+        self.task.members.append(self)
         self._adjusted: tuple[SeasonalIndices | None, TimeSeries] | None = None
         self._tables: dict[tuple, dict[int, np.ndarray]] = {}
+        self._rows: dict[tuple, dict[int, np.ndarray]] = {}
+        self._fits: dict[tuple, tuple] = {}  # (theta or None, spec): (fit or error, time share)
+        self._planned: set[tuple] = set()
         self._origins: dict[MethodSpec, list[int]] = {}
-        self._fallback: dict[MethodSpec, str] = {}
+        self._fixed: dict[MethodSpec, tuple[float, str | None]] = {}
         for spec in self.specs:
             if spec.family is None and len(spec.grid) > 1:
                 try:
                     config = approach_config(spec.approach, series.n, h)
                     self._origins[spec] = scored_origins(config, series.n)
                 except ValueError as exc:
-                    self._fallback[spec] = f"fallback to theta={FALLBACK_THETA:g}: {exc}"
+                    self._fixed[spec] = FALLBACK_THETA, f"fallback to theta={FALLBACK_THETA:g}: {exc}"
+            elif spec.family is None:
+                self._fixed[spec] = spec.grid[0], None
+            elif spec.family not in SEASONAL:
+                self._planned.add((None, ForecasterSpec(spec.family)))
+        if series.n >= MIN_THETA_N:
+            self._planned.update((theta, spec.extrapolator) for spec, (theta, _) in self._fixed.items())
 
     def adjusted(self) -> tuple[SeasonalIndices | None, TimeSeries]:
         """(indices or None, the series theta is selected and fitted on)."""
@@ -146,6 +203,25 @@ class SeriesContext:
             else:
                 self._adjusted = (None, self.series)
         return self._adjusted
+
+    def _input(self, theta, spec: ForecasterSpec) -> tuple[TimeSeries, np.ndarray | None]:
+        # (what the fit of key (theta, spec) runs on, its seasonal factors)
+        if theta is None:
+            return self.series, self.adjusted()[0].indices if spec.family in SEASONAL else None
+        _, work = self.adjusted()
+        return theta_line(work, fit_linear_trend(work), theta), None
+
+    def fitted(self, theta, spec: ForecasterSpec) -> smoothing.FittedForecaster:
+        """``spec``'s fit of the series (theta None) or of the adjusted series' theta line."""
+        key = (theta, spec)
+        if key not in self._fits:
+            self.task.fit(key, self)
+        fitted, share = self._fits[key]
+        self._fits[key] = fitted, 0.0  # its time share is charged once, to this cell
+        self.task.charge += share
+        if isinstance(fitted, Exception):
+            raise fitted
+        return fitted
 
     def _table(self, spec: MethodSpec) -> dict[int, np.ndarray]:
         key = (spec.grid, spec.extrapolator)
@@ -161,14 +237,16 @@ class SeriesContext:
     def theta_forecast(self, spec: MethodSpec) -> tuple[float, np.ndarray, str | None]:
         """The token's theta, reseasonalised forecasts and, when it fell back to theta=2, why."""
         idx, work = self.adjusted()
-        note = self._fallback.get(spec)
         if spec in self._origins:
-            table = self._table(spec)
-            theta = select_theta(work, spec.grid, table, self._origins[spec], spec.cost)
-            forecasts = table[self.series.n][spec.grid.index(theta)]
+            table, key, n = self._table(spec), (spec.grid, spec.extrapolator, spec.cost), self.series.n
+            if key not in self._rows:  # every origin of the table but n, scored once per cost
+                self._rows[key] = loss_rows(work, spec.grid, table, set(table) - {n}, spec.cost)
+            theta = select_theta(work, spec.grid, table, self._origins[spec], rows=self._rows[key])
+            forecasts, note = table[n][spec.grid.index(theta)], None
         else:
-            theta = spec.grid[0] if note is None else FALLBACK_THETA
-            forecasts = otm_forecast(work, theta, self.h, spec.extrapolator)
+            theta, note = self._fixed[spec]
+            fitted = self.fitted(theta, spec.extrapolator)
+            forecasts = otm_forecast(work, theta, self.h, spec.extrapolator, fitted)
         if idx is not None:
             forecasts = reseasonalize(forecasts, idx, start_t=self.series.n + 1)
         return theta, forecasts, note
@@ -195,11 +273,12 @@ def run_method(
     if spec.family is not None:
         # the other families never read the seasonal decision, so it is not made for them
         indices = context.adjusted()[0] if spec.family in SEASONAL else None
-        fitted = smoothing.fit(ForecasterSpec(spec.family), series, indices=indices)
+        family, _ = smoothing.effective_family(spec.family, indices)
+        fitted = context.fitted(None, ForecasterSpec(family))
         theta, forecasts, note = None, smoothing.forecast(fitted, h), None
         seasonal = fitted.seasonal
     else:
-        if series.n < 3:
+        if series.n < MIN_THETA_N:
             raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
         theta, forecasts, note = context.theta_forecast(spec)
         seasonal = context.adjusted()[0] is not None

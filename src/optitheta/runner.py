@@ -1,8 +1,14 @@
 """Batch experiment driver with deterministic, order-stable aggregation.
 
-Per-series work is pure, so it can be farmed out to a process pool; results
-are merged back in dataset order and folded sequentially, which makes every
-output file (timing aside) identical for any worker count.
+Per-series work is pure, so it can be farmed out to a process pool, in tasks
+of ceil(entries / (4 * processes)) entries in a row (the chunks ``pool.map``
+would pick; workers=1 runs the same tasks in process). The series of a task
+share a :class:`~optitheta.pipeline.TaskContext`, which makes each smoothing
+fit for all of them at once and charges its time to them in proportion to
+their lengths, each share in the cell that takes the fit, so the cell times
+of a group still add up. Results are merged back in dataset order and folded
+sequentially, which makes every output file (timing aside) identical for any
+worker count and task size.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .metrics import (
     mase,
     smape,
 )
-from .pipeline import ForecastResult, MethodSpec, SeriesContext, run_method
+from .pipeline import ForecastResult, MethodSpec, SeriesContext, TaskContext, run_method
 
 SCORES_FILE = "scores.csv"
 AGGREGATE_FILE = "aggregate.csv"
@@ -66,10 +72,22 @@ class ExperimentResult:
 Cell = tuple[SeriesScore, ForecastResult | None]
 
 
-def _evaluate_entry(entry: DatasetEntry, methods: tuple[MethodSpec, ...]) -> list[Cell]:
-    # built here, in the worker, so the shared work is never pickled; each
-    # piece of it is timed in the first cell that needs it
-    context = SeriesContext(entry.series, entry.h, methods)
+def _task_size(entries: int, processes: int) -> int:
+    # the chunk pool.map would pick: ceil(entries / (4 * processes))
+    return -(-entries // (4 * processes))
+
+
+def _evaluate_task(entries: list[DatasetEntry], methods: tuple[MethodSpec, ...]) -> list[Cell]:
+    # built here, in the worker, so the shared work is never pickled
+    task = TaskContext()
+    for entry in entries:
+        SeriesContext(entry.series, entry.h, methods, task)
+    # no later batch needs a series, so its work is freed once its cells have run
+    return [cell for entry in entries for cell in _evaluate_entry(entry, task.members.pop(0), methods)]
+
+
+def _evaluate_entry(entry: DatasetEntry, context: SeriesContext,
+                    methods: tuple[MethodSpec, ...]) -> list[Cell]:
     out: list[Cell] = []
     for spec in methods:
         result = error = smape_value = mase_value = None
@@ -78,7 +96,7 @@ def _evaluate_entry(entry: DatasetEntry, methods: tuple[MethodSpec, ...]) -> lis
             result = run_method(entry.series, entry.h, spec, context=context)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - start + context.task.settle()
         if result is not None:
             smape_value = smape(entry.actuals, result.forecasts)
             try:
@@ -123,16 +141,18 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
     ``config.out_dir`` is set.
     """
     entries = list(dataset)
-    job = functools.partial(_evaluate_entry, methods=tuple(config.methods))
-    if config.workers > 1 and len(entries) > 1:
-        with multiprocessing.Pool(min(config.workers, len(entries))) as pool:
-            per_entry = pool.map(job, entries)
+    processes = max(1, min(config.workers, len(entries)))
+    size = _task_size(len(entries), processes)
+    tasks = [entries[i : i + size] for i in range(0, len(entries), size)]
+    job = functools.partial(_evaluate_task, methods=tuple(config.methods))
+    if processes > 1:
+        with multiprocessing.Pool(processes) as pool:
+            per_task = pool.map(job, tasks)
     else:
-        per_entry = [job(e) for e in entries]
-    scores = tuple(score for cell_list in per_entry for score, _ in cell_list)
-    forecasts = tuple(
-        result for cell_list in per_entry for _, result in cell_list if result is not None
-    )
+        per_task = [job(task) for task in tasks]
+    cells = [cell for cell_list in per_task for cell in cell_list]
+    scores = tuple(score for score, _ in cells)
+    forecasts = tuple(result for _, result in cells if result is not None)
     method_names = [m.name for m in config.methods]
     result = ExperimentResult(
         scores=scores,

@@ -45,6 +45,16 @@ times, two sweeps), as speed against the whole-grid search: 2,048 points
 1.41/1.93x. 8,192 points (64 KB per array, under 1 MB per step) sits on the
 plateau with 16,384, which the sweep's noise does not separate from it.
 
+A search also runs several members (series, or prefixes of one) side by
+side on a leading member axis: runs of shape (n, members, inputs, 1),
+left-aligned with padding after each member's end, each member scored at
+its own checkpoints (its n, for a fit). The recursion is elementwise, so a
+member's result is bit-identical to a search of it alone. :func:`fit_all`
+packs ``_BLOCK // grid size`` series of a family without a season into one
+search, shortest first: 81 for SES, whose 101-point steps are otherwise
+mostly numpy call overhead. Larger and seasonal grids keep one series per
+search, and a one-series fit or a GROE forecast table is one member.
+
 A fit whose grid spans more than one block also abandons grid points early
 (the bound of Rakthanmanon et al., KDD 2012). A point's in-sample SSE is a
 running sum of non-negative terms, and a rounded sum of them never falls, so
@@ -283,48 +293,64 @@ def _fit_naive(series: TimeSeries, season) -> FittedForecaster:
     return FittedForecaster("naive2", series.n, sse, level=float(adjusted[-1]), season=season)
 
 
-def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: dict, season=None):
+def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: list, season=None) -> list:
     """Search the flattened ``grid`` (see :func:`_grid`) on ``runs``, ``_BLOCK`` points at a time.
 
-    ``runs`` is one input, shape (n,), or k inputs side by side, shape
-    (n, k, 1) and no season; a block sums their one-step error products, e*e
-    or e_a*e_b in row a*k + b. ``weights`` maps a prefix length t to a
-    (rows, k*k) matrix, and after y_t each row w scores every grid point by
-    ``w @ products``; one input's matrix is ``_SSE``, so its score is its
-    SSE. A row's winner, with a copy of its state, is the first least
-    sanitised score: a later block replaces it only on a strict ``<``.
-    A search of one input with one checkpoint on a grid wider than one block
-    drops the points that can no longer win, its first bound being this
-    search on every ``_STRIDE``-th grid point (see the module docstring).
-    Returns ``{t: (score, params, level, trend, season)}``, rows last.
+    ``runs`` has shape (n, members, inputs, 1): one member, or several with
+    one input each, and one of both under a season (see the module
+    docstring). A block sums each member's one-step error products, e*e or
+    e_a*e_b in row a*inputs + b. ``weights`` holds one dict per member
+    mapping a prefix length t to a (rows, inputs**2) matrix; the members with
+    a matrix at t are consecutive and their matrices share a shape. After
+    y_t each row w scores every grid point by ``w @ products`` of its member;
+    a fit's matrix is ``_SSE``, so its score is its SSE. A row's winner, with
+    a copy of its state, is the first least sanitised score: a later block
+    replaces it only on a strict ``<``. A search of one member with one input
+    and one checkpoint on a grid wider than one block drops the points that
+    can no longer win, its first bound being this search on every
+    ``_STRIDE``-th grid point (see the module docstring). Returns one
+    ``{t: (score, params, level, trend, season)}`` per member, rows last.
     """
-    products = np.square if runs.ndim == 1 else lambda e: e[:, None] * e
-    last = max(weights)
+    n, members, inputs = runs.shape[:3]
+    # _recurrence takes a season only on a 1-d input, so a single run is passed as one
+    y = runs.reshape(n) if members * inputs == 1 else runs.reshape(n, members * inputs, 1)
+    products = np.square if inputs == 1 else lambda e: e[:, None] * e
+    due: dict[int, list[int]] = {}  # t: the members scored after y_t
+    for j, member in enumerate(weights):
+        for t in member:
+            due.setdefault(t, []).append(j)
+    checks = {t: (range(js[0], js[-1] + 1), weights[js[0]][t] if len(js) == 1 else
+                  np.stack([weights[j][t] for j in js])) for t, js in due.items()}
+    last = max(checks)
     # a single run's score is its running SSE, which never falls
-    prune = runs.ndim == 1 and len(weights) == 1 and grid["alpha"].size > _BLOCK
+    prune = members * inputs == 1 and len(checks) == 1 and grid["alpha"].size > _BLOCK
     best = {}
     with np.errstate(all="ignore"):
         bound = np.inf
         if prune:  # every grid's strided sample fits in one block, so it is not pruned
             sample = {k: v[::_STRIDE] for k, v in grid.items()}
-            bound = _search(sample, runs, weights, season)[last][0][0]
+            bound = _search(sample, runs, weights, season)[0][last][0][0]
         for start in range(0, grid["alpha"].size, _BLOCK):
             block = {k: v[start : start + _BLOCK] for k, v in grid.items()}
-            steps = _recurrence(runs, season=season, **block)
+            steps = _recurrence(y, season=season, **block)
             sums = 0.0
             for t, (e, level, trend, factors) in enumerate(steps, start=2):
                 if e is not None:
                     sums += products(e)
-                if t in weights:
-                    w = weights[t]
-                    scores = _sanitize(w @ sums.reshape(w.shape[1], -1))
-                    i = scores.argmin(axis=1)
-                    state = (level, trend, factors, *block.values())
-                    won = [scores.min(axis=1), *(a if a is None else a.take(i, -1) for a in state)]
-                    if t in best:
-                        better = won[0] < best[t][0]
-                        won = [a if a is None else np.where(better, a, b) for a, b in zip(won, best[t])]
-                    best[t] = won
+                if t in checks:
+                    js, w = checks[t]
+                    size = level.shape[-1]
+                    scores = _sanitize(w @ sums.reshape(members, -1, size)[js.start : js.stop])
+                    i, mins = scores.argmin(axis=-1), scores.min(axis=-1)
+                    states = [a if a is None else a.reshape(members, -1, size) for a in (level, trend)]
+                    for pos, j in enumerate(js):
+                        state = (*(a if a is None else a[j] for a in states), factors, *block.values())
+                        won = [mins[pos], *(a if a is None else a.take(i[pos], -1) for a in state)]
+                        if (j, t) in best:
+                            better = won[0] < best[j, t][0]
+                            won = [a if a is None else np.where(better, a, b)
+                                   for a, b in zip(won, best[j, t])]
+                        best[j, t] = won
                     if t == last:
                         break
                 elif prune and t % _CHECK == 0:
@@ -337,23 +363,45 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: dict, season
                         steps.send(keep)
                         sums, block = sums[keep], {k: v[keep] for k, v in block.items()}
             if prune and best:
-                bound = min(bound, best[last][0][0])
-    return {t: (s, dict(zip(grid, p)), lev, tr, f) for t, (s, lev, tr, f, *p) in best.items()}
+                bound = min(bound, best[0, last][0][0])
+    found = [{} for _ in weights]
+    for (j, t), (score, level, trend, factors, *params) in best.items():
+        found[j][t] = (score, dict(zip(grid, params)), level, trend, factors)
+    return found
 
 
-def _fit_smooth(spec: ForecasterSpec, series: TimeSeries, family: str, season) -> FittedForecaster:
-    """The grid point of ``family`` with the least in-sample SSE (see :func:`_search`)."""
-    found = _search(_grid(spec, family), series.values, {series.n: _SSE}, season)
-    (sse,), params, level, trend, factors = found[series.n]
-    if sse == np.inf:
-        raise ValueError(
-            f"series {series.id!r}: family {family!r} has no finite in-sample SSE "
-            "at any grid point (the recursion overflows)"
-        )
-    return FittedForecaster(
-        family, series.n, float(sse), float(level[0]), 0.0 if trend is None else float(trend[0]),
-        None if factors is None else factors[:, 0], {k: float(v[0]) for k, v in params.items()},
-    )
+def fit_all(spec: ForecasterSpec, series: list, family: str | None = None, season=None) -> list:
+    """:func:`fit` of ``family`` (by default ``spec.family``), with the factors
+    ``season`` when given, on every series, packed as the module docstring says:
+    one fit per series, or the ``ValueError`` of a series that is too short or
+    on which the recursion overflows at every grid point, which leaves the
+    other series' fits alone."""
+    family = family or spec.family
+    min_n = _min_n(family)
+    out = [ValueError(f"series {s.id!r}: family {spec.family!r} needs n >= {min_n}, got n={s.n}")
+           if s.n < min_n else None for s in series]
+    if not _PARAMS[family]:
+        return [failed or _fit_naive(s, season) for failed, s in zip(out, series)]
+    grid = _grid(spec, family)
+    pack = 1 if season is not None else max(1, _BLOCK // grid["alpha"].size)
+    order = sorted((j for j, failed in enumerate(out) if failed is None), key=lambda j: series[j].n)
+    for start in range(0, len(order), pack):
+        members = [series[j] for j in order[start : start + pack]]
+        runs = np.zeros((members[-1].n, len(members), 1, 1))
+        for m, s in enumerate(members):
+            runs[: s.n, m, 0, 0] = s.values
+        found = _search(grid, runs, [{s.n: _SSE} for s in members], season)
+        for j, s, rows in zip(order[start : start + pack], members, found):
+            (sse,), params, level, trend, factors = rows[s.n]
+            out[j] = ValueError(
+                f"series {s.id!r}: family {family!r} has no finite in-sample SSE "
+                "at any grid point (the recursion overflows)"
+            ) if sse == np.inf else FittedForecaster(
+                family, s.n, float(sse), float(level[0, 0]),
+                0.0 if trend is None else float(trend[0, 0]),
+                None if factors is None else factors[:, 0], {k: float(v[0]) for k, v in params.items()},
+            )
+    return out
 
 
 def fit(spec: ForecasterSpec, series: TimeSeries, *, indices=_UNTESTED) -> FittedForecaster:
@@ -368,20 +416,21 @@ def fit(spec: ForecasterSpec, series: TimeSeries, *, indices=_UNTESTED) -> Fitte
     simply returns its best point, which yields flat forecasts. A series on
     which the recursion overflows at every grid point raises ``ValueError``.
     """
-    family = spec.family
-    if family in SEASONAL and indices is _UNTESTED:
+    if spec.family in SEASONAL and indices is _UNTESTED:
         indices = seasonal_indices(series) if seasonality_applies(series) else None
-    seasonal = family in SEASONAL and indices is not None
-    effective = _SIBLING[family] if family in SEASONAL and not seasonal else family
-    min_n = _min_n(effective)
-    if series.n < min_n:
-        raise ValueError(
-            f"series {series.id!r}: family {family!r} needs n >= {min_n}, got n={series.n}"
-        )
-    season = indices.indices if seasonal else None
-    if not _PARAMS[effective]:
-        return _fit_naive(series, season)
-    return _fit_smooth(spec, series, effective, season)
+    (fitted,) = fit_all(spec, [series], *effective_family(spec.family, indices))
+    if isinstance(fitted, ValueError):
+        raise fitted
+    return fitted
+
+
+def effective_family(family: str, indices) -> tuple[str, np.ndarray | None]:
+    """The family a fit of ``family`` runs and its seasonal factors, given the
+    series' seasonality decision ``indices`` (None when it is not seasonal): a
+    seasonal family without a season is its non-seasonal sibling."""
+    if family not in SEASONAL:
+        return family, None
+    return (family, indices.indices) if indices is not None else (_SIBLING[family], None)
 
 
 def damping(phi, h: int) -> np.ndarray:

@@ -66,14 +66,15 @@ def recompose(line1: TimeSeries, line2: TimeSeries, omega: float) -> np.ndarray:
 
 
 def otm_forecast(
-    series: TimeSeries, theta: float, h: int, extrapolator: ForecasterSpec = SES
+    series: TimeSeries, theta: float, h: int, extrapolator: ForecasterSpec = SES, fitted=None
 ) -> np.ndarray:
     """Combined forecasts from the trend line and the extrapolated theta line.
 
     For each step k = 1..h returns
     ``(1 - 1/theta) * (trend at n+k) + (1/theta) * (theta-line forecast k)``.
     The trend weight is exactly zero at theta = 1, where the result equals
-    the extrapolator applied directly to the series.
+    the extrapolator applied directly to the series. ``fitted``, when given,
+    is the extrapolator's fit of the theta line, made elsewhere (in a batch).
     """
     if theta < 1.0:
         raise ValueError(f"theta must be >= 1, got {theta}")
@@ -81,7 +82,8 @@ def otm_forecast(
         raise ValueError(f"horizon must be >= 1, got {h}")
     check_extrapolator(extrapolator)
     fit = fit_linear_trend(series)
-    fitted = smoothing.fit(extrapolator, theta_line(series, fit, theta))
+    if fitted is None:
+        fitted = smoothing.fit(extrapolator, theta_line(series, fit, theta))
     return recombine(fit, theta, series.n, smoothing.forecast(fitted, h), h)
 
 

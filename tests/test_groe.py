@@ -17,8 +17,8 @@ from optitheta import (
 )
 from optitheta import smoothing
 from optitheta.groe import (
-    COST_FUNCTIONS, DEFAULT_THETA_GRID, MIN_FIRST_ORIGIN, ae, forecast_table, sape, scored_origins,
-    se, select_theta,
+    COST_FUNCTIONS, DEFAULT_THETA_GRID, MIN_FIRST_ORIGIN, ae, forecast_table, loss_rows, sape,
+    scored_origins, se, select_theta,
 )
 from optitheta.pipeline import MethodSpec, SeriesContext, run_method
 from optitheta.series import fit_linear_trend, trend_value
@@ -338,8 +338,9 @@ def test_overflow_scale_series_fails_at_checkpoint_n():
 
 
 def test_loss_table_calls_the_cost_once_per_origin(make_rw, monkeypatch):
-    # select_theta scores every grid theta of an origin by one call on a
-    # (thetas, horizon) array of the forecast table
+    # loss_rows scores every origin whose window holds all H observations in
+    # one call on a (origins, thetas, H) array of the forecast table, then
+    # each origin with a shorter window by one call on its (thetas, window)
     calls = []
 
     def counting(actual, forecast):
@@ -348,11 +349,32 @@ def test_loss_table_calls_the_cost_once_per_origin(make_rw, monkeypatch):
 
     monkeypatch.setitem(COST_FUNCTIONS, "se", counting)
     series = make_rw(11, 40, drift=0.2)
-    config = approach_config("d", 40, 6)
-    origins = scored_origins(config, series.n)
-    table = forecast_table(series, DEFAULT_THETA_GRID, origins, config.H)
+    H = 6
+    origins = sorted({ni for a in ("d", "h") for ni in scored_origins(approach_config(a, 40, H), 40)})
+    full = [ni for ni in origins if ni + H <= series.n]
+    assert len(full) == 7 and len(origins) == 12
+    table = forecast_table(series, DEFAULT_THETA_GRID, origins, H)
     select_theta(series, DEFAULT_THETA_GRID, table, origins, "se")
-    assert calls == [(len(DEFAULT_THETA_GRID), min(config.H, series.n - ni)) for ni in origins]
+    thetas = len(DEFAULT_THETA_GRID)
+    assert calls == [(len(full), thetas, H)] + [(thetas, series.n - ni) for ni in origins[len(full):]]
+
+
+@pytest.mark.parametrize("cost", COST_FUNCTIONS)
+def test_loss_rows_equal_one_cost_call_per_origin(cost):
+    # reference: the cost of each origin's rows on the observations after it,
+    # one call per origin; the stacked call for the full windows is bit-identical
+    g = COST_FUNCTIONS[cost]
+    for entry in synthetic_dataset(42, {"Yearly": 2, "Quarterly": 1, "Monthly": 1, "Other": 1}):
+        series, h = entry.series, entry.h
+        origins = sorted({ni for a in APPROACHES
+                          for ni in scored_origins(approach_config(a, series.n, h), series.n)})
+        table = forecast_table(series, DEFAULT_THETA_GRID, origins, h)
+        rows = loss_rows(series, DEFAULT_THETA_GRID, table, origins, cost)
+        assert list(rows) == origins
+        for ni in origins:
+            actual = series.values[ni : ni + h]
+            reference = g(actual, table[ni][:, : actual.size]).sum(axis=1)
+            assert rows[ni].tobytes() == reference.tobytes(), (series.id, ni)
 
 
 @pytest.mark.parametrize("H", [0, -4])

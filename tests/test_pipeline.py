@@ -346,6 +346,57 @@ def test_benchmark_tokens_share_the_seasonal_test(monkeypatch, make_seasonal):
         assert shared.forecasts.tobytes() == alone.tobytes(), family
 
 
+def test_sibling_fallbacks_share_one_fit_per_family(monkeypatch):
+    # without a season, naive2, holt-winters and seasonal-damped fall back to
+    # naive, holt and damped, which their own tokens fit on the same grid: one
+    # search per family and series, with the forecasts of a fit per token
+    fits = []
+    original = smoothing.fit_all
+
+    def counting(spec, series, *args, **kwargs):
+        fits.append(spec.family)
+        return original(spec, series, *args, **kwargs)
+
+    monkeypatch.setattr(smoothing, "fit_all", counting)
+    names = ("naive", "naive2", "holt", "holt_winters", "damped", "seasonal_damped")
+    specs = [MethodSpec.benchmark(name) for name in names]
+    entries = synthetic_dataset(3, {"Yearly": 2, "Quarterly": 1, "Monthly": 0, "Other": 0}).entries
+    seasonal = set()
+    for entry in entries:
+        context = SeriesContext(entry.series, entry.h, specs)
+        fits.clear()
+        shared = [run_method(entry.series, entry.h, spec, context=context) for spec in specs]
+        is_seasonal = context.adjusted()[0] is not None
+        seasonal.add(is_seasonal)
+        expected = names if is_seasonal else ("naive", "holt", "damped")
+        assert sorted(fits) == sorted(expected), entry.series.id
+        for spec, result in zip(specs, shared):
+            alone = run_method(entry.series, entry.h, spec)
+            assert result.forecasts.tobytes() == alone.forecasts.tobytes(), (entry.series.id, spec.name)
+    assert seasonal == {False, True}
+
+
+def test_tokens_score_each_origin_once_per_cost(monkeypatch):
+    # the selecting tokens of one table and cost share its per-origin loss
+    # rows; each sums its own origins and selects as it would alone
+    calls = []
+    original = pipeline.loss_rows
+
+    def counting(series, grid, table, origins, cost):
+        calls.append(cost)
+        return original(series, grid, table, origins, cost)
+
+    monkeypatch.setattr(pipeline, "loss_rows", counting)
+    specs = [MethodSpec.otm(a, cost=cost, name=f"otm-{a}-{cost}") for a in APPROACHES
+             for cost in ("se", "sape")]
+    for series, h in synthetic_cases():
+        context = SeriesContext(series, h, specs)
+        calls.clear()
+        shared = [run_method(series, h, spec, context=context).theta for spec in specs]
+        assert sorted(calls) == ["sape", "se"], series.id
+        assert shared == [run_method(series, h, spec).theta for spec in specs], series.id
+
+
 # ---------------------------------------------------------------------------
 # benchmarks
 # ---------------------------------------------------------------------------

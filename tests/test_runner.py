@@ -1,3 +1,6 @@
+import time
+import weakref
+
 import numpy as np
 import pytest
 from scipy.stats import rankdata
@@ -8,6 +11,7 @@ from optitheta import (
     MethodSpec,
     TimeSeries,
     run_experiment,
+    run_method,
     synthetic_dataset,
 )
 from optitheta import runner, smoothing
@@ -107,6 +111,116 @@ def test_pool_is_no_larger_than_the_series_count(monkeypatch):
     assert sizes == [5]
     assert [f.forecasts.tobytes() for f in pooled.forecasts] == [
         f.forecasts.tobytes() for f in serial.forecasts]
+
+
+OUTPUT_FILES = ("forecasts.csv", "scores.csv", "ranks.csv")
+
+
+def timeless_outputs(out_dir):
+    """The output files, aggregate.csv without its elapsed_sec column."""
+    rows = (out_dir / "aggregate.csv").read_text(encoding="utf-8").splitlines()
+    aggregate = "".join(row.rsplit(",", 1)[0] + "\n" for row in rows)
+    return [(out_dir / name).read_bytes() for name in OUTPUT_FILES] + [aggregate.encode()]
+
+
+def test_outputs_equal_for_any_worker_count_and_task_size(monkeypatch, tmp_path):
+    ds = synthetic_dataset(4, {"Yearly": 3, "Quarterly": 2, "Monthly": 2, "Other": 2})
+    methods = (MethodSpec.classic_theta(), MethodSpec.otm("a"), MethodSpec.otm("d", grid=(1.0, 3.0)),
+               MethodSpec.benchmark("naive2"), MethodSpec.benchmark("ses"))
+    default = runner._task_size
+    outputs = {}
+    for workers in (1, 2):
+        for size in (1, 3, None):
+            monkeypatch.setattr(runner, "_task_size", default if size is None else lambda *_: size)
+            out_dir = tmp_path / f"w{workers}-{size}"
+            run_experiment(ds, ExperimentConfig(methods=methods, workers=workers, out_dir=out_dir))
+            outputs[workers, size] = timeless_outputs(out_dir)
+    assert all(files == outputs[1, 1] for files in outputs.values())
+
+
+def test_a_failing_series_fails_only_its_own_cells(monkeypatch):
+    # one task holds every series, so each batched fit includes the ones
+    # that fail; each failure stays in the cells that would fail alone
+    entries = [*synthetic_dataset(6, {"Yearly": 2, "Quarterly": 1, "Monthly": 1, "Other": 0}),
+               DatasetEntry(TimeSeries("short", [4.0]), np.ones(3), "Other"),
+               DatasetEntry(TimeSeries("wild", [1e200, -1e200] * 5), np.ones(3), "Other"),
+               DatasetEntry(TimeSeries("flat", np.full(12, 3.0)), np.ones(3), "Other")]
+    methods = (MethodSpec.classic_theta(), MethodSpec.otm("a", grid=(1.0,)), MethodSpec.otm("b"),
+               MethodSpec.benchmark("ses"), MethodSpec.benchmark("naive"))
+    monkeypatch.setattr(runner, "_task_size", lambda entries, processes: entries)
+    result = run_experiment(Dataset(tuple(entries)), ExperimentConfig(methods=methods))
+    cells = iter(result.forecasts)
+    failed = set()
+    for entry in entries:
+        for spec in methods:
+            try:
+                alone = run_method(entry.series, entry.h, spec)
+            except Exception:
+                failed.add((entry.series.id, spec.name))
+                continue
+            assert next(cells).forecasts.tobytes() == alone.forecasts.tobytes()
+    assert {("wild", "ses"), ("short", "ses"), ("short", "theta")} <= failed
+    assert {(s.series_id, s.method) for s in result.scores if s.error is not None} == failed
+
+
+def test_a_batch_is_charged_to_its_series_by_length(monkeypatch):
+    # the three ses fits are one batch; each cell pays the batch's time in
+    # proportion to its series' length, not the first cell for all three
+    original = smoothing.fit_all
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(smoothing, "fit_all", slow)
+    monkeypatch.setattr(runner, "_task_size", lambda entries, processes: entries)
+    lengths = (10, 20, 30)
+    ds = Dataset(tuple(DatasetEntry(TimeSeries(f"s{n}", np.arange(1.0, n + 1)), np.ones(2), "Other")
+                       for n in lengths))
+    result = run_experiment(ds, ExperimentConfig(methods=(MethodSpec.benchmark("ses"),)))
+    for score, n in zip(result.scores, lengths):
+        share = 0.3 * n / sum(lengths)
+        assert share <= score.elapsed < share + 0.05, score.series_id
+
+
+def test_a_task_makes_each_fit_for_all_its_series_at_once(monkeypatch):
+    # the ses token's fit of the series and classic Theta's fit of the theta
+    # line are each one fit_all call over every series of the task that asks
+    calls = []
+    original = smoothing.fit_all
+
+    def counting(spec, series, *args, **kwargs):
+        calls.append((spec.family, len(series)))
+        return original(spec, series, *args, **kwargs)
+
+    monkeypatch.setattr(smoothing, "fit_all", counting)
+    ds = synthetic_dataset(7, {"Yearly": 4, "Quarterly": 0, "Monthly": 0, "Other": 3})
+    methods = (MethodSpec.classic_theta(), MethodSpec.benchmark("ses"), MethodSpec.otm("a"))
+    for size in (len(ds), 3):
+        calls.clear()
+        monkeypatch.setattr(runner, "_task_size", lambda entries, processes, size=size: size)
+        result = run_experiment(ds, ExperimentConfig(methods=methods))
+        assert all(s.error is None for s in result.scores)
+        tasks = [min(size, len(ds) - start) for start in range(0, len(ds), size)]
+        assert calls == [("ses", members) for members in tasks for _ in range(2)]
+
+
+def test_a_task_frees_each_series_once_its_cells_ran(monkeypatch):
+    # a task of the whole corpus holds no series' tables beyond its own cells
+    refs, alive = [], []
+    original = runner.run_method
+
+    def watching(series, h, spec, *, context):
+        if not refs or refs[-1]() is not context:
+            refs.append(weakref.ref(context))
+        alive.append(sum(ref() is not None for ref in refs))
+        return original(series, h, spec, context=context)
+
+    monkeypatch.setattr(runner, "run_method", watching)
+    monkeypatch.setattr(runner, "_task_size", lambda entries, processes: entries)
+    ds = synthetic_dataset(2, {"Yearly": 3, "Quarterly": 2, "Monthly": 0, "Other": 1})
+    run_experiment(ds, ExperimentConfig(methods=(MethodSpec.classic_theta(), MethodSpec.otm("a"))))
+    assert len(refs) == len(ds) and alive == [1] * (2 * len(ds))
 
 
 def test_failures_recorded_not_fatal():

@@ -486,6 +486,65 @@ def test_loss_table_spanning_blocks_prunes_nothing(origins, make_rw, monkeypatch
     assert sizes == blocks(size) and updates == size * (max(origins) - 1)
 
 
+def mixed_corpus(make_rw):
+    """Random walks of many lengths, in no order and some of one length, plus a
+    series too short for any fit, one on which the recursion overflows
+    everywhere, a constant one and one too short for the trended families."""
+    lengths = [23, 3, 41, 7, 59, 11, 30, 4, 47, 15, 19, 8, 30, 23, 30]
+    walks = [make_rw(seed, n, drift=0.3, sid=f"rw{seed}") for seed, n in enumerate(lengths)]
+    return [*walks[:4], TimeSeries("short", [4.0]), TimeSeries("wild", [1e200, -1e200] * 5),
+            *walks[4:8], TimeSeries("flat", np.full(12, 3.0)), TimeSeries("two", [1.0, 2.0]), *walks[8:]]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ForecasterSpec("ses"), ForecasterSpec("holt", beta=0.1), ForecasterSpec("damped", alpha=0.3, beta=0.2)],
+    ids=lambda spec: spec.family,
+)
+def test_packed_fits_equal_fits_alone(spec, make_rw, monkeypatch):
+    # every series a family can fit shares one search, left-aligned on the
+    # member axis; each fit is bit-identical to a search of its series alone,
+    # and a series that fails gets the error a fit of it alone raises
+    corpus = mixed_corpus(make_rw)
+    runs = recorded_runs(monkeypatch)
+    packed = smoothing.fit_all(spec, corpus)
+    members = [s for s in corpus if s.n >= smoothing._min_n(spec.family)]
+    size = smoothing._grid(spec, spec.family)["alpha"].size
+    assert len(members) <= smoothing._BLOCK // size
+    assert runs == [((max(s.n for s in members), len(members), 1), size)]
+    failed = set()
+    for series, result in zip(corpus, packed):
+        try:
+            alone = fit(spec, series)
+        except ValueError as exc:
+            assert isinstance(result, ValueError) and str(result) == str(exc), series.id
+            failed.add(series.id)
+            continue
+        assert isinstance(result, FittedForecaster), series.id
+        assert_same_fit(result, alone)
+    assert failed == {"short", "wild"} | ({"two"} if spec.family != "ses" else set())
+
+
+def recorded_runs(monkeypatch):
+    """The (input shape, grid size) of every ``_recurrence`` run from here on."""
+    runs, real = [], smoothing._recurrence
+
+    def recording(y, alpha, **kwargs):
+        runs.append((np.shape(y), alpha.size))
+        return real(y, alpha, **kwargs)
+
+    monkeypatch.setattr(smoothing, "_recurrence", recording)
+    return runs
+
+
+def test_fits_pack_block_size_series_per_search(make_rw, monkeypatch):
+    # SES's 101-point grid packs 8192 // 101 = 81 series into one search
+    corpus = [make_rw(seed, 10 + seed % 7, sid=f"rw{seed}") for seed in range(200)]
+    runs = recorded_runs(monkeypatch)
+    smoothing.fit_all(ForecasterSpec("ses"), corpus)
+    assert [(shape[1], size) for shape, size in runs] == [(81, 101), (81, 101), (38, 101)]
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_pinning_a_fits_own_params_reproduces_it(family, make_seasonal):
     series = make_seasonal(9, 48, [0.9, 1.1, 0.8, 1.2], noise=0.1)
