@@ -16,10 +16,13 @@ class UndefinedMetricError(ValueError):
 
 
 def _paired(actuals, forecasts) -> tuple[np.ndarray, np.ndarray]:
+    # forecasts may be (h,) or (k, h), one row per forecast of the same actuals
     a = np.asarray(actuals, dtype=np.float64)
     f = np.asarray(forecasts, dtype=np.float64)
-    if a.ndim != 1 or a.shape != f.shape:
-        raise ValueError(f"actuals and forecasts must be 1-d and equal length, got {a.shape} vs {f.shape}")
+    if a.ndim != 1 or f.ndim not in (1, 2) or f.shape[-1:] != a.shape:
+        raise ValueError(
+            f"actuals must be 1-d and forecasts (h,) or (k, h) of equal length h, got {a.shape} vs {f.shape}"
+        )
     if a.size == 0:
         raise ValueError("need at least one forecast to score")
     return a, f
@@ -35,17 +38,23 @@ def sape(a, b):
     return out if out.ndim else float(out)
 
 
-def smape(actuals, forecasts) -> float:
-    """Symmetric MAPE in percent: (100/h) * sum(sape(y, yhat)). Always in [0, 200]."""
+def smape(actuals, forecasts) -> float | np.ndarray:
+    """Symmetric MAPE in percent: (100/h) * sum(sape(y, yhat)). Always in [0, 200].
+
+    Forecasts of shape (k, h) give one value per row, each bit-equal to the
+    row's own call: a row sum along the last axis is the same pairwise sum.
+    """
     a, f = _paired(actuals, forecasts)
-    return float(100.0 * sape(a, f).sum() / a.size)
+    out = 100.0 * sape(a, f).sum(axis=-1) / a.size
+    return out if out.ndim else float(out)
 
 
-def mase(insample, actuals, forecasts) -> float:
+def mase(insample, actuals, forecasts) -> float | np.ndarray:
     """Mean absolute error scaled by the in-sample mean absolute first difference.
 
-    Raises :class:`UndefinedMetricError` when the in-sample series is
-    constant (zero scaling denominator).
+    Forecasts of shape (k, h) give one value per row, as :func:`smape` does,
+    from one in-sample scale. Raises :class:`UndefinedMetricError` when the
+    in-sample series is constant (zero scaling denominator).
     """
     y = np.asarray(insample, dtype=np.float64)
     if y.ndim != 1 or y.size < 2:
@@ -54,7 +63,8 @@ def mase(insample, actuals, forecasts) -> float:
     scale = float(np.abs(np.diff(y)).sum())
     if scale == 0.0:
         raise UndefinedMetricError("constant in-sample series: scaled error undefined")
-    return float((y.size - 1) / a.size * np.abs(a - f).sum() / scale)
+    out = (y.size - 1) / a.size * np.abs(a - f).sum(axis=-1) / scale
+    return out if out.ndim else float(out)
 
 
 def average_ranks(scores: Mapping[str, Sequence[float]]) -> dict[str, float]:

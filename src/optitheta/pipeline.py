@@ -39,7 +39,7 @@ from .groe import (
 from .seasonal import (
     SeasonalIndices, deseasonalize, reseasonalize, seasonal_indices, seasonality_applies,
 )
-from .series import TimeSeries, fit_linear_trend
+from .series import TimeSeries, TrendFit, fit_linear_trend
 from .smoothing import SEASONAL, ForecasterSpec
 from .theta import SES, check_extrapolator, otm_forecast, theta_line
 
@@ -174,6 +174,7 @@ class SeriesContext:
         self.task = task or TaskContext()
         self.task.members.append(self)
         self._adjusted: tuple[SeasonalIndices | None, TimeSeries] | None = None
+        self._trend: TrendFit | None = None
         self._tables: dict[tuple, dict[int, np.ndarray]] = {}
         self._rows: dict[tuple, dict[int, np.ndarray]] = {}
         self._fits: dict[tuple, tuple] = {}  # (theta or None, spec): (fit or error, time share)
@@ -204,12 +205,18 @@ class SeriesContext:
                 self._adjusted = (None, self.series)
         return self._adjusted
 
+    def trend(self) -> TrendFit:
+        """The OLS line of the adjusted series, which a fixed-theta token's theta line is built
+        on and its forecasts are recombined with."""
+        if self._trend is None:
+            self._trend = fit_linear_trend(self.adjusted()[1])
+        return self._trend
+
     def _input(self, theta, spec: ForecasterSpec) -> tuple[TimeSeries, np.ndarray | None]:
         # (what the fit of key (theta, spec) runs on, its seasonal factors)
         if theta is None:
             return self.series, self.adjusted()[0].indices if spec.family in SEASONAL else None
-        _, work = self.adjusted()
-        return theta_line(work, fit_linear_trend(work), theta), None
+        return theta_line(self.adjusted()[1], self.trend(), theta), None
 
     def fitted(self, theta, spec: ForecasterSpec) -> smoothing.FittedForecaster:
         """``spec``'s fit of the series (theta None) or of the adjusted series' theta line."""
@@ -246,7 +253,7 @@ class SeriesContext:
         else:
             theta, note = self._fixed[spec]
             fitted = self.fitted(theta, spec.extrapolator)
-            forecasts = otm_forecast(work, theta, self.h, spec.extrapolator, fitted)
+            forecasts = otm_forecast(work, theta, self.h, spec.extrapolator, fitted, fit=self.trend())
         if idx is not None:
             forecasts = reseasonalize(forecasts, idx, start_t=self.series.n + 1)
         return theta, forecasts, note

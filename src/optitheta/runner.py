@@ -6,9 +6,11 @@ would pick; workers=1 runs the same tasks in process). The series of a task
 share a :class:`~optitheta.pipeline.TaskContext`, which makes each smoothing
 fit for all of them at once and charges its time to them in proportion to
 their lengths, each share in the cell that takes the fit, so the cell times
-of a group still add up. Results are merged back in dataset order and folded
-sequentially, which makes every output file (timing aside) identical for any
-worker count and task size.
+of a group still add up. A series' cells are scored together once they have
+all run, by one ``smape`` and one ``mase`` call over their stacked forecasts,
+so a cell's ``elapsed`` covers its own run alone. Results are merged back in
+dataset order and folded sequentially, which makes every output file (timing
+aside) identical for any worker count and task size.
 """
 
 from __future__ import annotations
@@ -88,21 +90,29 @@ def _evaluate_task(entries: list[DatasetEntry], methods: tuple[MethodSpec, ...])
 
 def _evaluate_entry(entry: DatasetEntry, context: SeriesContext,
                     methods: tuple[MethodSpec, ...]) -> list[Cell]:
-    out: list[Cell] = []
+    runs = []
     for spec in methods:
-        result = error = smape_value = mase_value = None
+        result = error = None
         start = time.perf_counter()
         try:
             result = run_method(entry.series, entry.h, spec, context=context)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - start + context.task.settle()
-        if result is not None:
-            smape_value = smape(entry.actuals, result.forecasts)
-            try:
-                mase_value = mase(entry.series.values, entry.actuals, result.forecasts)
-            except UndefinedMetricError:
-                pass
+        runs.append((spec, result, error, time.perf_counter() - start + context.task.settle()))
+    # every cell that produced forecasts is scored in one call per metric
+    produced = [result.forecasts for _, result, _, _ in runs if result is not None]
+    smapes = mases = [None] * len(produced)
+    if produced:
+        stacked = np.array(produced)
+        smapes = smape(entry.actuals, stacked).tolist()
+        try:
+            mases = mase(entry.series.values, entry.actuals, stacked).tolist()
+        except UndefinedMetricError:
+            pass
+    scored = iter(zip(smapes, mases))
+    out: list[Cell] = []
+    for spec, result, error, elapsed in runs:
+        smape_value, mase_value = (None, None) if result is None else next(scored)
         score = SeriesScore(
             series_id=entry.series.id,
             group=entry.group,
@@ -180,7 +190,9 @@ def _csv_row(fields) -> str:
 
 def forecast_row(fc: ForecastResult) -> str:
     """One forecasts row (see ``FORECASTS_HEADER``), shared by ``evaluate`` and ``forecast``."""
-    return _csv_row([fc.series_id, fc.method, fc.theta, int(fc.seasonal), *fc.forecasts.tolist()])
+    # repr of each Python float, as _fmt gives, without a call per value
+    return ",".join([_csv_row([fc.series_id, fc.method, fc.theta, int(fc.seasonal)]),
+                     *map(repr, fc.forecasts.tolist())])
 
 
 def write_outputs(result: ExperimentResult, out_dir) -> dict[str, Path]:

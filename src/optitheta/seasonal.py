@@ -108,8 +108,9 @@ def seasonal_indices(series: TimeSeries) -> SeasonalIndices:
         raise ValueError(f"series {series.id!r}: too short for a full cycle of ratios")
     offset = m // 2  # first time index (0-based) with a defined moving average
     ratios = y[offset : offset + trend.size] / trend
-    seasons = (np.arange(offset, offset + trend.size)) % m
-    means = np.array([ratios[seasons == s].mean() for s in range(m)])
+    # season s's ratios are every m-th from the first index i with (offset + i) % m == s;
+    # sum / size is exactly what mean() computes for them
+    means = np.array([r.sum() / r.size for r in (ratios[(s - offset) % m :: m] for s in range(m))])
     return SeasonalIndices(means / means.mean())
 
 

@@ -443,7 +443,9 @@ def forecast(fitted: FittedForecaster, h: int) -> np.ndarray:
     """Point forecasts for steps 1..h from the fitted final state."""
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
-    out = fitted.level + damping(fitted.params.get("phi", 1.0), h) * fitted.trend
+    phi = fitted.params.get("phi")
+    # without phi the multiples are 1..h, exactly what damping(1.0, h) gives
+    out = fitted.level + (np.arange(1.0, h + 1) if phi is None else damping(phi, h)) * fitted.trend
     if fitted.season is not None:
         out = out * fitted.season[(fitted.n + np.arange(h)) % fitted.season.size]
     return out

@@ -66,7 +66,8 @@ def recompose(line1: TimeSeries, line2: TimeSeries, omega: float) -> np.ndarray:
 
 
 def otm_forecast(
-    series: TimeSeries, theta: float, h: int, extrapolator: ForecasterSpec = SES, fitted=None
+    series: TimeSeries, theta: float, h: int, extrapolator: ForecasterSpec = SES, fitted=None,
+    fit: TrendFit | None = None,
 ) -> np.ndarray:
     """Combined forecasts from the trend line and the extrapolated theta line.
 
@@ -74,14 +75,16 @@ def otm_forecast(
     ``(1 - 1/theta) * (trend at n+k) + (1/theta) * (theta-line forecast k)``.
     The trend weight is exactly zero at theta = 1, where the result equals
     the extrapolator applied directly to the series. ``fitted``, when given,
-    is the extrapolator's fit of the theta line, made elsewhere (in a batch).
+    is the extrapolator's fit of the theta line, made elsewhere (in a batch),
+    and ``fit``, when given, the series' OLS line that theta line was built on.
     """
     if theta < 1.0:
         raise ValueError(f"theta must be >= 1, got {theta}")
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
     check_extrapolator(extrapolator)
-    fit = fit_linear_trend(series)
+    if fit is None:
+        fit = fit_linear_trend(series)
     if fitted is None:
         fitted = smoothing.fit(extrapolator, theta_line(series, fit, theta))
     return recombine(fit, theta, series.n, smoothing.forecast(fitted, h), h)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 import optitheta
@@ -111,6 +111,47 @@ def test_mase_undefined_for_constant_insample():
 def test_mase_needs_two_insample_points():
     with pytest.raises(ValueError, match="n >= 2"):
         mase([1.0], [1.0], [1.0])
+
+
+def test_mase_undefined_for_constant_insample_with_stacked_forecasts():
+    with pytest.raises(UndefinedMetricError):
+        mase([2.0, 2.0, 2.0], [1.0, 3.0], [[2.0, 2.0], [1.0, 3.0]])
+
+
+def test_stacked_scores_refuse_mismatched_shapes():
+    for forecasts in ([[1.0, 2.0, 3.0]], [[[1.0, 2.0]]]):
+        with pytest.raises(ValueError, match="equal length"):
+            smape([1.0, 2.0], forecasts)
+        with pytest.raises(ValueError, match="equal length"):
+            mase([1.0, 2.0, 4.0], [1.0, 2.0], forecasts)
+
+
+# ---------------------------------------------------------------------------
+# stacked scores: one call for the forecasts of every method of a series
+# ---------------------------------------------------------------------------
+
+# exact zeros among finite mantissas, scaled by a power of two below
+mantissas = st.sampled_from([0.0, -0.0]) | st.floats(min_value=-16.0, max_value=16.0, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(-500, 500), st.integers(1, 18), st.integers(1, 6), st.integers(2, 30), st.data())
+def test_stacked_scores_equal_the_row_calls_bit_for_bit(scale, h, k, n, data):
+    def draw(size):
+        return np.ldexp(np.array(data.draw(st.lists(mantissas, min_size=size, max_size=size))), scale)
+
+    insample, actuals, stack = draw(n), draw(h), draw(k * h).reshape(k, h)
+    smapes = smape(actuals, stack)
+    assert smapes.shape == (k,)
+    assert smapes.tobytes() == np.array([smape(actuals, row) for row in stack]).tobytes()
+    if not np.abs(np.diff(insample)).sum():
+        for forecasts in (stack, stack[0]):
+            with pytest.raises(UndefinedMetricError):
+                mase(insample, actuals, forecasts)
+        return
+    mases = mase(insample, actuals, stack)
+    assert mases.shape == (k,)
+    assert mases.tobytes() == np.array([mase(insample, actuals, row) for row in stack]).tobytes()
 
 
 # ---------------------------------------------------------------------------

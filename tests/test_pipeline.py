@@ -16,6 +16,7 @@ from optitheta import (
     synthetic_dataset,
 )
 from optitheta import pipeline, smoothing
+from optitheta import theta as theta_module
 from optitheta.groe import (
     COST_FUNCTIONS, DEFAULT_THETA_GRID, forecast_table, scored_origins, select_theta,
 )
@@ -322,6 +323,23 @@ def test_shared_work_runs_once_per_series(monkeypatch):
     # the selecting tokens take their forecasts from the table, so only the
     # fixed-theta cells, classic Theta here, fit a theta line directly
     assert sorted(calls["otm_forecast"]) == sorted(ids)
+
+
+def test_a_fixed_theta_token_fits_the_adjusted_line_once_per_series(monkeypatch):
+    # the theta line's fit input and the recombination share one OLS line
+    fitted_lines = []
+    for module in (pipeline, theta_module):
+        original = module.fit_linear_trend
+
+        def counting(series, _original=original):
+            fitted_lines.append(series.id)
+            return _original(series)
+
+        monkeypatch.setattr(module, "fit_linear_trend", counting)
+    dataset = synthetic_dataset(4, {"Yearly": 2, "Quarterly": 2, "Monthly": 1, "Other": 1})
+    result = run_experiment(dataset, ExperimentConfig((MethodSpec.classic_theta(),), workers=1))
+    assert all(s.error is None for s in result.scores)
+    assert sorted(fitted_lines) == sorted(entry.series.id for entry in dataset.entries)
 
 
 def test_benchmark_tokens_share_the_seasonal_test(monkeypatch, make_seasonal):

@@ -3,18 +3,20 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.stats import rankdata
 
 from optitheta import (
     Dataset,
     ExperimentConfig,
+    ForecastResult,
     MethodSpec,
     TimeSeries,
     run_experiment,
     run_method,
     synthetic_dataset,
 )
-from optitheta import runner, smoothing
+from optitheta import metrics, runner, smoothing
 from optitheta.dataset import DatasetEntry
 
 
@@ -221,6 +223,66 @@ def test_a_task_frees_each_series_once_its_cells_ran(monkeypatch):
     ds = synthetic_dataset(2, {"Yearly": 3, "Quarterly": 2, "Monthly": 0, "Other": 1})
     run_experiment(ds, ExperimentConfig(methods=(MethodSpec.classic_theta(), MethodSpec.otm("a"))))
     assert len(refs) == len(ds) and alive == [1] * (2 * len(ds))
+
+
+def test_a_series_is_scored_in_one_call_per_metric(monkeypatch):
+    # one cell of Y1 fails, and every cell of Y2; the other cells score as
+    # their own one-row calls would, MASE included where it is undefined
+    original = runner.run_method
+
+    def failing(series, h, spec, *, context):
+        if (series.id, spec.name) == ("Y1", "ses") or series.id == "Y2":
+            raise RuntimeError("planted")
+        return original(series, h, spec, context=context)
+
+    calls = []
+
+    def counting(actuals, forecasts):
+        calls.append(np.shape(forecasts))
+        return metrics.smape(actuals, forecasts)
+
+    monkeypatch.setattr(runner, "run_method", failing)
+    monkeypatch.setattr(runner, "smape", counting)
+    flat = DatasetEntry(TimeSeries("flat", np.full(12, 3.0)), np.array([3.0, 4.0, 2.0]), "Other")
+    entries = [*synthetic_dataset(5, {"Yearly": 3, "Quarterly": 1, "Monthly": 1}), flat]
+    methods = (MethodSpec.classic_theta(), MethodSpec.otm("a"), MethodSpec.benchmark("naive2"),
+               MethodSpec.benchmark("ses"))
+    result = run_experiment(Dataset(tuple(entries)), ExperimentConfig(methods=methods))
+    forecasts = {(fc.series_id, fc.method): fc.forecasts for fc in result.forecasts}
+    scores = iter(result.scores)
+    for entry in entries:
+        for spec in methods:
+            score = next(scores)
+            cell = forecasts.get((entry.series.id, spec.name))
+            assert (cell is None) == (score.error is not None)
+            if cell is None:
+                assert score.smape is None and score.mase is None
+                continue
+            assert score.smape == metrics.smape(entry.actuals, cell)
+            try:
+                assert score.mase == metrics.mase(entry.series.values, entry.actuals, cell)
+            except metrics.UndefinedMetricError:
+                assert score.mase is None and entry is flat
+    assert {(s.series_id, s.method) for s in result.scores if s.error} == {
+        ("Y1", "ses"), *(("Y2", spec.name) for spec in methods)
+    }
+    cells = {entry.series.id: sum(sid == entry.series.id for sid, _ in forecasts) for entry in entries}
+    assert calls == [(cells[entry.series.id], entry.h) for entry in entries if cells[entry.series.id]]
+
+
+FORECAST_VALUES = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 2.5e-8, 0.1, 1 / 3, -0.0, 0.0,
+                   -7.25, 123456789.0, 1e16, 1.8e307, 1.7976931348623157e308]
+
+
+@example(FORECAST_VALUES, None, False)
+@example(FORECAST_VALUES, 2.0, True)
+@example(FORECAST_VALUES, 1.5, False)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
+       st.sampled_from([None, 2.0, 1.5]), st.booleans())
+def test_forecast_rows_equal_the_per_value_form(values, theta, seasonal):
+    fc = ForecastResult("S1", "otm-a", np.array(values), theta, seasonal)
+    old = runner._csv_row([fc.series_id, fc.method, fc.theta, int(fc.seasonal), *fc.forecasts.tolist()])
+    assert runner.forecast_row(fc) == old
 
 
 def test_failures_recorded_not_fatal():

@@ -10,7 +10,7 @@ from optitheta import (
     seasonal_indices,
     seasonality_applies,
 )
-from optitheta.seasonal import ACF_CRITICAL, autocorrelations
+from optitheta.seasonal import ACF_CRITICAL, _centered_moving_average, autocorrelations
 
 
 def brute_force_acf(values, nlags):
@@ -133,6 +133,30 @@ def test_odd_period_decomposition():
     series = TimeSeries("s", 50.0 * np.tile(pattern, 8), period=3)
     idx = seasonal_indices(series)
     assert np.allclose(idx.indices, pattern / pattern.mean(), atol=1e-12)
+
+
+def mask_and_mean_indices(series):
+    """Reference per-season factors: each season's ratios picked by a boolean mask, then ``mean()``."""
+    m, y = series.period, series.values
+    trend = _centered_moving_average(y, m)
+    offset = m // 2
+    ratios = y[offset : offset + trend.size] / trend
+    seasons = np.arange(offset, offset + trend.size) % m
+    means = np.array([ratios[seasons == s].mean() for s in range(m)])
+    return means / means.mean()
+
+
+def test_indices_equal_the_mask_and_mean_reference():
+    # odd and even periods, whole and partial cycles, 3 to 11 of them
+    rng = np.random.default_rng(23)
+    for m in range(2, 13):
+        for cycles in range(3, 12):
+            for extra in (0, m - 1):
+                n = cycles * m + extra
+                values = np.exp(rng.normal(3.0, 1.0, n)) * (1.0 + 0.3 * np.sin(np.arange(n) * 2 * np.pi / m))
+                series = TimeSeries("s", values, period=m)
+                expected = mask_and_mean_indices(series)
+                assert seasonal_indices(series).indices.tobytes() == expected.tobytes(), (m, n)
 
 
 def test_seasonal_indices_validation():

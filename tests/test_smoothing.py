@@ -86,6 +86,25 @@ def test_damping_without_phi_is_the_exact_step_count():
     assert damping(np.array([0.5, 1.0]), 2).tolist() == [[0.5, 0.75], [1.0, 2.0]]
 
 
+def damping_form_forecast(fitted, h):
+    """Reference forecasts: the trend multiples of every fit from ``damping``, phi 1 without one."""
+    out = fitted.level + damping(fitted.params.get("phi", 1.0), h) * fitted.trend
+    if fitted.season is not None:
+        out = out * fitted.season[(fitted.n + np.arange(h)) % fitted.season.size]
+    return out
+
+
+def test_forecasts_without_phi_equal_the_damping_form(make_rw, make_seasonal):
+    series = [make_rw(1, 8), make_rw(2, 30, drift=1.5), make_rw(3, 60, drift=-2.0),
+              make_seasonal(4, 48, [0.8, 1.1, 1.3, 0.8], noise=0.03)]
+    for family in ("ses", "holt", "naive", "naive2", "damped"):
+        for s in series:
+            fitted = fit(ForecasterSpec(family), s)
+            for h in (1, 8, 18, 1000):
+                expected = damping_form_forecast(fitted, h)
+                assert forecast(fitted, h).tobytes() == expected.tobytes(), (family, s.n, h)
+
+
 def test_trended_families_need_three_points():
     with pytest.raises(ValueError, match="n >= 3"):
         run("holt", [1.0, 2.0])
