@@ -24,9 +24,9 @@ the search that selects theta also yields the forecasts of the chosen theta.
 Everything outside the search (the prefix lines, the score weights and the
 forecasts) is computed as arrays over all origins at once, with a leading
 origin axis, so a table's cost per origin is little beyond the recurrence's.
-:func:`select_theta` scores a table with the cost, which the search does not
-depend on; :func:`loss_rows` gives each origin's losses once, for every schedule
-that scores that origin with that cost.
+:func:`loss_rows` scores a table with the cost, which the search does not
+depend on, once per origin for every schedule that scores it, and
+:func:`select_theta` sums one schedule's rows.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .metrics import sape
-from .series import TimeSeries, TrendFit, fit_linear_trend, prefix_trends, trend_value
+from .series import TimeSeries, TrendFit, prefix_trends, trend_value
 from .smoothing import ForecasterSpec, _grid, _min_n, _sanitize, _search, damping
 from .theta import SES, check_extrapolator, otm_forecast, recombine
 
@@ -242,14 +242,15 @@ def forecast_table(
         )
 
     theta = np.array(values)[:, None]  # one row per grid theta
-    full = fit_linear_trend(series)
+    # each origin's prefix line, in arrays of shape (origins, thetas, ...), and last the full line
+    intercepts, slopes = prefix_trends(y, [*origins, n])
+    prefix = TrendFit(intercepts[:-1, None, None], slopes[:-1, None, None])
+    full = TrendFit(intercepts[-1], slopes[-1])
     t = np.arange(1.0, n + 1)
     # Run on the residuals about the full-series line, not on y: the line comes
     # back through the coefficients of 1 and t, and the quadratic form below
     # then does not cancel on strongly trended series.
     runs = np.stack([y - trend_value(full, t), t], axis=1)[:, :, None]
-    # arrays of shape (origins, thetas, ...), one prefix line per origin
-    prefix = TrendFit(*(v[:, None, None] for v in prefix_trends(y, origins)))
     # the prefix's theta line is theta*residual + c1*1 + c2*t, and its SSE
     # sum((theta*e_residual + c2*e_t)**2) a quadratic form in the runs' error products
     c1 = theta * full.intercept + (1.0 - theta) * prefix.intercept
@@ -304,16 +305,15 @@ def loss_rows(series: TimeSeries, grid, table: dict[int, np.ndarray], origins, c
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed loss is sanitised below
-def select_theta(series: TimeSeries, grid, table: dict[int, np.ndarray], origins, cost="se",
-                 rows: dict | None = None) -> float:
-    """The theta of ``grid`` (as checked by :func:`forecast_table`) whose
-    ``table`` rows have the least GROE loss: their :func:`loss_rows` with
-    ``cost`` (or ``rows``, made by it over these origins and maybe more)
-    summed over ``origins`` in ascending order. The first minimum wins, so
-    ties go to the smallest theta. A non-finite loss never wins, and an
-    :class:`EvaluationError` is raised when no theta has a finite loss.
+def select_theta(series: TimeSeries, grid, rows: dict[int, np.ndarray], origins) -> float:
+    """The theta of ``grid`` with the least GROE loss: its :func:`loss_rows`
+    ``rows`` (made over these origins and maybe more) summed over ``origins``
+    in ascending order. The first minimum wins, so ties go to the smallest
+    theta. A non-finite loss never wins, and an :class:`EvaluationError` is
+    raised when no theta has a finite loss. Empty ``origins`` are refused.
     """
-    rows = loss_rows(series, grid, table, origins, cost) if rows is None else rows
+    if not origins:
+        raise ValueError("origins must be non-empty")
     losses = np.zeros(len(grid))
     for ni in sorted(origins):
         losses += rows[ni]
@@ -333,9 +333,9 @@ def estimate_theta(
     extrapolator: ForecasterSpec = SES,
 ) -> float:
     """Grid-search theta minimising the GROE loss of :func:`groe_loss` with
-    :func:`otm_candidate`; ties go to the smallest theta. It is
-    :func:`forecast_table` over the schedule's origins, then :func:`select_theta`.
+    :func:`otm_candidate`; ties go to the smallest theta. It is :func:`forecast_table`
+    over the schedule's origins, then :func:`loss_rows` and :func:`select_theta`.
     """
     origins = scored_origins(config, series.n)
     table = forecast_table(series, grid, origins, config.H, extrapolator)
-    return select_theta(series, grid, table, origins, cost)
+    return select_theta(series, grid, loss_rows(series, grid, table, origins, cost), origins)

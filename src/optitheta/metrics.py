@@ -49,17 +49,23 @@ def smape(actuals, forecasts) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
+@np.errstate(over="ignore")  # a value beyond the float range is inf
 def mase(insample, actuals, forecasts) -> float | np.ndarray:
     """Mean absolute error scaled by the in-sample mean absolute first difference.
 
     Forecasts of shape (k, h) give one value per row, as :func:`smape` does,
     from one in-sample scale. Raises :class:`UndefinedMetricError` when the
-    in-sample series is constant (zero scaling denominator).
+    in-sample series is constant (zero scaling denominator). A value beyond
+    the float range is inf.
     """
     y = np.asarray(insample, dtype=np.float64)
     if y.ndim != 1 or y.size < 2:
         raise ValueError(f"in-sample series must be 1-d with n >= 2, got shape {y.shape}")
     a, f = _paired(actuals, forecasts)
+    # keeps the sums in range; exact but for values some 2**1022 below the largest, and
+    # taken from y and a alone, so every row of f is scaled alike
+    shift = -np.frexp(max(np.abs(y).max(), np.abs(a).max()))[1]
+    y, a, f = np.ldexp(y, shift), np.ldexp(a, shift), np.ldexp(f, shift)
     scale = float(np.abs(np.diff(y)).sum())
     if scale == 0.0:
         raise UndefinedMetricError("constant in-sample series: scaled error undefined")

@@ -20,8 +20,8 @@ H = h; the search has no cost). The tokens of a table and a cost share each
 origin's loss rows, and each selecting token sums its own origins' rows, as
 ``estimate_theta`` does, and takes the chosen row at n. A smoothing fit is
 made once per series and family (with pins), so a seasonal family falling back
-to its sibling reuses that token's fit, and the series of one runner task share
-a :class:`TaskContext`, which makes each fit for all of them in one batch.
+to its sibling reuses that token's fit, and it is made in one batch for every
+context of the runner task (a list of contexts) that plans it.
 """
 
 from __future__ import annotations
@@ -119,60 +119,24 @@ class ForecastResult:
         object.__setattr__(self, "forecasts", forecasts)
 
 
-class TaskContext:
-    """Smoothing fits shared by the :class:`SeriesContext` of each series of a runner task.
-
-    A fit is made, the first time a cell asks for it, for the asking series
-    and every member that plans it, by one :func:`smoothing.fit_all`; a
-    series whose input or fit fails keeps its error. ``members`` are the
-    series whose cells have yet to run. :meth:`settle` gives the cell that
-    just ran its time correction: minus the batches it ran, plus its shares.
-    """
-
-    def __init__(self) -> None:
-        self.members: list[SeriesContext] = []
-        self.charge = 0.0
-
-    def fit(self, key: tuple, asker: SeriesContext) -> None:
-        start = time.perf_counter()
-        inputs, season = {}, None  # no member plans a fit with a season, so it runs alone
-        members = [asker]
-        if key in asker._planned:  # then every member that plans it and lacks it
-            members += [m for m in self.members
-                        if m is not asker and key in m._planned and key not in m._fits]
-        for member in members:
-            try:
-                inputs[member], season = member._input(*key)
-            except Exception as exc:
-                member._fits[key] = exc, 0.0
-        fits = smoothing.fit_all(key[1], list(inputs.values()), season=season)
-        elapsed = time.perf_counter() - start
-        total = sum(line.n for line in inputs.values())
-        for (member, line), fitted in zip(inputs.items(), fits):
-            member._fits[key] = fitted, elapsed * line.n / total
-        self.charge -= elapsed
-
-    def settle(self) -> float:
-        charge, self.charge = self.charge, 0.0
-        return charge
-
-
 class SeriesContext:
     """Per-series work shared by the method tokens ``specs`` run on ``series``.
 
     Construction plans each otm token (its scored origins, or its one theta
     and any fallback note) and the fits without a season that its tokens will
-    ask ``task`` for. Nothing else is computed until a token asks for it, and
-    a piece that raises is not stored (a fit keeps its error), so it fails
-    every token that needs it and no other.
+    ask for, and appends the context to ``task``, the runner task's contexts
+    whose cells have yet to run. Nothing else is computed until a token asks
+    for it, and a piece that raises is not stored (a fit keeps its error), so
+    it fails every token that needs it and no other.
     """
 
-    def __init__(self, series: TimeSeries, h: int, specs=(), task: TaskContext | None = None) -> None:
+    def __init__(self, series: TimeSeries, h: int, specs=(), task: list | None = None) -> None:
         self.series = series
         self.h = h
         self.specs = tuple(specs)
-        self.task = task or TaskContext()
-        self.task.members.append(self)
+        self._task = [] if task is None else task
+        self._task.append(self)
+        self.charge = 0.0
         self._adjusted: tuple[SeasonalIndices | None, TimeSeries] | None = None
         self._trend: TrendFit | None = None
         self._tables: dict[tuple, dict[int, np.ndarray]] = {}
@@ -218,17 +182,43 @@ class SeriesContext:
             return self.series, self.adjusted()[0].indices if spec.family in SEASONAL else None
         return theta_line(self.adjusted()[1], self.trend(), theta), None
 
+    def _batch(self, key: tuple) -> None:
+        # one fit_all for this series and each of its task's that plans and lacks
+        # fit ``key``: each keeps its error or fit and a time share by its length
+        start = time.perf_counter()
+        inputs, season = {}, None  # no context plans a fit with a season, so it runs alone
+        members = [self]
+        if key in self._planned:
+            members += [m for m in self._task
+                        if m is not self and key in m._planned and key not in m._fits]
+        for member in members:
+            try:
+                inputs[member], season = member._input(*key)
+            except Exception as exc:
+                member._fits[key] = exc, 0.0
+        fits = smoothing.fit_all(key[1], list(inputs.values()), season=season)
+        elapsed = time.perf_counter() - start
+        total = sum(line.n for line in inputs.values())
+        for (member, line), fitted in zip(inputs.items(), fits):
+            member._fits[key] = fitted, elapsed * line.n / total
+        self.charge -= elapsed
+
     def fitted(self, theta, spec: ForecasterSpec) -> smoothing.FittedForecaster:
         """``spec``'s fit of the series (theta None) or of the adjusted series' theta line."""
         key = (theta, spec)
         if key not in self._fits:
-            self.task.fit(key, self)
+            self._batch(key)
         fitted, share = self._fits[key]
         self._fits[key] = fitted, 0.0  # its time share is charged once, to this cell
-        self.task.charge += share
+        self.charge += share
         if isinstance(fitted, Exception):
             raise fitted
         return fitted
+
+    def settle(self) -> float:
+        """The time correction of the cell that just ran: minus its batches, plus its fits' shares."""
+        charge, self.charge = self.charge, 0.0
+        return charge
 
     def _table(self, spec: MethodSpec) -> dict[int, np.ndarray]:
         key = (spec.grid, spec.extrapolator)
@@ -248,7 +238,7 @@ class SeriesContext:
             table, key, n = self._table(spec), (spec.grid, spec.extrapolator, spec.cost), self.series.n
             if key not in self._rows:  # every origin of the table but n, scored once per cost
                 self._rows[key] = loss_rows(work, spec.grid, table, set(table) - {n}, spec.cost)
-            theta = select_theta(work, spec.grid, table, self._origins[spec], rows=self._rows[key])
+            theta = select_theta(work, spec.grid, self._rows[key], self._origins[spec])
             forecasts, note = table[n][spec.grid.index(theta)], None
         else:
             theta, note = self._fixed[spec]

@@ -2,11 +2,11 @@
 
 Per-series work is pure, so it can be farmed out to a process pool, in tasks
 of ceil(entries / (4 * processes)) entries in a row (the chunks ``pool.map``
-would pick; workers=1 runs the same tasks in process). The series of a task
-share a :class:`~optitheta.pipeline.TaskContext`, which makes each smoothing
-fit for all of them at once and charges its time to them in proportion to
-their lengths, each share in the cell that takes the fit, so the cell times
-of a group still add up. A series' cells are scored together once they have
+would pick; workers=1 runs the same tasks in process). A task is the list of
+its series' :class:`~optitheta.pipeline.SeriesContext`, so each smoothing
+fit is made for all of them at once and its time charged to them by their
+lengths, each share in the cell that takes the fit, so the cell times of a
+group still add up. A series' cells are scored together once they have
 all run, by one ``smape`` and one ``mase`` call over their stacked forecasts,
 so a cell's ``elapsed`` covers its own run alone. Results are merged back in
 dataset order and folded sequentially, which makes every output file (timing
@@ -33,7 +33,7 @@ from .metrics import (
     mase,
     smape,
 )
-from .pipeline import ForecastResult, MethodSpec, SeriesContext, TaskContext, run_method
+from .pipeline import ForecastResult, MethodSpec, SeriesContext, run_method
 
 SCORES_FILE = "scores.csv"
 AGGREGATE_FILE = "aggregate.csv"
@@ -81,11 +81,11 @@ def _task_size(entries: int, processes: int) -> int:
 
 def _evaluate_task(entries: list[DatasetEntry], methods: tuple[MethodSpec, ...]) -> list[Cell]:
     # built here, in the worker, so the shared work is never pickled
-    task = TaskContext()
+    task: list[SeriesContext] = []
     for entry in entries:
         SeriesContext(entry.series, entry.h, methods, task)
     # no later batch needs a series, so its work is freed once its cells have run
-    return [cell for entry in entries for cell in _evaluate_entry(entry, task.members.pop(0), methods)]
+    return [cell for entry in entries for cell in _evaluate_entry(entry, task.pop(0), methods)]
 
 
 def _evaluate_entry(entry: DatasetEntry, context: SeriesContext,
@@ -98,7 +98,7 @@ def _evaluate_entry(entry: DatasetEntry, context: SeriesContext,
             result = run_method(entry.series, entry.h, spec, context=context)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-        runs.append((spec, result, error, time.perf_counter() - start + context.task.settle()))
+        runs.append((spec, result, error, time.perf_counter() - start + context.settle()))
     # every cell that produced forecasts is scored in one call per metric
     produced = [result.forecasts for _, result, _, _ in runs if result is not None]
     smapes = mases = [None] * len(produced)
@@ -107,6 +107,7 @@ def _evaluate_entry(entry: DatasetEntry, context: SeriesContext,
         smapes = smape(entry.actuals, stacked).tolist()
         try:
             mases = mase(entry.series.values, entry.actuals, stacked).tolist()
+            mases = [m if np.isfinite(m) else None for m in mases]  # beyond the float range
         except UndefinedMetricError:
             pass
     scored = iter(zip(smapes, mases))
@@ -133,8 +134,8 @@ def _rank_table(scores: tuple[SeriesScore, ...], methods: list[str],
 
     ``scores`` holds each series' cells in ``methods`` order, a None score
     read as NaN. Ranking is refused (None) when a cell failed or when no
-    series is scored at all. A series with no failed cell is scored by every
-    method or by none: MASE alone can be undefined, on a constant series.
+    series is scored at all, and a series is ranked only when every method
+    scored it (MASE is undefined on a constant series or beyond the float range).
     """
     if any(s.error is not None for s in scores):
         return None

@@ -90,15 +90,15 @@ family forecasts k steps ahead with one formula,
 :func:`damping` gives the trend multiples ``phi + ... + phi**k`` (k at phi = 1).
 
 Seasonal-capable families follow the seasonality test, or the decision a
-caller already made (see :func:`fit`), and silently fall back to their
-non-seasonal sibling when it fails, so ``holt_winters`` on a period-1 series
-is exactly Holt and ``naive2`` on non-seasonal data is exactly the naive
-random walk.
+caller already made (see :func:`effective_family`), and silently fall back to
+their non-seasonal sibling when it fails, so ``holt_winters`` on a period-1
+series is exactly Holt and ``naive2`` on non-seasonal data is exactly the
+naive random walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -134,8 +134,6 @@ _SSE = np.ones((1, 1))  # a fit's weight matrix: a grid point's score is its SSE
 _STRIDE = 97  # every _STRIDE-th grid point gives the first bound
 _CHECK = 8  # steps between two pruning checks
 _COMPACT = 4  # compact once 1/_COMPACT of the live points are over the bound
-# fit's default for ``indices``: the series' seasonality is not decided yet
-_UNTESTED = object()
 
 
 @dataclass(frozen=True)
@@ -370,19 +368,17 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: list, season
     return found
 
 
-def fit_all(spec: ForecasterSpec, series: list, family: str | None = None, season=None) -> list:
-    """:func:`fit` of ``family`` (by default ``spec.family``), with the factors
-    ``season`` when given, on every series, packed as the module docstring says:
-    one fit per series, or the ``ValueError`` of a series that is too short or
-    on which the recursion overflows at every grid point, which leaves the
-    other series' fits alone."""
-    family = family or spec.family
-    min_n = _min_n(family)
+def fit_all(spec: ForecasterSpec, series: list, season=None) -> list:
+    """A fit of ``spec``'s family, with the factors ``season`` when given, on
+    every series, packed as the module docstring says: one fit per series, or
+    the ``ValueError`` of a series that is too short or on which the recursion
+    overflows at every grid point, which leaves the other series' fits alone."""
+    min_n = _min_n(spec.family)
     out = [ValueError(f"series {s.id!r}: family {spec.family!r} needs n >= {min_n}, got n={s.n}")
            if s.n < min_n else None for s in series]
-    if not _PARAMS[family]:
+    if not _PARAMS[spec.family]:
         return [failed or _fit_naive(s, season) for failed, s in zip(out, series)]
-    grid = _grid(spec, family)
+    grid = _grid(spec, spec.family)
     pack = 1 if season is not None else max(1, _BLOCK // grid["alpha"].size)
     order = sorted((j for j, failed in enumerate(out) if failed is None), key=lambda j: series[j].n)
     for start in range(0, len(order), pack):
@@ -394,31 +390,30 @@ def fit_all(spec: ForecasterSpec, series: list, family: str | None = None, seaso
         for j, s, rows in zip(order[start : start + pack], members, found):
             (sse,), params, level, trend, factors = rows[s.n]
             out[j] = ValueError(
-                f"series {s.id!r}: family {family!r} has no finite in-sample SSE "
+                f"series {s.id!r}: family {spec.family!r} has no finite in-sample SSE "
                 "at any grid point (the recursion overflows)"
             ) if sse == np.inf else FittedForecaster(
-                family, s.n, float(sse), float(level[0, 0]),
+                spec.family, s.n, float(sse), float(level[0, 0]),
                 0.0 if trend is None else float(trend[0, 0]),
                 None if factors is None else factors[:, 0], {k: float(v[0]) for k, v in params.items()},
             )
     return out
 
 
-def fit(spec: ForecasterSpec, series: TimeSeries, *, indices=_UNTESTED) -> FittedForecaster:
+def fit(spec: ForecasterSpec, series: TimeSeries) -> FittedForecaster:
     """Fit a forecast family to a series.
 
-    ``indices`` is the series' seasonality decision when it is already made:
-    its :class:`SeasonalIndices`, or None when it is not seasonal. Without
-    it the seasonal families test the series themselves; the other families
-    never read it.
+    The seasonal families test the series' seasonality themselves and fit
+    their sibling when it fails; the other families never test it.
 
     Degenerate inputs (e.g. constant series) are not errors: the grid search
-    simply returns its best point, which yields flat forecasts. A series on
-    which the recursion overflows at every grid point raises ``ValueError``.
+    simply returns its best point, which yields flat forecasts. A series that
+    is too short, or on which the recursion overflows at every grid point,
+    raises ``ValueError`` naming the family that ran.
     """
-    if spec.family in SEASONAL and indices is _UNTESTED:
-        indices = seasonal_indices(series) if seasonality_applies(series) else None
-    (fitted,) = fit_all(spec, [series], *effective_family(spec.family, indices))
+    seasonal = spec.family in SEASONAL and seasonality_applies(series)
+    family, season = effective_family(spec.family, seasonal_indices(series) if seasonal else None)
+    (fitted,) = fit_all(replace(spec, family=family), [series], season)
     if isinstance(fitted, ValueError):
         raise fitted
     return fitted

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from optitheta import cli
+from optitheta import Dataset, TimeSeries, cli
+from optitheta.dataset import DatasetEntry, save_dataset
 from optitheta.cli import main, parse_method_token
 from optitheta.groe import DEFAULT_THETA_GRID
 
@@ -54,6 +55,28 @@ def test_evaluate_reports_failures_and_skips_ranks(tmp_path, capsys):
     assert "theta failed on tiny" in err
     assert "rank table skipped" in err
     assert not (out_dir / "ranks.csv").exists()
+
+
+@pytest.mark.parametrize("start, stop, mase_text", [(1e308, 1.4e308, "24.5"), (1e-310, 1.7e-310, "")],
+                         ids=["huge", "tiny"])
+def test_evaluate_scores_a_row_at_the_float_limits(tmp_path, capsys, start, stop, mase_text):
+    # huge: naive's errors sum past the float range unless scaled; tiny: its
+    # MASE is beyond the float range, so it is undefined, as on a constant series
+    corpus = tmp_path / "corpus.csv"
+    save_dataset(Dataset((
+        DatasetEntry(TimeSeries("ok", np.arange(1.0, 13.0)), np.arange(13.0, 16.0), "Other"),
+        DatasetEntry(TimeSeries("edge", np.linspace(start, stop, 8)), np.ones(3), "Other"),
+    )), corpus)
+    out_dir = tmp_path / "res"
+    assert main(["evaluate", "--data", str(corpus), "--methods", "naive,naive2",
+                 "--out-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("scores.csv", "aggregate.csv", "forecasts.csv", "ranks.csv"):
+        assert (out_dir / name).exists()
+    rows = [line.split(",") for line in (out_dir / "scores.csv").read_text().splitlines()[1:]]
+    assert {(sid, method): mase for sid, method, _, mase, _ in rows if sid == "edge"} == {
+        ("edge", "naive"): mase_text, ("edge", "naive2"): mase_text,
+    }
 
 
 def test_evaluate_removes_a_stale_rank_table(tmp_path, capsys):

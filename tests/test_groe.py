@@ -354,7 +354,7 @@ def test_loss_table_calls_the_cost_once_per_origin(make_rw, monkeypatch):
     full = [ni for ni in origins if ni + H <= series.n]
     assert len(full) == 7 and len(origins) == 12
     table = forecast_table(series, DEFAULT_THETA_GRID, origins, H)
-    select_theta(series, DEFAULT_THETA_GRID, table, origins, "se")
+    loss_rows(series, DEFAULT_THETA_GRID, table, origins, "se")
     thetas = len(DEFAULT_THETA_GRID)
     assert calls == [(len(full), thetas, H)] + [(thetas, series.n - ni) for ni in origins[len(full):]]
 
@@ -680,8 +680,10 @@ def assert_selections_kept(series, h, moved, cost):
     for k, other in enumerate(moved):
         moved_table = forecast_table(other, DEFAULT_THETA_GRID, union, h)
         for approach, origins in own.items():
-            base = select_theta(series, DEFAULT_THETA_GRID, table, origins, cost)
-            chosen = select_theta(other, DEFAULT_THETA_GRID, moved_table, origins, cost)
+            base = select_theta(series, DEFAULT_THETA_GRID,
+                                loss_rows(series, DEFAULT_THETA_GRID, table, origins, cost), origins)
+            chosen = select_theta(other, DEFAULT_THETA_GRID,
+                                  loss_rows(other, DEFAULT_THETA_GRID, moved_table, origins, cost), origins)
             selections += 1
             if chosen != base:
                 losses = dict(zip(DEFAULT_THETA_GRID, table_losses(series, table, origins, cost)))

@@ -8,7 +8,7 @@ from optitheta import TimeSeries
 from optitheta.cli import main
 from optitheta.dataset import DatasetEntry, _parse_entry
 from optitheta.groe import (
-    DEFAULT_THETA_GRID, GroeConfig, approach_config, forecast_table, select_theta,
+    DEFAULT_THETA_GRID, GroeConfig, approach_config, forecast_table, loss_rows,
 )
 from optitheta.metrics import mase, smape
 from optitheta.seasonal import SeasonalIndices, autocorrelations, reseasonalize, seasonal_indices
@@ -31,13 +31,13 @@ CHECKS = {
     "otm-h": (lambda: otm_forecast(WALK, 2.0, 0), "horizon must be >= 1"),
     # a table is scored only against the grid and the origins it was built for
     "select-one-row-table": (
-        lambda: select_theta(WALK, DEFAULT_THETA_GRID, forecast_table(WALK, [2.0], [20], 6), [20]),
+        lambda: loss_rows(WALK, DEFAULT_THETA_GRID, forecast_table(WALK, [2.0], [20], 6), [20]),
         r"1 rows at origin 20, not one per grid theta \(9\)"),
     "select-row-count": (
-        lambda: select_theta(WALK, DEFAULT_THETA_GRID, forecast_table(WALK, [1.0, 2.0], [20], 6), [20]),
+        lambda: loss_rows(WALK, DEFAULT_THETA_GRID, forecast_table(WALK, [1.0, 2.0], [20], 6), [20]),
         r"2 rows at origin 20, not one per grid theta \(9\)"),
     "select-missing-origin": (
-        lambda: select_theta(
+        lambda: loss_rows(
             WALK, DEFAULT_THETA_GRID, forecast_table(WALK, DEFAULT_THETA_GRID, [20], 6), [20, 23]),
         "no rows for origin 23"),
     "spec-alpha": (lambda: ForecasterSpec("ses", alpha=-0.1), r"alpha must lie in \[0, 1\]"),

@@ -118,6 +118,34 @@ def test_mase_undefined_for_constant_insample_with_stacked_forecasts():
         mase([2.0, 2.0, 2.0], [1.0, 3.0], [[2.0, 2.0], [1.0, 3.0]])
 
 
+def test_mase_near_the_float_limit_is_exact():
+    # the raw errors of a naive forecast sum past the float range; scaled, they do not
+    assert mase(np.linspace(1e308, 1.4e308, 8), np.ones(3), np.full(3, 1.4e308)) == 24.5
+
+
+def test_mase_beyond_the_float_range_is_inf():
+    # subnormal in-sample steps against unit errors: the true value is about 1e311
+    assert mase(np.linspace(1e-310, 1.7e-310, 8), np.ones(3), np.full(3, 1.7e-310)) == np.inf
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(-200, 200), st.integers(2, 30), st.integers(1, 18), st.integers(1, 4), st.data())
+def test_mase_keeps_the_bits_of_the_unscaled_formula(exponent, n, h, k, data):
+    # at scales where the unscaled formula neither overflows nor goes subnormal
+    def draw(size):
+        ints = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size))
+        return np.array(ints) / 1000 * 10.0**exponent
+
+    insample, actuals, forecasts = draw(n), draw(h), draw(k * h).reshape(k, h)
+    scale = float(np.abs(np.diff(insample)).sum())
+    if scale == 0.0:
+        with pytest.raises(UndefinedMetricError):
+            mase(insample, actuals, forecasts)
+        return
+    reference = (n - 1) / h * np.abs(actuals - forecasts).sum(axis=-1) / scale
+    assert mase(insample, actuals, forecasts).tobytes() == reference.tobytes()
+
+
 def test_stacked_scores_refuse_mismatched_shapes():
     for forecasts in ([[1.0, 2.0, 3.0]], [[[1.0, 2.0]]]):
         with pytest.raises(ValueError, match="equal length"):

@@ -18,7 +18,7 @@ from optitheta import (
 from optitheta import pipeline, smoothing
 from optitheta import theta as theta_module
 from optitheta.groe import (
-    COST_FUNCTIONS, DEFAULT_THETA_GRID, forecast_table, scored_origins, select_theta,
+    COST_FUNCTIONS, DEFAULT_THETA_GRID, forecast_table, loss_rows, scored_origins, select_theta,
 )
 from optitheta.pipeline import SeriesContext
 from optitheta.seasonal import SeasonalIndices, reseasonalize
@@ -214,7 +214,8 @@ def test_estimate_theta_equals_selection_over_a_union_table():
                 for approach, config in configs.items():
                     own = scored_origins(config, series.n)
                     assert len(own) < len(union)
-                    assert select_theta(work, DEFAULT_THETA_GRID, table, own, cost) == estimate_theta(
+                    rows = loss_rows(work, DEFAULT_THETA_GRID, table, own, cost)
+                    assert select_theta(work, DEFAULT_THETA_GRID, rows, own) == estimate_theta(
                         work, config=config, cost=cost, extrapolator=extrapolator
                     ), (series.id, approach, cost, extrapolator)
 

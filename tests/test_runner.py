@@ -146,23 +146,25 @@ def test_a_failing_series_fails_only_its_own_cells(monkeypatch):
     entries = [*synthetic_dataset(6, {"Yearly": 2, "Quarterly": 1, "Monthly": 1, "Other": 0}),
                DatasetEntry(TimeSeries("short", [4.0]), np.ones(3), "Other"),
                DatasetEntry(TimeSeries("wild", [1e200, -1e200] * 5), np.ones(3), "Other"),
-               DatasetEntry(TimeSeries("flat", np.full(12, 3.0)), np.ones(3), "Other")]
+               DatasetEntry(TimeSeries("flat", np.full(12, 3.0)), np.ones(3), "Other"),
+               # its theta line overflows, so the batch cannot even build its input
+               DatasetEntry(TimeSeries("huge", np.linspace(1e308, 1.4e308, 8)), np.ones(3), "Other")]
     methods = (MethodSpec.classic_theta(), MethodSpec.otm("a", grid=(1.0,)), MethodSpec.otm("b"),
                MethodSpec.benchmark("ses"), MethodSpec.benchmark("naive"))
     monkeypatch.setattr(runner, "_task_size", lambda entries, processes: entries)
     result = run_experiment(Dataset(tuple(entries)), ExperimentConfig(methods=methods))
     cells = iter(result.forecasts)
-    failed = set()
+    failed = {}
     for entry in entries:
         for spec in methods:
             try:
                 alone = run_method(entry.series, entry.h, spec)
-            except Exception:
-                failed.add((entry.series.id, spec.name))
+            except Exception as exc:
+                failed[entry.series.id, spec.name] = f"{type(exc).__name__}: {exc}"
                 continue
             assert next(cells).forecasts.tobytes() == alone.forecasts.tobytes()
-    assert {("wild", "ses"), ("short", "ses"), ("short", "theta")} <= failed
-    assert {(s.series_id, s.method) for s in result.scores if s.error is not None} == failed
+    assert {("wild", "ses"), ("short", "ses"), ("short", "theta"), ("huge", "theta")} <= set(failed)
+    assert {(s.series_id, s.method): s.error for s in result.scores if s.error is not None} == failed
 
 
 def test_a_batch_is_charged_to_its_series_by_length(monkeypatch):

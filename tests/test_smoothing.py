@@ -213,6 +213,14 @@ def test_overflow_at_every_grid_point_raises(family):
         fit(ForecasterSpec(family), TimeSeries("s", [1e200, -1e200] * 5))
 
 
+@pytest.mark.parametrize("family, runs", [("holt", "holt"), ("holt_winters", "holt"),
+                                          ("seasonal_damped", "damped")])
+def test_too_short_error_names_the_family_that_runs(family, runs):
+    # a seasonal family on a series without a season runs its sibling, as the overflow error says
+    with pytest.raises(ValueError, match=f"family '{runs}' needs n >= 3, got n=2"):
+        fit(ForecasterSpec(family), TimeSeries("s", [1.0, 2.0]))
+
+
 def test_naive_on_overflow_scale_series_repeats_last_value():
     # its in-sample SSE overflows to inf, which is only reported
     steps = np.random.default_rng(0).standard_normal(30)
@@ -591,7 +599,8 @@ def test_grid_is_the_lexicographic_meshgrid(family, keys, size, pins, make_seaso
     assert list(grid) == keys.split()
     # a fit names exactly the grid's parameters, pinned ones included
     series = make_seasonal(2, 16, [0.9, 1.1, 0.8, 1.2], noise=0.05)
-    fitted = fit(spec, series, indices=seasonal_indices(series))
+    season = seasonal_indices(series).indices if family in smoothing.SEASONAL else None
+    (fitted,) = smoothing.fit_all(spec, [series], season)  # with a season the test would refuse
     assert fitted.family_used == family and list(fitted.params) == list(grid)
     dims = {k: np.unique(v) for k, v in grid.items()}
     assert all(dims[k].tolist() == [v] for k, v in pins.items() if k in dims)
