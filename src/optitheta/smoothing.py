@@ -55,33 +55,34 @@ search, shortest first: 81 for SES, whose 101-point steps are otherwise
 mostly numpy call overhead. Larger and seasonal grids keep one series per
 search, and a one-series fit or a GROE forecast table is one member.
 
-A fit whose grid spans more than one block also abandons grid points early
-(the bound of Rakthanmanon et al., KDD 2012). A point's in-sample SSE is a
-running sum of non-negative terms, and a rounded sum of them never falls, so
-a point whose partial SSE already exceeds the full SSE of some grid point
-can never win. The first bound is the least sanitised SSE that a search of
-every ``_STRIDE``-th grid point finds (about 1% of the grid, one block, so
-not pruned itself); each block that finishes lowers it to the running best.
-Every ``_CHECK`` steps a block counts the points whose partial SSE is
-strictly ``>`` the bound; once they are at least ``1/_COMPACT`` of its live
-points, it sends the indices of the others to :func:`_recurrence`, which
-keeps only those, and slices the block's grid to them too; it abandons the
-block when none is left. The winner and every point tied with it have
-partial SSE <= final SSE <= bound, so they always survive; a NaN compares
-false and is never dropped (it still never wins), and a point that
-overflowed to inf is dropped once the bound is finite. Each survivor's
-arithmetic is elementwise and unchanged, so the fit is bit-identical to the
-unpruned search. GROE forecast tables (whose scores are quadratic forms of
-several inputs' errors, which may fall) and one-block grids (SES's, and
-small pinned ones) get an infinite bound and are never checked. About 60% of
-the damped and seasonal-damped updates survive. A sweep of the check
-interval and the compaction threshold on the damped and seasonal-damped fits
-of 17 synthetic series (2-core Xeon, best of 3 CPU times, speed against the
-unpruned search, damped/seasonal-damped): every 4 steps at 1/2, 1/4 and 1/8
-of the live points 1.35/1.34x, 1.25/1.25x, 1.21/1.21x; every 8 steps
-1.40/1.37x, 1.35/1.37x, 1.27/1.20x; every 16 steps 1.30/1.35x, 1.36/1.27x,
-1.40/1.35x; every 32 steps 1.33/1.26x, 1.32/1.33x, 1.45/1.30x. The surface
-is a plateau within the sweep's noise, and 8 steps at 1/4 sit on it.
+A fit whose grid spans more than one block (holt, holt_winters, damped,
+seasonal_damped) screens it first (:func:`_screen`): it scales y by the power
+of two that puts max|y| in [0.5, 1), to which every family is bit-exactly
+equivariant, sweeps the grid in float32, where a numpy pass costs about half
+as much, and keeps the points whose SSE is at most its best times ``1 +
+_MARGIN``. The float64 search runs only those, in grid order, so it finds the
+whole-grid winner and state whenever that point is kept. Below a best SSE of
+``_FLOOR * n`` (an RMS error of 2**-12 of max|y|) float32 rounding can reorder
+the best points, so the float32 sweep stops once its bound is under it, and
+such a series, or one with no finite float32 SSE, is swept again in float64
+with margin 0, which keeps exactly the winner and its ties.
+
+A sweep (:func:`_sweep`) abandons grid points early (the bound of Rakthanmanon
+et al., KDD 2012). A point's in-sample SSE is a running sum of non-negative
+terms, and a rounded sum of them never falls, so a point whose partial SSE
+already exceeds the bound times ``1 + margin`` can never come within the
+margin of the best. The first bound is the least sanitised SSE of every
+``_STRIDE``-th grid point (about 1% of the grid, one block, run first under an
+infinite bound); each block that finishes lowers it to the running best. A
+float32 block holds ``2 * _BLOCK`` points, a float64 block's bytes. Every
+``_CHECK`` steps a block counts the points whose partial SSE is strictly ``>``
+the limit; once they are at least ``1/_COMPACT`` of its live points, it sends
+the indices of the others to :func:`_recurrence`, which keeps only those, and
+it abandons the block when none is left. A point within the margin of the
+final best, ties included, has partial SSE <= final SSE <= limit, so it always
+survives; a NaN compares false and is never dropped (nor wins), and an
+overflowed inf is dropped once the bound is finite. Every 8 steps at 1/4 sat
+on the plateau of a sweep of the check interval and threshold on float64 fits.
 
 A fit is summarised by a :class:`FittedForecaster`: the family, the chosen
 parameters and the final state (level, trend, seasonal factors). Every
@@ -130,10 +131,13 @@ _SEASONAL_WEIGHT_GRID = np.round(np.arange(0.0, 1.0 + 1e-9, 0.05), 2)
 # grid points per _recurrence run in a search; see the module docstring
 _BLOCK = 8192
 _SSE = np.ones((1, 1))  # a fit's weight matrix: a grid point's score is its SSE
-# early abandoning in a fit's search; see the module docstring
+# early abandoning in a sweep of a fit's grid; see the module docstring
 _STRIDE = 97  # every _STRIDE-th grid point gives the first bound
 _CHECK = 8  # steps between two pruning checks
 _COMPACT = 4  # compact once 1/_COMPACT of the live points are over the bound
+# the float32 screen's relative margin and its floor on SSE / n; see the module docstring
+_MARGIN = 2.0**-10
+_FLOOR = 2.0**-24
 
 
 @dataclass(frozen=True)
@@ -221,12 +225,12 @@ def _recurrence(y: np.ndarray, alpha: np.ndarray, beta=None, phi=None, gamma=Non
     Yields ``(e, level, trend, season)`` after each of y_2..y_n: the one-step
     errors of that observation and the states after it (``trend`` and
     ``season`` are None when absent). Every step updates these arrays in
-    place, so a consumer reads them before asking for the next step. The
-    first observation seeds the level and, for the trended families, y_2 - y_1
-    seeds the trend; the prediction of y_2 is then fully determined by the
-    seeds, so its error is None. Without a season ``y`` may carry trailing
-    axes, e.g. shape (n, k, 1) runs k inputs side by side; every state then
-    has shape (k, grid size).
+    place, in the dtype of ``y``, so a consumer reads them before asking for
+    the next step. The first observation seeds the level and, for the trended
+    families, y_2 - y_1 seeds the trend; the prediction of y_2 is then fully
+    determined by the seeds, so its error is None. Without a season ``y``
+    may carry trailing axes, e.g. shape (n, k, 1) runs k inputs side by
+    side; every state then has shape (k, grid size).
 
     Between two steps a consumer may ``send`` the indices of the grid points
     it still wants, in ascending order: the recursion keeps only those
@@ -240,9 +244,9 @@ def _recurrence(y: np.ndarray, alpha: np.ndarray, beta=None, phi=None, gamma=Non
     level = np.full(shape, y[0])
     trend = None if beta is None else np.full(shape, y[1] - y[0])
     alpha_beta = None if beta is None else alpha * beta
-    e = np.empty(shape)
-    scaled = e if season is None else np.empty(shape)  # e / s
-    step = np.empty(shape)  # each state's correction in turn
+    e = np.empty_like(level)
+    scaled = e if season is None else np.empty_like(level)  # e / s
+    step = np.empty_like(level)  # each state's correction in turn
     if season is not None:
         period = season.size
         season = np.repeat(season[:, None], alpha.size, axis=1)
@@ -272,8 +276,8 @@ def _recurrence(y: np.ndarray, alpha: np.ndarray, beta=None, phi=None, gamma=Non
                 a if a is None else a[..., keep]
                 for a in (alpha, alpha_beta, phi, gamma, level, trend, season)
             )
-            e, step = np.empty(level.shape), np.empty(level.shape)
-            scaled = e if season is None else np.empty(level.shape)
+            e, step = np.empty_like(level), np.empty_like(level)
+            scaled = e if season is None else np.empty_like(level)
             yield
 
 
@@ -302,12 +306,9 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: list, season
     a matrix at t are consecutive and their matrices share a shape. After
     y_t each row w scores every grid point by ``w @ products`` of its member;
     a fit's matrix is ``_SSE``, so its score is its SSE. A row's winner, with
-    a copy of its state, is the first least sanitised score: a later block
-    replaces it only on a strict ``<``. A search of one member with one input
-    and one checkpoint on a grid wider than one block drops the points that
-    can no longer win, its first bound being this search on every
-    ``_STRIDE``-th grid point (see the module docstring). Returns one
-    ``{t: (score, params, level, trend, season)}`` per member, rows last.
+    a copy of its state, is the first least sanitised score: a later block replaces
+    it only on a strict ``<``. Returns one ``{t: (score, params, level, trend, season)}``
+    per member, rows last.
     """
     n, members, inputs = runs.shape[:3]
     # _recurrence takes a season only on a 1-d input, so a single run is passed as one
@@ -320,14 +321,8 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: list, season
     checks = {t: (range(js[0], js[-1] + 1), weights[js[0]][t] if len(js) == 1 else
                   np.stack([weights[j][t] for j in js])) for t, js in due.items()}
     last = max(checks)
-    # a single run's score is its running SSE, which never falls
-    prune = members * inputs == 1 and len(checks) == 1 and grid["alpha"].size > _BLOCK
     best = {}
     with np.errstate(all="ignore"):
-        bound = np.inf
-        if prune:  # every grid's strided sample fits in one block, so it is not pruned
-            sample = {k: v[::_STRIDE] for k, v in grid.items()}
-            bound = _search(sample, runs, weights, season)[0][last][0][0]
         for start in range(0, grid["alpha"].size, _BLOCK):
             block = {k: v[start : start + _BLOCK] for k, v in grid.items()}
             steps = _recurrence(y, season=season, **block)
@@ -351,21 +346,55 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: list, season
                         best[j, t] = won
                     if t == last:
                         break
-                elif prune and t % _CHECK == 0:
-                    over = sums > bound
-                    dropped = np.count_nonzero(over)
-                    if dropped == over.size:
-                        break  # no point of this block can win
-                    if dropped * _COMPACT >= over.size:
-                        keep = np.flatnonzero(~over)
-                        steps.send(keep)
-                        sums, block = sums[keep], {k: v[keep] for k, v in block.items()}
-            if prune and best:
-                bound = min(bound, best[0, last][0][0])
     found = [{} for _ in weights]
     for (j, t), (score, level, trend, factors, *params) in best.items():
         found[j][t] = (score, dict(zip(grid, params)), level, trend, factors)
     return found
+
+
+@np.errstate(all="ignore")  # an overflowed or NaN SSE never wins
+def _sweep(grid: dict[str, np.ndarray], y: np.ndarray, season, dtype, margin: float, stop=0.0):
+    """Sweep a fit's ``grid`` on the 1-d ``y`` in ``dtype`` (see the module docstring):
+    the least sanitised SSE, and the ascending indices of the points whose SSE is at
+    most that times ``1 + margin``; or, once a bound falls under ``stop``, it and None."""
+    size = grid["alpha"].size
+    width = _BLOCK * 8 // np.dtype(dtype).itemsize  # blocks of any dtype hold as many bytes
+    y, season = y.astype(dtype), None if season is None else season.astype(dtype)
+    bound, kept = np.inf, []
+    for block in [slice(0, size, _STRIDE), *(slice(s, s + width) for s in range(0, size, width))]:
+        index, limit = np.arange(*block.indices(size)), bound * (1 + margin)
+        steps = _recurrence(y, season=season, **{k: v[block].astype(dtype) for k, v in grid.items()})
+        sums = 0.0
+        for t, (e, *_) in enumerate(steps, start=2):
+            if e is not None:
+                sums += np.square(e)
+            if t % _CHECK == 0:
+                over = sums > limit
+                dropped = np.count_nonzero(over)
+                if dropped == over.size:
+                    break  # no point of this block can come within the margin
+                if dropped * _COMPACT >= over.size:
+                    live = np.flatnonzero(~over)
+                    steps.send(live)
+                    sums, index = sums[live], index[live]
+        else:
+            sums = _sanitize(sums)
+            if (bound := min(bound, sums.min())) < stop:
+                return bound, None
+            near = sums <= bound * (1 + margin)
+            kept.append((index[near], sums[near]))
+    # kept[0] is the strided sample's (an infinite limit abandons nothing), whose points recur
+    index, sums = (np.concatenate(a) for a in zip(*kept[1:]))
+    return bound, index[sums <= bound * (1 + margin)]
+
+
+def _screen(grid: dict[str, np.ndarray], y: np.ndarray, season) -> dict[str, np.ndarray]:
+    """The points of a fit's ``grid`` on ``y`` the float64 search runs (see the module docstring)."""
+    scaled, floor = np.ldexp(y, -np.frexp(np.abs(y).max())[1]), _FLOOR * y.size
+    best, keep = _sweep(grid, scaled, season, np.float32, _MARGIN, floor)
+    if not floor <= best < np.inf:
+        keep = _sweep(grid, y, season, np.float64, 0.0)[1][:1]  # ties all: the first wins
+    return {k: v[keep] for k, v in grid.items()}
 
 
 def fit_all(spec: ForecasterSpec, series: list, season=None) -> list:
@@ -386,7 +415,8 @@ def fit_all(spec: ForecasterSpec, series: list, season=None) -> list:
         runs = np.zeros((members[-1].n, len(members), 1, 1))
         for m, s in enumerate(members):
             runs[: s.n, m, 0, 0] = s.values
-        found = _search(grid, runs, [{s.n: _SSE} for s in members], season)
+        narrow = grid if grid["alpha"].size <= _BLOCK else _screen(grid, members[0].values, season)
+        found = _search(narrow, runs, [{s.n: _SSE} for s in members], season)
         for j, s, rows in zip(order[start : start + pack], members, found):
             (sse,), params, level, trend, factors = rows[s.n]
             out[j] = ValueError(

@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,8 +300,8 @@ def counting(updates, sizes=None):
 
 
 def unpruned_updates(spec, family, n):
-    """The updates of a search that drops nothing: the grid's, plus those of
-    its ``_STRIDE`` sample when the grid spans blocks."""
+    """The updates of a float64 sweep that drops nothing: the grid's, plus
+    those of its ``_STRIDE`` sample when the grid spans blocks."""
     size = smoothing._grid(spec, family)["alpha"].size
     sample = -(-size // smoothing._STRIDE) if size > smoothing._BLOCK else 0
     return (size + sample) * (n - 1)
@@ -340,13 +343,17 @@ def test_blocked_search_equals_whole_grid(spec, kind, make_rw, make_seasonal, mo
 
 
 @pytest.mark.parametrize("family", ["ses", "holt", "damped"])
-def test_blocked_search_all_tied_picks_first_point(family, monkeypatch):
-    # with y = 2 every update is exact, so every grid point has SSE 0 and the
-    # winner is grid index 0 even though the tie spans every block; no partial
-    # SSE exceeds the bound 0, so nothing is dropped
+def test_blocked_search_all_tied_picks_first_point(family):
+    # with y = 2 every update is exact, so every grid point has SSE 0: no
+    # partial SSE exceeds the bound 0, so a sweep in either dtype keeps the
+    # whole tie across every block, and the fit's winner is grid index 0
     series = TimeSeries("c", np.full(24, 2.0))
-    best, fitted, share = pruned_and_reference(ForecasterSpec(family), series, monkeypatch)
-    assert best == 0 and fitted.sse == 0.0 and share == 1.0
+    grid = smoothing._grid(ForecasterSpec(family), family)
+    for dtype in (np.float32, np.float64):
+        best, keep = smoothing._sweep(grid, series.values, None, dtype, 0.0)
+        assert best == 0.0 and np.array_equal(keep, np.arange(grid["alpha"].size)), dtype
+    best, fitted = blocked_and_reference(ForecasterSpec(family), series)
+    assert best == 0 and fitted.sse == 0.0
     assert fitted.params == {
         "ses": {"alpha": 0.0},
         "holt": {"alpha": 0.0, "beta": 0.0},
@@ -390,34 +397,48 @@ def fake_recurrence(error_at, finals=None):
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
 def test_blocked_search_first_finite_minimum_across_blocks(bad, monkeypatch):
     # NaN below alpha 0.1 and ``bad`` below 0.2 never win; alpha 0.2 is grid
-    # index 20, the last point of the third 7-point block, and its SSE ties
-    # with every later point, in every block after it. At the check after
-    # y_8 the partial SSE of an inf point exceeds the bound, so it is dropped;
-    # a NaN point compares false and is searched to the end
+    # index 20, the last point of the third 7-point float64 block, and its SSE
+    # ties with every later point, in every block after it. The strided
+    # sample's alpha 0.97 makes the first bound finite, so at the check after
+    # y_8 the partial SSE of an inf point exceeds it and the point is dropped;
+    # a NaN point compares false and is swept to the end
     monkeypatch.setattr(smoothing, "_BLOCK", 7)
     finals = []
     monkeypatch.setattr(smoothing, "_recurrence", fake_recurrence(
         lambda a: np.where(a < 0.1, np.nan, np.where(a < 0.2, bad, 1.0)), finals
     ))
-    grid = smoothing._grid(ForecasterSpec("ses"), "ses")["alpha"]
-    assert grid[3 * 7 - 1] == 0.2
+    grid = smoothing._grid(ForecasterSpec("ses"), "ses")
+    alpha = grid["alpha"]
+    assert alpha[3 * 7 - 1] == 0.2
     series = TimeSeries("s", np.arange(10.0))
+    best, keep = smoothing._sweep(grid, series.values, None, np.float64, 0.0)
+    assert best == series.n - 1 and np.array_equal(keep, np.arange(20, alpha.size))
+    pruned = alpha[(alpha >= 0.1) & (alpha < 0.2)] if bad == np.inf else alpha[:0]
+    assert set(alpha) - set(finals) == set(pruned)
+    # the fit (its grid spans blocks here, so it is screened) keeps the first finite minimum
     fitted = fit(ForecasterSpec("ses"), series)
     assert fitted.params == {"alpha": 0.2} and fitted.sse == series.n - 1
-    pruned = grid[(grid >= 0.1) & (grid < 0.2)] if bad == np.inf else grid[:0]
-    assert set(grid) - set(finals) == set(pruned)
 
 
 def test_blocked_search_no_finite_point_raises(monkeypatch):
-    # no grid point has a finite SSE, so the bound stays inf and prunes nothing
+    # no grid point has a finite SSE, so a sweep's bound stays inf and drops
+    # nothing in either dtype: every point, and the strided sample's two, runs
+    # to the end. The screen then falls back to float64, whose first point the
+    # search finds infinite, and the fit raises
     monkeypatch.setattr(smoothing, "_BLOCK", 7)
     finals = []
     monkeypatch.setattr(smoothing, "_recurrence", fake_recurrence(
         lambda a: np.where(a < 0.5, np.nan, np.inf), finals
     ))
+    grid = smoothing._grid(ForecasterSpec("ses"), "ses")
+    size = grid["alpha"].size
+    for dtype in (np.float32, np.float64):
+        finals.clear()
+        best, keep = smoothing._sweep(grid, np.arange(10.0), None, dtype, smoothing._MARGIN)
+        assert best == np.inf and np.array_equal(keep, np.arange(size)), dtype
+        assert len(finals) == size + len(range(0, size, smoothing._STRIDE)), dtype
     with pytest.raises(ValueError, match="no finite in-sample SSE"):
         fit(ForecasterSpec("ses"), TimeSeries("s", np.arange(10.0)))
-    assert set(finals) == set(smoothing._grid(ForecasterSpec("ses"), "ses")["alpha"])
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +476,19 @@ def test_pruned_search_drops_overflowed_points(monkeypatch):
 
 
 def test_pruned_search_with_no_finite_point_prunes_nothing(monkeypatch):
-    # every point overflows, so no bound is finite: nothing is dropped, and
-    # the fit raises as the whole-grid reference finds no finite SSE
+    # every point overflows in float64, so no bound is finite and a float64
+    # sweep drops nothing. The float32 screen of the scaled series is finite,
+    # but the float64 search of the points it keeps overflows, so the fit
+    # raises as the whole-grid reference finds no finite SSE
     spec, series, updates = ForecasterSpec("damped"), TimeSeries("o", [1e200, -1e200] * 5), [0]
-    monkeypatch.setattr(smoothing, "_recurrence", counting(updates))
+    grid = smoothing._grid(spec, "damped")
+    with monkeypatch.context() as patch:
+        patch.setattr(smoothing, "_recurrence", counting(updates))
+        best, keep = smoothing._sweep(grid, series.values, None, np.float64, 0.0)
+    assert best == np.inf and keep.size == grid["alpha"].size
+    assert updates[0] == unpruned_updates(spec, "damped", series.n)
     with pytest.raises(ValueError, match="no finite in-sample SSE"):
         fit(spec, series)
-    assert updates[0] == unpruned_updates(spec, "damped", series.n)
     assert whole_grid_fit(spec, "damped", series)[1].sse == np.inf
 
 
@@ -474,18 +501,29 @@ def search_runs(call, monkeypatch):
     return sizes, updates[0]
 
 
-def blocks(size):
-    """The sizes of the ``_BLOCK`` slices of a ``size``-point grid."""
-    return [min(smoothing._BLOCK, size - start) for start in range(0, size, smoothing._BLOCK)]
+def blocks(size, width=None):
+    """The sizes of the ``width``-point (default ``_BLOCK``) slices of a ``size``-point grid."""
+    width = width or smoothing._BLOCK
+    return [min(width, size - start) for start in range(0, size, width)]
 
 
 def test_fit_spanning_blocks_runs_its_sample_and_prunes(make_seasonal, monkeypatch):
-    # the strided sample runs first, in one block, then every block of the grid
-    spec, series = ForecasterSpec("damped"), make_seasonal(4, 60, MONTHLY_PATTERN, noise=0.03)
+    # each sweep runs its strided sample first, in one block, then every block
+    # of the grid: the float32 screen's blocks are twice as wide, for the same
+    # bytes. Above the screen's floor the float64 search then runs only the
+    # points the screen kept. A constant series fits with SSE 0, under the
+    # floor, so the screen stops after its sample, a float64 sweep runs, and
+    # the search runs its first least point
+    spec = ForecasterSpec("damped")
     size = smoothing._grid(spec, "damped")["alpha"].size
+    sample = -(-size // smoothing._STRIDE)
+    screen = [sample, *blocks(size, 2 * smoothing._BLOCK)]
+    series = make_seasonal(4, 60, MONTHLY_PATTERN, noise=0.03)
     sizes, updates = search_runs(lambda: fit(spec, series), monkeypatch)
-    assert sizes == [-(-size // smoothing._STRIDE), *blocks(size)]
+    assert sizes[:-1] == screen and 0 < sizes[-1] <= smoothing._BLOCK
     assert updates < unpruned_updates(spec, "damped", series.n)
+    sizes, _ = search_runs(lambda: fit(spec, TimeSeries("c", np.full(24, 2.0))), monkeypatch)
+    assert sizes == [sample, sample, *blocks(size), 1]
 
 
 @pytest.mark.parametrize(
@@ -511,6 +549,96 @@ def test_loss_table_spanning_blocks_prunes_nothing(origins, make_rw, monkeypatch
         lambda: forecast_table(series, DEFAULT_THETA_GRID, origins, 6), monkeypatch
     )
     assert sizes == blocks(size) and updates == size * (max(origins) - 1)
+
+
+# ---------------------------------------------------------------------------
+# Float32 screen against the whole-grid reference
+# ---------------------------------------------------------------------------
+
+# the families whose full grids span more than one block, so their fits are screened
+SCREENED = ["holt", "holt_winters", "damped", "seasonal_damped"]
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+def drawn_series(seed, n, period, noise, offset):
+    """A trended series of level 100, seasonal when ``period`` > 1, with
+    relative noise ``noise`` and shifted by ``offset`` times its level."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    base = 100.0 * (1.0 + rng.uniform(-0.5, 1.5) * t / n)
+    if period > 1:
+        base = base * (1.0 + 0.3 * np.sin(2.0 * np.pi * t / period + rng.uniform(0.0, 2.0 * np.pi)))
+    return TimeSeries("drawn", base * (1.0 + noise * rng.standard_normal(n)) + offset * 100.0, period)
+
+
+def screen_dtypes(spec, series):
+    """The dtype of each sweep a fit of ``spec`` on ``series`` runs, after
+    checking the fit against the whole-grid reference."""
+    dtypes, sweep = [], smoothing._sweep
+
+    def recording(grid, y, season, dtype, *args):
+        dtypes.append(np.dtype(dtype).name)
+        return sweep(grid, y, season, dtype, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smoothing, "_sweep", recording)
+        blocked_and_reference(spec, series)
+    return dtypes
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(14, 90),
+    period=st.sampled_from([1, 4, 12]),
+    noise=st.floats(-7.0, np.log10(0.3)).map(lambda e: 10.0**e),
+    offset=st.one_of(st.just(0.0), st.floats(-2.0, 4.0).map(lambda e: 10.0**e)),
+)
+def test_screen_equals_whole_grid_on_drawn_series(seed, n, period, noise, offset):
+    # params, level, trend, season and forecasts bit-equal, on either path
+    series = drawn_series(seed, n, period, noise, offset)
+    for family in SCREENED:
+        screen_dtypes(ForecasterSpec(family), series)
+
+
+@pytest.mark.parametrize("family", SCREENED)
+def test_screen_equals_whole_grid_on_exact_series(family):
+    # a constant series fits with SSE 0 everywhere and an exact line or
+    # pattern nearly so: below the floor, where the float64 sweep decides
+    t = np.arange(1.0, 49.0)
+    exact = [TimeSeries("flat", np.full(48, 7.0)), TimeSeries("line", 3.0 + 0.5 * t),
+             TimeSeries("pattern", (200.0 + 1.5 * t) * np.array(MONTHLY_PATTERN)[(t.astype(int) - 1) % 12], 12)]
+    dtypes = [screen_dtypes(ForecasterSpec(family), series) for series in exact]
+    assert dtypes[0] == ["float32", "float64"]
+
+
+@pytest.mark.parametrize("family", SCREENED)
+def test_screen_equals_whole_grid_on_golden_corpus(family):
+    counts = {"Yearly": 3, "Quarterly": 3, "Monthly": 3, "Other": 2}
+    for entry in synthetic_dataset(42, counts).entries:
+        screen_dtypes(ForecasterSpec(family), entry.series)
+
+
+@pytest.mark.parametrize("family", SCREENED)
+def test_screen_equals_whole_grid_on_lock_corpus(family, monkeypatch):
+    # the benchmark's corpus model, with the es-benchmarks lock corpus's seed and counts
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    corpus = importlib.import_module("corpus")
+    for entry in corpus.generate([20150311], {"Yearly": 2, "Quarterly": 2, "Monthly": 4}).entries:
+        assert screen_dtypes(ForecasterSpec(family), entry.series) == ["float32"], entry.series.id
+
+
+def test_screen_below_its_floor_runs_float64(monkeypatch):
+    # a 550x offset leaves relative noise of about 1.3e-9 of max|y|, under
+    # float32's resolution: the best RMS error is under 2**-12 of max|y|, so
+    # the float64 sweep decides. Without the floor the float32 screen would
+    # drop the float64 winner and keep a point with a larger SSE
+    spec, series = ForecasterSpec("holt"), drawn_series(0, 87, 1, 7.2e-7, 550.0)
+    assert screen_dtypes(spec, series) == ["float32", "float64"]
+    fitted = fit(spec, series)
+    monkeypatch.setattr(smoothing, "_FLOOR", 0.0)
+    unfloored = fit(spec, series)
+    assert unfloored.params != fitted.params and unfloored.sse > fitted.sse
 
 
 def mixed_corpus(make_rw):
@@ -745,6 +873,21 @@ def test_theta_selection_matches_component_form(extrapolator, monkeypatch):
 # ---------------------------------------------------------------------------
 # Metamorphic: scaling by a power of two
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [-7, 3, 40])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_power_of_two_scale_scales_the_fit_exactly(family, k, make_seasonal):
+    # the float32 screen normalises y by a power of two, so it sees the same
+    # input at every k; the float64 search then scales bit for bit
+    series = make_seasonal(9, 48, [0.9, 1.1, 0.8, 1.2], noise=0.1)
+    base = fit(ForecasterSpec(family), series)
+    moved = fit(ForecasterSpec(family), series.with_values(np.ldexp(series.values, k)))
+    assert (moved.family_used, moved.params) == (base.family_used, base.params)
+    assert (moved.level, moved.trend) == (np.ldexp(base.level, k), np.ldexp(base.trend, k))
+    assert moved.sse == np.ldexp(base.sse, 2 * k)
+    assert base.season is None or moved.season.tobytes() == base.season.tobytes()
+    assert forecast(moved, 18).tobytes() == np.ldexp(forecast(base, 18), k).tobytes()
 
 
 @settings(deadline=None, max_examples=12)
