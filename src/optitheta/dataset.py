@@ -43,11 +43,7 @@ class DatasetEntry:
     group: str
 
     def __post_init__(self) -> None:
-        sid = self.series.id
-        if "," in sid or "".join(sid.splitlines()) != sid:  # any break that read_rows splits at
-            raise ValueError(f"entry {sid!r}: an id must not contain a comma or a line break")
-        if sid != sid.strip():  # read_rows strips every field
-            raise ValueError(f"entry {sid!r}: an id must not start or end with whitespace")
+        check_field(self.series.id, "entry", "an id")
         actuals = np.asarray(self.actuals, dtype=np.float64)
         if actuals.ndim != 1 or actuals.size == 0 or not np.all(np.isfinite(actuals)):
             raise ValueError(f"entry {self.series.id!r}: held-out actuals must be finite and non-empty")
@@ -70,6 +66,8 @@ class Dataset:
     entries: tuple[DatasetEntry, ...]
 
     def __post_init__(self) -> None:
+        if not self.entries:
+            raise ValueError("a dataset needs at least one entry; got none")
         check_unique_ids(entry.series.id for entry in self.entries)
 
     def __len__(self) -> int:
@@ -77,6 +75,15 @@ class Dataset:
 
     def __iter__(self):
         return iter(self.entries)
+
+
+def check_field(value: str, owner: str, what: str) -> None:
+    """Refuse ``value``, ``what`` (say "an id") of an ``owner`` (say "entry"), where
+    :func:`read_rows` would split or strip it as a field of an input or output row."""
+    if "," in value or "".join(value.splitlines()) != value:  # any break that read_rows splits at
+        raise ValueError(f"{owner} {value!r}: {what} must not contain a comma or a line break")
+    if value != value.strip():  # read_rows strips every field
+        raise ValueError(f"{owner} {value!r}: {what} must not start or end with whitespace")
 
 
 def check_unique_ids(ids: Iterable[str]) -> None:

@@ -1,12 +1,12 @@
 """End-to-end per-series forecast pipelines.
 
-``run_method`` is the one entry point for every :class:`MethodSpec`. It runs
-a spec without a ``family`` as the full optimised-theta sequence:
-seasonality test, multiplicative deseasonalization, theta selection by
-rolling-origin validation on the adjusted series, theta-line decomposition
-and extrapolation, recombination, and reseasonalization. Classic Theta,
-``MethodSpec.classic_theta()``, fixes theta to 2 (no selection step). A spec
-with a ``family`` runs that reference family. A spec is checked when it is
+``run_method`` runs a :class:`MethodSpec` through its one body,
+:meth:`SeriesContext.run`. A spec without a ``family`` runs the full
+optimised-theta sequence: seasonality test, multiplicative deseasonalization,
+theta selection by rolling-origin validation on the adjusted series, theta-line
+decomposition and extrapolation, recombination, and reseasonalization. Classic
+Theta, ``MethodSpec.classic_theta()``, fixes theta to 2 (no selection step). A
+spec with a ``family`` runs that reference family. A spec is checked when it is
 built, by the same ``groe``, ``theta`` and ``smoothing`` checks its run makes.
 
 The method tokens of one series share a :class:`SeriesContext`, given to
@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import smoothing
+from .dataset import check_field
 from .groe import (
     DEFAULT_THETA_GRID, approach_config, check_approach, check_grid, forecast_table,
     loss_rows, resolve_cost, scored_origins, select_theta,
@@ -64,6 +66,7 @@ class MethodSpec:
     extrapolator: ForecasterSpec = SES
 
     def __post_init__(self) -> None:
+        check_field(self.name, "method", "a name")  # it is a field of every output row
         if self.family is not None:
             ForecasterSpec(self.family)  # refuses an unknown family
         else:
@@ -137,8 +140,6 @@ class SeriesContext:
         self._task = [] if task is None else task
         self._task.append(self)
         self.charge = 0.0
-        self._adjusted: tuple[SeasonalIndices | None, TimeSeries] | None = None
-        self._trend: TrendFit | None = None
         self._tables: dict[tuple, dict[int, np.ndarray]] = {}
         self._rows: dict[tuple, dict[int, np.ndarray]] = {}
         self._fits: dict[tuple, tuple] = {}  # (theta or None, spec): (fit or error, time share)
@@ -159,28 +160,25 @@ class SeriesContext:
         if series.n >= MIN_THETA_N:
             self._planned.update((theta, spec.extrapolator) for spec, (theta, _) in self._fixed.items())
 
+    @cached_property
     def adjusted(self) -> tuple[SeasonalIndices | None, TimeSeries]:
         """(indices or None, the series theta is selected and fitted on)."""
-        if self._adjusted is None:
-            if seasonality_applies(self.series):
-                idx = seasonal_indices(self.series)
-                self._adjusted = (idx, deseasonalize(self.series, idx))
-            else:
-                self._adjusted = (None, self.series)
-        return self._adjusted
+        if seasonality_applies(self.series):
+            idx = seasonal_indices(self.series)
+            return idx, deseasonalize(self.series, idx)
+        return None, self.series
 
+    @cached_property
     def trend(self) -> TrendFit:
         """The OLS line of the adjusted series, which a fixed-theta token's theta line is built
         on and its forecasts are recombined with."""
-        if self._trend is None:
-            self._trend = fit_linear_trend(self.adjusted()[1])
-        return self._trend
+        return fit_linear_trend(self.adjusted[1])
 
     def _input(self, theta, spec: ForecasterSpec) -> tuple[TimeSeries, np.ndarray | None]:
         # (what the fit of key (theta, spec) runs on, its seasonal factors)
         if theta is None:
-            return self.series, self.adjusted()[0].indices if spec.family in SEASONAL else None
-        return theta_line(self.adjusted()[1], self.trend(), theta), None
+            return self.series, self.adjusted[0].indices if spec.family in SEASONAL else None
+        return theta_line(self.adjusted[1], self.trend, theta), None
 
     def _batch(self, key: tuple) -> None:
         # one fit_all for this series and each of its task's that plans and lacks
@@ -227,15 +225,27 @@ class SeriesContext:
             for other, origins in self._origins.items():
                 if (other.grid, other.extrapolator) == key:
                     union.update(origins)
-            _, work = self.adjusted()
+            _, work = self.adjusted
             self._tables[key] = forecast_table(work, spec.grid, union, self.h, spec.extrapolator)
         return self._tables[key]
 
-    def theta_forecast(self, spec: MethodSpec) -> tuple[float, np.ndarray, str | None]:
-        """The token's theta, reseasonalised forecasts and, when it fell back to theta=2, why."""
-        idx, work = self.adjusted()
+    def run(self, spec: MethodSpec) -> ForecastResult:
+        """Run ``spec``, one of the context's tokens, on the series: the optimised-theta
+        sequence when it has no ``family``, else that reference family, whose seasonal
+        kinds (naive2, holt_winters, seasonal_damped) take the context's seasonality
+        decision and fall back to their non-seasonal sibling when it fails."""
+        series, h = self.series, self.h
+        if spec.family is not None:
+            # the other families never read the seasonal decision, so it is not made for them
+            indices = self.adjusted[0] if spec.family in SEASONAL else None
+            family, _ = smoothing.effective_family(spec.family, indices)
+            fitted = self.fitted(None, ForecasterSpec(family))
+            return ForecastResult(series.id, spec.name, smoothing.forecast(fitted, h), None, fitted.seasonal)
+        if series.n < MIN_THETA_N:
+            raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
+        idx, work = self.adjusted
         if spec in self._origins:
-            table, key, n = self._table(spec), (spec.grid, spec.extrapolator, spec.cost), self.series.n
+            table, key, n = self._table(spec), (spec.grid, spec.extrapolator, spec.cost), series.n
             if key not in self._rows:  # every origin of the table but n, scored once per cost
                 self._rows[key] = loss_rows(work, spec.grid, table, set(table) - {n}, spec.cost)
             theta = select_theta(work, spec.grid, self._rows[key], self._origins[spec])
@@ -243,23 +253,19 @@ class SeriesContext:
         else:
             theta, note = self._fixed[spec]
             fitted = self.fitted(theta, spec.extrapolator)
-            forecasts = otm_forecast(work, theta, self.h, spec.extrapolator, fitted, fit=self.trend())
+            forecasts = otm_forecast(work, theta, h, spec.extrapolator, fitted, fit=self.trend)
         if idx is not None:
-            forecasts = reseasonalize(forecasts, idx, start_t=self.series.n + 1)
-        return theta, forecasts, note
+            forecasts = reseasonalize(forecasts, idx, start_t=series.n + 1)
+        return ForecastResult(series.id, spec.name, forecasts, theta, idx is not None, note)
 
 
 def run_method(
     series: TimeSeries, h: int, spec: MethodSpec, *, context: SeriesContext | None = None
 ) -> ForecastResult:
-    """Run ``spec`` on one series: the optimised-theta pipeline when it has
-    no ``family``, else that reference family.
+    """Run ``spec`` on one series through ``context.run`` (see :meth:`SeriesContext.run`).
 
     ``context``, when given, must have been built for this series, h and
     spec; its work is then shared with the other tokens it was built for.
-    Seasonal-capable families (naive2, holt_winters, seasonal_damped) take
-    the context's seasonality decision and fall back to their non-seasonal
-    sibling when it fails.
     """
     if context is None:
         context = SeriesContext(series, h, (spec,))
@@ -267,16 +273,4 @@ def run_method(
         raise ValueError(
             f"the context was not built for series {series.id!r}, h={h} and {spec.name!r}"
         )
-    if spec.family is not None:
-        # the other families never read the seasonal decision, so it is not made for them
-        indices = context.adjusted()[0] if spec.family in SEASONAL else None
-        family, _ = smoothing.effective_family(spec.family, indices)
-        fitted = context.fitted(None, ForecasterSpec(family))
-        theta, forecasts, note = None, smoothing.forecast(fitted, h), None
-        seasonal = fitted.seasonal
-    else:
-        if series.n < MIN_THETA_N:
-            raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
-        theta, forecasts, note = context.theta_forecast(spec)
-        seasonal = context.adjusted()[0] is not None
-    return ForecastResult(series.id, spec.name, forecasts, theta, seasonal, note)
+    return context.run(spec)

@@ -307,8 +307,8 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: list, season
     y_t each row w scores every grid point by ``w @ products`` of its member;
     a fit's matrix is ``_SSE``, so its score is its SSE. A row's winner, with
     a copy of its state, is the first least sanitised score: a later block replaces
-    it only on a strict ``<``. Returns one ``{t: (score, params, level, trend, season)}``
-    per member, rows last.
+    it only on a strict ``<``. Returns ``{(member, t): (score, params, level, trend,
+    season)}`` over every member's prefix lengths, rows last.
     """
     n, members, inputs = runs.shape[:3]
     # _recurrence takes a season only on a 1-d input, so a single run is passed as one
@@ -321,7 +321,7 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: list, season
     checks = {t: (range(js[0], js[-1] + 1), weights[js[0]][t] if len(js) == 1 else
                   np.stack([weights[j][t] for j in js])) for t, js in due.items()}
     last = max(checks)
-    best = {}
+    found = {}
     with np.errstate(all="ignore"):
         for start in range(0, grid["alpha"].size, _BLOCK):
             block = {k: v[start : start + _BLOCK] for k, v in grid.items()}
@@ -339,16 +339,14 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: list, season
                     for pos, j in enumerate(js):
                         state = (*(a if a is None else a[j] for a in states), factors, *block.values())
                         won = [mins[pos], *(a if a is None else a.take(i[pos], -1) for a in state)]
-                        if (j, t) in best:
-                            better = won[0] < best[j, t][0]
+                        if (j, t) in found:
+                            score, params, *old = found[j, t]
+                            better = won[0] < score
                             won = [a if a is None else np.where(better, a, b)
-                                   for a, b in zip(won, best[j, t])]
-                        best[j, t] = won
+                                   for a, b in zip(won, (score, *old, *params.values()))]
+                        found[j, t] = (won[0], dict(zip(grid, won[4:])), *won[1:4])
                     if t == last:
                         break
-    found = [{} for _ in weights]
-    for (j, t), (score, level, trend, factors, *params) in best.items():
-        found[j][t] = (score, dict(zip(grid, params)), level, trend, factors)
     return found
 
 
@@ -417,8 +415,8 @@ def fit_all(spec: ForecasterSpec, series: list, season=None) -> list:
             runs[: s.n, m, 0, 0] = s.values
         narrow = grid if grid["alpha"].size <= _BLOCK else _screen(grid, members[0].values, season)
         found = _search(narrow, runs, [{s.n: _SSE} for s in members], season)
-        for j, s, rows in zip(order[start : start + pack], members, found):
-            (sse,), params, level, trend, factors = rows[s.n]
+        for m, (j, s) in enumerate(zip(order[start : start + pack], members)):
+            (sse,), params, level, trend, factors = found[m, s.n]
             out[j] = ValueError(
                 f"series {s.id!r}: family {spec.family!r} has no finite in-sample SSE "
                 "at any grid point (the recursion overflows)"

@@ -608,7 +608,7 @@ def assert_final_forecasts_match(series, h, spec):
 def test_final_forecasts_match_otm_forecast_on_corpus(family):
     counts = {"Yearly": 2, "Quarterly": 2, "Monthly": 2, "Other": 1}
     for entry in synthetic_dataset(42, counts).entries:
-        work = SeriesContext(entry.series, entry.h).adjusted()[1]
+        work = SeriesContext(entry.series, entry.h).adjusted[1]
         assert_final_forecasts_match(work, entry.h, EXTRAPOLATORS[family])
 
 
@@ -736,11 +736,11 @@ def test_scale_leaves_theta_unchanged(cost):
     # and the adjusted series scales too
     selections = 0
     for series, h in scaled_series():
-        indices, work = SeriesContext(series, h).adjusted()
+        indices, work = SeriesContext(series, h).adjusted
         moved = []
         for c in SCALES:
             scaled = series.with_values(c * series.values)
-            scaled_indices, scaled_work = SeriesContext(scaled, h).adjusted()
+            scaled_indices, scaled_work = SeriesContext(scaled, h).adjusted
             assert (scaled_indices is None) == (indices is None)
             moved.append(scaled_work)
         selections += assert_selections_kept(work, h, moved, cost)

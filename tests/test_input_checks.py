@@ -6,11 +6,12 @@ import pytest
 
 from optitheta import TimeSeries
 from optitheta.cli import main
-from optitheta.dataset import DatasetEntry, _parse_entry
+from optitheta.dataset import Dataset, DatasetEntry, _parse_entry
 from optitheta.groe import (
     DEFAULT_THETA_GRID, GroeConfig, approach_config, forecast_table, loss_rows,
 )
 from optitheta.metrics import mase, smape
+from optitheta.pipeline import MethodSpec
 from optitheta.seasonal import SeasonalIndices, autocorrelations, reseasonalize, seasonal_indices
 from optitheta.smoothing import ForecasterSpec
 from optitheta.theta import otm_forecast
@@ -64,6 +65,12 @@ CHECKS = {
         lambda: DatasetEntry(TimeSeries("a\nb", [1.0]), [1.0], "Yearly"), "a line break"),
     "entry-id-padded": (
         lambda: DatasetEntry(TimeSeries(" S1", [1.0]), [1.0], "Yearly"), "' S1': an id must not start"),
+    "dataset-empty": (lambda: Dataset(entries=()), "a dataset needs at least one entry"),
+    # a method name is a field of every output row, as an id is
+    "method-name-comma": (lambda: MethodSpec.otm("a", name="otm,a"), "'otm,a': a name must not"),
+    "method-name-line-break": (lambda: MethodSpec.otm("a", name="nv\nx"), "a line break"),
+    "method-name-padded": (
+        lambda: MethodSpec.benchmark("naive", name="naive "), "'naive ': a name must not start"),
     "entry-group": (
         lambda: DatasetEntry(SHORT, [1.0], "Weekly"), "unknown group 'Weekly'; expected one of"),
     "row-group": (lambda: _parse_entry("X1,Weekly,1,1,2,10,11,12".split(",")), "expected one of"),

@@ -205,7 +205,7 @@ def test_shared_context_plans_each_selecting_token_once(monkeypatch):
 
 def test_estimate_theta_equals_selection_over_a_union_table():
     for series, h in synthetic_cases():
-        work = SeriesContext(series, h).adjusted()[1]
+        work = SeriesContext(series, h).adjusted[1]
         configs = {a: approach_config(a, series.n, h) for a in APPROACHES}
         union = sorted({ni for c in configs.values() for ni in scored_origins(c, series.n)})
         for extrapolator in SHARED_EXTRAPOLATORS.values():
@@ -226,7 +226,7 @@ def test_selecting_tokens_forecast_the_chosen_theta():
     specs = shared_specs()
     for series, h in synthetic_cases():
         context = SeriesContext(series, h, specs)
-        indices, work = context.adjusted()
+        indices, work = context.adjusted
         for spec in specs[1:]:
             result = run_method(series, h, spec, context=context)
             assert result.note is None
@@ -251,7 +251,7 @@ def test_tokens_with_different_costs_share_one_search(monkeypatch):
     differ = 0
     for series, h in synthetic_cases():
         context = SeriesContext(series, h, specs)
-        work = context.adjusted()[1]
+        work = context.adjusted[1]
         config = approach_config("d", series.n, h)
         thetas = set()
         for spec in specs:
@@ -385,7 +385,7 @@ def test_sibling_fallbacks_share_one_fit_per_family(monkeypatch):
         context = SeriesContext(entry.series, entry.h, specs)
         fits.clear()
         shared = [run_method(entry.series, entry.h, spec, context=context) for spec in specs]
-        is_seasonal = context.adjusted()[0] is not None
+        is_seasonal = context.adjusted[0] is not None
         seasonal.add(is_seasonal)
         expected = names if is_seasonal else ("naive", "holt", "damped")
         assert sorted(fits) == sorted(expected), entry.series.id

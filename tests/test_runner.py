@@ -140,6 +140,24 @@ def test_outputs_equal_for_any_worker_count_and_task_size(monkeypatch, tmp_path)
     assert all(files == outputs[1, 1] for files in outputs.values())
 
 
+def test_cells_equal_for_any_corpus_order():
+    # a permutation changes which series share a task and an SES pack of one
+    # smoothing search, so a batch that leaks between its members shows here
+    ds = synthetic_dataset(7, {"Yearly": 12, "Quarterly": 12, "Monthly": 10, "Other": 6})
+    order = np.random.default_rng(2).permutation(len(ds))
+    assert order.tolist() != list(range(len(ds)))
+    methods = (MethodSpec.classic_theta(), MethodSpec.otm("a"), MethodSpec.otm("d"),
+               *(MethodSpec.benchmark(family) for family in ("ses", "naive2", "holt")))
+    cells = []
+    for data in (ds, Dataset(tuple(ds.entries[i] for i in order))):
+        result = run_experiment(data, ExperimentConfig(methods=methods, workers=1))
+        forecasts = {(f.series_id, f.method): f.forecasts.tobytes() for f in result.forecasts}
+        cells.append({(s.series_id, s.method): (forecasts[s.series_id, s.method], s.theta, s.smape, s.mase)
+                      for s in result.scores})
+    assert len(cells[0]) == len(ds) * len(methods) == 240
+    assert cells[0] == cells[1]
+
+
 def test_a_failing_series_fails_only_its_own_cells(monkeypatch):
     # one task holds every series, so each batched fit includes the ones
     # that fail; each failure stays in the cells that would fail alone
