@@ -6,9 +6,9 @@ The on-disk format is delimited text, one series per row:
 
 where the a_* columns are the held-out actuals. A header row is required
 (its content is ignored), the decimal separator is ``.``, and ids must not
-contain commas. Group is one of Yearly / Quarterly / Monthly / Other, which
-by convention carry (period, h) = (1, 6), (4, 8), (12, 18), (1, 8); rows
-may override both explicitly.
+contain commas. Group is one of Yearly / Quarterly / Monthly / Other. Every
+row gives its own period and h; the synthetic generator writes (period, h) =
+(1, 6), (4, 8), (12, 18), (1, 8) for the four groups.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -130,12 +131,20 @@ class AggregateRow:
     elapsed: float
 
 
+def _mean(values: list[float]) -> float:
+    # the correctly rounded sum over the count, or, when that sum is beyond the
+    # float range, the sum of each value over the count; both are order-free
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return math.fsum(v / len(values) for v in values)
+
+
 def aggregate_scores(scores: Iterable[SeriesScore]) -> list[AggregateRow]:
     """Fold per-series scores into per-group and All rows, one set per method.
 
-    The fold runs in input order, so the output is bit-stable regardless of
-    how the scores were produced. The All row averages over every scored
-    series, not over group means.
+    A mean does not depend on the order of the scores (see :func:`_mean`).
+    The All row averages over every scored series, not over group means.
     """
     scores = list(scores)
     rows: list[AggregateRow] = []
@@ -155,8 +164,8 @@ def aggregate_scores(scores: Iterable[SeriesScore]) -> list[AggregateRow]:
                     n_smape=len(smapes),
                     n_mase=len(mases),
                     n_failed=sum(1 for s in cells if s.error is not None),
-                    smape_mean=float(np.mean(smapes)) if smapes else None,
-                    mase_mean=float(np.mean(mases)) if mases else None,
+                    smape_mean=_mean(smapes) if smapes else None,
+                    mase_mean=_mean(mases) if mases else None,
                     elapsed=float(sum(s.elapsed for s in cells)),
                 )
             )

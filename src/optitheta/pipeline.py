@@ -186,7 +186,7 @@ class SeriesContext:
         start = time.perf_counter()
         inputs, season = {}, None  # no context plans a fit with a season, so it runs alone
         members = [self]
-        if key in self._planned:
+        if key in self._planned:  # else no other context plans it either: skip the scan
             members += [m for m in self._task
                         if m is not self and key in m._planned and key not in m._fits]
         for member in members:

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TimeSeries", "TrendFit", "fit_linear_trend", "prefix_trends", "trend_value"]
-
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -38,12 +36,6 @@ class TimeSeries:
     @property
     def n(self) -> int:
         return self.values.size
-
-    def prefix(self, length: int) -> "TimeSeries":
-        """The first ``length`` observations, keeping id and period."""
-        if not 1 <= length <= self.n:
-            raise ValueError(f"prefix length {length} out of range for n={self.n}")
-        return TimeSeries(self.id, self.values[:length], self.period)
 
     def with_values(self, values) -> "TimeSeries":
         """A copy of this series with replaced observations."""

@@ -193,7 +193,7 @@ def _sanitize(sse: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(sse), sse, np.inf)
 
 
-def _grid(spec: ForecasterSpec, family: str) -> dict[str, np.ndarray]:
+def _grid(spec: ForecasterSpec) -> dict[str, np.ndarray]:
     """The flattened search grid of a smoothing fit, one named dimension per parameter.
 
     Keys are the family's ``_PARAMS`` and values their raveled
@@ -202,8 +202,8 @@ def _grid(spec: ForecasterSpec, family: str) -> dict[str, np.ndarray]:
     does not have (Holt's recursion then skips the damping multiply), and a
     pinned parameter is a one-point dimension.
     """
-    weights = _SEASONAL_WEIGHT_GRID if family in SEASONAL else _WEIGHT_GRID
-    dims = {k: _PHI_GRID if k == "phi" else weights for k in _PARAMS[family]}
+    weights = _SEASONAL_WEIGHT_GRID if spec.family in SEASONAL else _WEIGHT_GRID
+    dims = {k: _PHI_GRID if k == "phi" else weights for k in _PARAMS[spec.family]}
     dims = {k: v if getattr(spec, k) is None else np.array([float(getattr(spec, k))])
             for k, v in dims.items()}
     return dict(zip(dims, (g.ravel() for g in np.meshgrid(*dims.values(), indexing="ij"))))
@@ -303,7 +303,7 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: list, season
     docstring). A block sums each member's one-step error products, e*e or
     e_a*e_b in row a*inputs + b. ``weights`` holds one dict per member
     mapping a prefix length t to a (rows, inputs**2) matrix; the members with
-    a matrix at t are consecutive and their matrices share a shape. After
+    a matrix at t are consecutive and they share one matrix. After
     y_t each row w scores every grid point by ``w @ products`` of its member;
     a fit's matrix is ``_SSE``, so its score is its SSE. A row's winner, with
     a copy of its state, is the first least sanitised score: a later block replaces
@@ -318,8 +318,7 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: list, season
     for j, member in enumerate(weights):
         for t in member:
             due.setdefault(t, []).append(j)
-    checks = {t: (range(js[0], js[-1] + 1), weights[js[0]][t] if len(js) == 1 else
-                  np.stack([weights[j][t] for j in js])) for t, js in due.items()}
+    checks = {t: (range(js[0], js[-1] + 1), weights[js[0]][t]) for t, js in due.items()}
     last = max(checks)
     found = {}
     with np.errstate(all="ignore"):
@@ -405,7 +404,7 @@ def fit_all(spec: ForecasterSpec, series: list, season=None) -> list:
            if s.n < min_n else None for s in series]
     if not _PARAMS[spec.family]:
         return [failed or _fit_naive(s, season) for failed, s in zip(out, series)]
-    grid = _grid(spec, spec.family)
+    grid = _grid(spec)
     pack = 1 if season is not None else max(1, _BLOCK // grid["alpha"].size)
     order = sorted((j for j, failed in enumerate(out) if failed is None), key=lambda j: series[j].n)
     for start in range(0, len(order), pack):

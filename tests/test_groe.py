@@ -402,7 +402,7 @@ def whole_grid_forecast_table(series, grid, origins, H, extrapolator=SES):
     """
     theta = np.array(grid, dtype=np.float64)[:, None]
     y, n = series.values, series.n
-    params = smoothing._grid(extrapolator, extrapolator.family)
+    params = smoothing._grid(extrapolator)
     full = fit_linear_trend(series)
     t = np.arange(1.0, n + 1)
     runs = np.stack([y - trend_value(full, t), t], axis=1)[:, :, None]
@@ -418,7 +418,7 @@ def whole_grid_forecast_table(series, grid, origins, H, extrapolator=SES):
                 cross += products
             if ni not in origins:
                 continue
-            prefix_fit = fit_linear_trend(series.prefix(ni))
+            prefix_fit = fit_linear_trend(series.with_values(series.values[:ni]))
             c1 = theta * full.intercept + (1.0 - theta) * prefix_fit.intercept
             c2 = theta * full.slope + (1.0 - theta) * prefix_fit.slope
             weights = np.hstack([theta * theta, theta * c2, theta * c2, c2 * c2])
@@ -509,7 +509,6 @@ def test_table_builds_no_prefix_series(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("forecast_table built a TimeSeries")
 
-    monkeypatch.setattr(TimeSeries, "prefix", refuse)
     monkeypatch.setattr(TimeSeries, "__post_init__", refuse)
     assert forecast_table(series, DEFAULT_THETA_GRID, union, h).keys() == set(union)
 
@@ -755,3 +754,33 @@ def test_scale_multiplies_the_forecasts_by_the_constant():
             moved = run_method(series.with_values(c * series.values), h, spec)
             assert moved.theta == base.theta
             np.testing.assert_allclose(moved.forecasts, c * base.forecasts, rtol=1e-12, atol=0.0)
+
+
+def test_power_of_two_scale_scales_every_token_bit_for_bit():
+    # scaling y by 2**k is exact, and so is every step of every token at it:
+    # the seasonal test, theta selection and each smoothing family, which
+    # the rtol tests above only bound; the damped extrapolator runs on the
+    # two shortest series, where its 193,819-point search stays cheap
+    entries = sorted(synthetic_dataset(7, {"Yearly": 4, "Quarterly": 4, "Monthly": 4, "Other": 2}),
+                     key=lambda entry: entry.series.n)
+    specs = (MethodSpec.classic_theta(), *(MethodSpec.otm(a) for a in APPROACHES),
+             MethodSpec.otm("a", cost="ae", name="otm-a-ae"),
+             MethodSpec.otm("a", cost="sape", name="otm-a-sape"),
+             *(MethodSpec.benchmark(family) for family in smoothing.FAMILIES))
+    damped = MethodSpec.otm("d", extrapolator="damped", name="otm-d-damped")
+    cells = 0
+    for i, entry in enumerate(entries):
+        series, h = entry.series, entry.h
+        tokens = (*specs, damped) if i < 2 else specs
+        base = SeriesContext(series, h, tokens)
+        wanted = {spec: run_method(series, h, spec, context=base) for spec in tokens}
+        for k in (-7, 3, 40):
+            moved = series.with_values(np.ldexp(series.values, k))
+            context = SeriesContext(moved, h, tokens)
+            for spec, want in wanted.items():
+                got = run_method(moved, h, spec, context=context)
+                assert (got.theta, got.seasonal) == (want.theta, want.seasonal), (series.id, spec.name, k)
+                assert got.forecasts.tobytes() == np.ldexp(want.forecasts, k).tobytes(), (
+                    series.id, spec.name, k)
+                cells += 1
+    assert cells == 14 * 3 * 18 + 2 * 3

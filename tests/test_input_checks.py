@@ -37,6 +37,9 @@ CHECKS = {
     "select-row-count": (
         lambda: loss_rows(WALK, DEFAULT_THETA_GRID, forecast_table(WALK, [1.0, 2.0], [20], 6), [20]),
         r"2 rows at origin 20, not one per grid theta \(9\)"),
+    "loss-rows-empty-origins": (
+        lambda: loss_rows(WALK, DEFAULT_THETA_GRID, forecast_table(WALK, DEFAULT_THETA_GRID, [20], 6), []),
+        "origins must be non-empty"),
     "select-missing-origin": (
         lambda: loss_rows(
             WALK, DEFAULT_THETA_GRID, forecast_table(WALK, DEFAULT_THETA_GRID, [20], 6), [20, 23]),

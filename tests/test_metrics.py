@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -314,3 +315,16 @@ def test_aggregate_counts_failures():
     rows = {(r.method, r.group): r for r in aggregate_scores(scores)}
     row = rows[("m", "All")]
     assert row.n_failed == 1 and row.n_smape == 1 and row.n_series == 2
+
+
+def test_aggregate_means_are_exact_sums_in_any_order():
+    # an exact sum keeps the last digit for any order of the scores, and a
+    # sum beyond the float range still gives its finite mean
+    smapes = [0.1, 0.2, 0.3, 0.7, 199.9]
+    mases = [1.7e308, 1.7e308, 1.0, 2.0, 3.0]
+    means = set()
+    for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [3, 0, 4, 1, 2]):
+        scores = [_score(str(i), "Other", "m", smapes[i], mases[i]) for i in order]
+        row = next(r for r in aggregate_scores(scores) if r.group == "All")
+        means.add((row.smape_mean, row.mase_mean))
+    assert means == {(math.fsum(smapes) / 5, 2 * (1.7e308 / 5))}

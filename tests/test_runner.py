@@ -1,5 +1,6 @@
 import time
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,14 +149,19 @@ def test_cells_equal_for_any_corpus_order():
     assert order.tolist() != list(range(len(ds)))
     methods = (MethodSpec.classic_theta(), MethodSpec.otm("a"), MethodSpec.otm("d"),
                *(MethodSpec.benchmark(family) for family in ("ses", "naive2", "holt")))
-    cells = []
+    cells, tables = [], []
     for data in (ds, Dataset(tuple(ds.entries[i] for i in order))):
         result = run_experiment(data, ExperimentConfig(methods=methods, workers=1))
         forecasts = {(f.series_id, f.method): f.forecasts.tobytes() for f in result.forecasts}
         cells.append({(s.series_id, s.method): (forecasts[s.series_id, s.method], s.theta, s.smape, s.mase)
                       for s in result.scores})
+        # the aggregate means and ranks too, every field but the wall time
+        tables.append(([replace(row, elapsed=0.0) for row in result.table],
+                       result.rank_smape, result.rank_mase))
     assert len(cells[0]) == len(ds) * len(methods) == 240
     assert cells[0] == cells[1]
+    assert len(tables[0][0]) == 5 * len(methods) and tables[0][1] is not None
+    assert tables[0] == tables[1]
 
 
 def test_a_failing_series_fails_only_its_own_cells(monkeypatch):

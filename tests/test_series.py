@@ -92,14 +92,6 @@ def test_non_integral_period_rejected():
     assert TimeSeries("s", [1.0, 2.0, 3.0], period=2.0).period == 2
 
 
-def test_prefix():
-    series = TimeSeries("s", [1.0, 2.0, 3.0, 4.0], period=2)
-    head = series.prefix(2)
-    assert head.n == 2 and head.period == 2 and head.id == "s"
-    with pytest.raises(ValueError):
-        series.prefix(5)
-
-
 def mean_based_trend(y):
     """Reference for the OLS line: the textbook form with ``np.mean`` for both means."""
     t = np.arange(1, y.size + 1, dtype=np.float64)
@@ -122,6 +114,6 @@ def test_prefix_trends_equal_fit_linear_trend_bit_for_bit(values, exponent):
     lengths = range(2, series.n + 1)
     intercepts, slopes = prefix_trends(series.values, lengths)
     for length, line in zip(lengths, np.stack([intercepts, slopes], axis=1)):
-        fit = fit_linear_trend(series.prefix(length))
+        fit = fit_linear_trend(series.with_values(series.values[:length]))
         assert line.tobytes() == np.array([fit.intercept, fit.slope]).tobytes(), length
         assert line.tobytes() == np.array(mean_based_trend(series.values[:length])).tobytes()

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -244,7 +245,7 @@ def whole_grid_fit(spec, family, series, recurrence=smoothing._recurrence):
     """Reference search: one ``recurrence`` run over the whole grid, first
     argmin of the sanitized SSE. Returns the winner's grid index and its fit."""
     season = seasonal_indices(series).indices if family in smoothing.SEASONAL else None
-    grid = smoothing._grid(spec, family)
+    grid = smoothing._grid(replace(spec, family=family))
     sse = np.zeros(grid["alpha"].shape)
     with np.errstate(all="ignore"):
         for e, level, trend, factors in recurrence(series.values, season=season, **grid):
@@ -302,7 +303,7 @@ def counting(updates, sizes=None):
 def unpruned_updates(spec, family, n):
     """The updates of a float64 sweep that drops nothing: the grid's, plus
     those of its ``_STRIDE`` sample when the grid spans blocks."""
-    size = smoothing._grid(spec, family)["alpha"].size
+    size = smoothing._grid(replace(spec, family=family))["alpha"].size
     sample = -(-size // smoothing._STRIDE) if size > smoothing._BLOCK else 0
     return (size + sample) * (n - 1)
 
@@ -348,7 +349,7 @@ def test_blocked_search_all_tied_picks_first_point(family):
     # partial SSE exceeds the bound 0, so a sweep in either dtype keeps the
     # whole tie across every block, and the fit's winner is grid index 0
     series = TimeSeries("c", np.full(24, 2.0))
-    grid = smoothing._grid(ForecasterSpec(family), family)
+    grid = smoothing._grid(ForecasterSpec(family))
     for dtype in (np.float32, np.float64):
         best, keep = smoothing._sweep(grid, series.values, None, dtype, 0.0)
         assert best == 0.0 and np.array_equal(keep, np.arange(grid["alpha"].size)), dtype
@@ -363,7 +364,7 @@ def test_blocked_search_all_tied_picks_first_point(family):
 
 def test_blocked_search_grid_smaller_than_one_block(make_rw):
     spec = ForecasterSpec("damped", alpha=0.5, beta=0.1)
-    assert smoothing._grid(spec, "damped")["alpha"].size < smoothing._BLOCK
+    assert smoothing._grid(spec)["alpha"].size < smoothing._BLOCK
     blocked_and_reference(spec, make_rw(8, 30, drift=0.5))
 
 
@@ -407,7 +408,7 @@ def test_blocked_search_first_finite_minimum_across_blocks(bad, monkeypatch):
     monkeypatch.setattr(smoothing, "_recurrence", fake_recurrence(
         lambda a: np.where(a < 0.1, np.nan, np.where(a < 0.2, bad, 1.0)), finals
     ))
-    grid = smoothing._grid(ForecasterSpec("ses"), "ses")
+    grid = smoothing._grid(ForecasterSpec("ses"))
     alpha = grid["alpha"]
     assert alpha[3 * 7 - 1] == 0.2
     series = TimeSeries("s", np.arange(10.0))
@@ -430,7 +431,7 @@ def test_blocked_search_no_finite_point_raises(monkeypatch):
     monkeypatch.setattr(smoothing, "_recurrence", fake_recurrence(
         lambda a: np.where(a < 0.5, np.nan, np.inf), finals
     ))
-    grid = smoothing._grid(ForecasterSpec("ses"), "ses")
+    grid = smoothing._grid(ForecasterSpec("ses"))
     size = grid["alpha"].size
     for dtype in (np.float32, np.float64):
         finals.clear()
@@ -481,7 +482,7 @@ def test_pruned_search_with_no_finite_point_prunes_nothing(monkeypatch):
     # but the float64 search of the points it keeps overflows, so the fit
     # raises as the whole-grid reference finds no finite SSE
     spec, series, updates = ForecasterSpec("damped"), TimeSeries("o", [1e200, -1e200] * 5), [0]
-    grid = smoothing._grid(spec, "damped")
+    grid = smoothing._grid(spec)
     with monkeypatch.context() as patch:
         patch.setattr(smoothing, "_recurrence", counting(updates))
         best, keep = smoothing._sweep(grid, series.values, None, np.float64, 0.0)
@@ -515,7 +516,7 @@ def test_fit_spanning_blocks_runs_its_sample_and_prunes(make_seasonal, monkeypat
     # floor, so the screen stops after its sample, a float64 sweep runs, and
     # the search runs its first least point
     spec = ForecasterSpec("damped")
-    size = smoothing._grid(spec, "damped")["alpha"].size
+    size = smoothing._grid(spec)["alpha"].size
     sample = -(-size // smoothing._STRIDE)
     screen = [sample, *blocks(size, 2 * smoothing._BLOCK)]
     series = make_seasonal(4, 60, MONTHLY_PATTERN, noise=0.03)
@@ -531,7 +532,7 @@ def test_fit_spanning_blocks_runs_its_sample_and_prunes(make_seasonal, monkeypat
 )
 def test_fit_within_one_block_runs_no_sample_and_prunes_nothing(spec, make_rw, monkeypatch):
     series = make_rw(21, 40, drift=0.3)
-    size = smoothing._grid(spec, spec.family)["alpha"].size
+    size = smoothing._grid(spec)["alpha"].size
     assert size <= smoothing._BLOCK
     sizes, updates = search_runs(lambda: fit(spec, series), monkeypatch)
     assert sizes == [size] and updates == size * (series.n - 1)
@@ -544,7 +545,7 @@ def test_loss_table_spanning_blocks_prunes_nothing(origins, make_rw, monkeypatch
     # table makes every update of every block and runs no sample
     monkeypatch.setattr(smoothing, "_BLOCK", 7)
     series = make_rw(21, 40, drift=0.3)
-    size = smoothing._grid(ForecasterSpec("ses"), "ses")["alpha"].size
+    size = smoothing._grid(ForecasterSpec("ses"))["alpha"].size
     sizes, updates = search_runs(
         lambda: forecast_table(series, DEFAULT_THETA_GRID, origins, 6), monkeypatch
     )
@@ -664,7 +665,7 @@ def test_packed_fits_equal_fits_alone(spec, make_rw, monkeypatch):
     runs = recorded_runs(monkeypatch)
     packed = smoothing.fit_all(spec, corpus)
     members = [s for s in corpus if s.n >= smoothing._min_n(spec.family)]
-    size = smoothing._grid(spec, spec.family)["alpha"].size
+    size = smoothing._grid(spec)["alpha"].size
     assert len(members) <= smoothing._BLOCK // size
     assert runs == [((max(s.n for s in members), len(members), 1), size)]
     failed = set()
@@ -723,7 +724,7 @@ def test_pinning_a_fits_own_params_reproduces_it(family, make_seasonal):
 )
 def test_grid_is_the_lexicographic_meshgrid(family, keys, size, pins, make_seasonal):
     spec = ForecasterSpec(family, **pins)
-    grid = smoothing._grid(spec, family)
+    grid = smoothing._grid(spec)
     assert list(grid) == keys.split()
     # a fit names exactly the grid's parameters, pinned ones included
     series = make_seasonal(2, 16, [0.9, 1.1, 0.8, 1.2], noise=0.05)
