@@ -256,7 +256,7 @@ def forecast_table(
     c1 = theta * full.intercept + (1.0 - theta) * prefix.intercept
     c2 = theta * full.slope + (1.0 - theta) * prefix.slope
     weights = np.concatenate(np.broadcast_arrays(theta * theta, theta * c2, theta * c2, c2 * c2), axis=2)
-    found = _search(_grid(extrapolator), runs[:, None], [dict(zip(origins, weights))])
+    found = _search(_grid(extrapolator), runs[:, None], {o: (range(1), w) for o, w in zip(origins, weights)})
     if (0, n) in found and not np.isfinite(found[0, n][0]).all():
         raise ValueError(
             f"series {series.id!r}: a theta line has no finite in-sample SSE at any "

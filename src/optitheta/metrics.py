@@ -63,14 +63,16 @@ def mase(insample, actuals, forecasts) -> float | np.ndarray:
     if y.ndim != 1 or y.size < 2:
         raise ValueError(f"in-sample series must be 1-d with n >= 2, got shape {y.shape}")
     a, f = _paired(actuals, forecasts)
-    # keeps the sums in range; exact but for values some 2**1022 below the largest, and
-    # taken from y and a alone, so every row of f is scaled alike
-    shift = -np.frexp(max(np.abs(y).max(), np.abs(a).max()))[1]
-    y, a, f = np.ldexp(y, shift), np.ldexp(a, shift), np.ldexp(f, shift)
-    scale = float(np.abs(np.diff(y)).sum())
+    # keeps the sums in range: y is scaled by the power of two that puts max|y| in [0.5, 1),
+    # so no step of y is lost beside a far larger a, and a and f by the one for max(|y|, |a|),
+    # which every row of f shares; exact but for errors some 2**1022 below that maximum
+    top = np.abs(y).max()
+    shift, common = -np.frexp(top)[1], -np.frexp(max(top, np.abs(a).max()))[1]
+    scale = float(np.abs(np.diff(np.ldexp(y, shift))).sum())
     if scale == 0.0:
         raise UndefinedMetricError("constant in-sample series: scaled error undefined")
-    out = (y.size - 1) / a.size * np.abs(a - f).sum(axis=-1) / scale
+    errors = np.abs(np.ldexp(a, common) - np.ldexp(f, common)).sum(axis=-1)
+    out = np.ldexp((y.size - 1) / a.size * errors / scale, shift - common)
     return out if out.ndim else float(out)
 
 

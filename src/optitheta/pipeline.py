@@ -126,11 +126,12 @@ class SeriesContext:
     """Per-series work shared by the method tokens ``specs`` run on ``series``.
 
     Construction plans each otm token (its scored origins, or its one theta
-    and any fallback note) and the fits without a season that its tokens will
-    ask for, and appends the context to ``task``, the runner task's contexts
-    whose cells have yet to run. Nothing else is computed until a token asks
-    for it, and a piece that raises is not stored (a fit keeps its error), so
-    it fails every token that needs it and no other.
+    and any fallback note), the origins of each GROE table and the fits
+    without a season that its tokens will ask for, and appends the context to
+    ``task``, the runner task's contexts whose cells have yet to run. Nothing
+    else is computed until a token asks for it, and a piece that raises is not
+    stored (a fit keeps its error), so it fails every token that needs it and
+    no other.
     """
 
     def __init__(self, series: TimeSeries, h: int, specs=(), task: list | None = None) -> None:
@@ -145,12 +146,14 @@ class SeriesContext:
         self._fits: dict[tuple, tuple] = {}  # (theta or None, spec): (fit or error, time share)
         self._planned: set[tuple] = set()
         self._origins: dict[MethodSpec, list[int]] = {}
+        self._unions: dict[tuple, set[int]] = {}  # (grid, extrapolator): its table's origins
         self._fixed: dict[MethodSpec, tuple[float, str | None]] = {}
         for spec in self.specs:
             if spec.family is None and len(spec.grid) > 1:
                 try:
                     config = approach_config(spec.approach, series.n, h)
-                    self._origins[spec] = scored_origins(config, series.n)
+                    origins = self._origins[spec] = scored_origins(config, series.n)
+                    self._unions.setdefault((spec.grid, spec.extrapolator), {series.n}).update(origins)
                 except ValueError as exc:
                     self._fixed[spec] = FALLBACK_THETA, f"fallback to theta={FALLBACK_THETA:g}: {exc}"
             elif spec.family is None:
@@ -221,12 +224,8 @@ class SeriesContext:
     def _table(self, spec: MethodSpec) -> dict[int, np.ndarray]:
         key = (spec.grid, spec.extrapolator)
         if key not in self._tables:
-            union = {self.series.n}
-            for other, origins in self._origins.items():
-                if (other.grid, other.extrapolator) == key:
-                    union.update(origins)
             _, work = self.adjusted
-            self._tables[key] = forecast_table(work, spec.grid, union, self.h, spec.extrapolator)
+            self._tables[key] = forecast_table(work, spec.grid, self._unions[key], self.h, spec.extrapolator)
         return self._tables[key]
 
     def run(self, spec: MethodSpec) -> ForecastResult:
@@ -238,7 +237,7 @@ class SeriesContext:
         if spec.family is not None:
             # the other families never read the seasonal decision, so it is not made for them
             indices = self.adjusted[0] if spec.family in SEASONAL else None
-            family, _ = smoothing.effective_family(spec.family, indices)
+            family = smoothing.effective_family(spec.family, indices)
             fitted = self.fitted(None, ForecasterSpec(family))
             return ForecastResult(series.id, spec.name, smoothing.forecast(fitted, h), None, fitted.seasonal)
         if series.n < MIN_THETA_N:

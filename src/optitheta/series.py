@@ -53,6 +53,7 @@ class TrendFit:
     slope: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite line fails its cell downstream
 def prefix_trends(y: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
     """Intercepts and slopes of the least-squares lines of y_1..y_L on t = 1..L,
     one per length L of ``lengths`` (each at least 2 and at most ``y.size``).

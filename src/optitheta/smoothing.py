@@ -99,6 +99,7 @@ naive random walk.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -295,30 +296,24 @@ def _fit_naive(series: TimeSeries, season) -> FittedForecaster:
     return FittedForecaster("naive2", series.n, sse, level=float(adjusted[-1]), season=season)
 
 
-def _search(grid: dict[str, np.ndarray], runs: np.ndarray, weights: list, season=None) -> list:
+def _search(grid: dict[str, np.ndarray], runs: np.ndarray, checks: dict, season=None) -> dict:
     """Search the flattened ``grid`` (see :func:`_grid`) on ``runs``, ``_BLOCK`` points at a time.
 
     ``runs`` has shape (n, members, inputs, 1): one member, or several with
     one input each, and one of both under a season (see the module
     docstring). A block sums each member's one-step error products, e*e or
-    e_a*e_b in row a*inputs + b. ``weights`` holds one dict per member
-    mapping a prefix length t to a (rows, inputs**2) matrix; the members with
-    a matrix at t are consecutive and they share one matrix. After
-    y_t each row w scores every grid point by ``w @ products`` of its member;
-    a fit's matrix is ``_SSE``, so its score is its SSE. A row's winner, with
-    a copy of its state, is the first least sanitised score: a later block replaces
-    it only on a strict ``<``. Returns ``{(member, t): (score, params, level, trend,
-    season)}`` over every member's prefix lengths, rows last.
+    e_a*e_b in row a*inputs + b. ``checks`` maps a prefix length t to the
+    ``range`` of consecutive members scored after y_t and their one (rows,
+    inputs**2) weight matrix: each row w scores every grid point by ``w @
+    products`` of its member; a fit's matrix is ``_SSE``, so its score is its
+    SSE. A row's winner, with a copy of its state, is the first least sanitised
+    score: a later block replaces it only on a strict ``<``. Returns ``{(member,
+    t): (score, params, level, trend, season)}`` over ``checks``, rows last.
     """
     n, members, inputs = runs.shape[:3]
     # _recurrence takes a season only on a 1-d input, so a single run is passed as one
     y = runs.reshape(n) if members * inputs == 1 else runs.reshape(n, members * inputs, 1)
     products = np.square if inputs == 1 else lambda e: e[:, None] * e
-    due: dict[int, list[int]] = {}  # t: the members scored after y_t
-    for j, member in enumerate(weights):
-        for t in member:
-            due.setdefault(t, []).append(j)
-    checks = {t: (range(js[0], js[-1] + 1), weights[js[0]][t]) for t, js in due.items()}
     last = max(checks)
     found = {}
     with np.errstate(all="ignore"):
@@ -413,7 +408,9 @@ def fit_all(spec: ForecasterSpec, series: list, season=None) -> list:
         for m, s in enumerate(members):
             runs[: s.n, m, 0, 0] = s.values
         narrow = grid if grid["alpha"].size <= _BLOCK else _screen(grid, members[0].values, season)
-        found = _search(narrow, runs, [{s.n: _SSE} for s in members], season)
+        lengths = [s.n for s in members]  # ascending, so each length's members are consecutive
+        checks = {t: (range(bisect_left(lengths, t), bisect_right(lengths, t)), _SSE) for t in lengths}
+        found = _search(narrow, runs, checks, season)
         for m, (j, s) in enumerate(zip(order[start : start + pack], members)):
             (sse,), params, level, trend, factors = found[m, s.n]
             out[j] = ValueError(
@@ -439,20 +436,18 @@ def fit(spec: ForecasterSpec, series: TimeSeries) -> FittedForecaster:
     raises ``ValueError`` naming the family that ran.
     """
     seasonal = spec.family in SEASONAL and seasonality_applies(series)
-    family, season = effective_family(spec.family, seasonal_indices(series) if seasonal else None)
-    (fitted,) = fit_all(replace(spec, family=family), [series], season)
+    season = seasonal_indices(series).indices if seasonal else None
+    (fitted,) = fit_all(replace(spec, family=effective_family(spec.family, season)), [series], season)
     if isinstance(fitted, ValueError):
         raise fitted
     return fitted
 
 
-def effective_family(family: str, indices) -> tuple[str, np.ndarray | None]:
-    """The family a fit of ``family`` runs and its seasonal factors, given the
-    series' seasonality decision ``indices`` (None when it is not seasonal): a
-    seasonal family without a season is its non-seasonal sibling."""
-    if family not in SEASONAL:
-        return family, None
-    return (family, indices.indices) if indices is not None else (_SIBLING[family], None)
+def effective_family(family: str, indices) -> str:
+    """The family a fit of ``family`` runs, given the series' seasonality decision
+    ``indices`` (None when it is not seasonal): a seasonal family without a season
+    is its non-seasonal sibling."""
+    return _SIBLING[family] if family in SEASONAL and indices is None else family
 
 
 def damping(phi, h: int) -> np.ndarray:

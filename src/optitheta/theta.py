@@ -32,6 +32,7 @@ def check_extrapolator(spec: ForecasterSpec) -> None:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # TimeSeries refuses a line beyond the float range
 def theta_line(series: TimeSeries, fit: TrendFit, theta: float) -> TimeSeries:
     """Build Z_t(theta) = theta*y_t + (1-theta)*(intercept + slope*t) for t = 1..n.
 

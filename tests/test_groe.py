@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from optitheta import (
     APPROACHES,
@@ -595,12 +595,15 @@ def test_superposition_matches_reference_on_random_walks(seed, n, h, drift, appr
 
 
 def assert_final_forecasts_match(series, h, spec):
-    """Every grid theta's row of the table at n is ``otm_forecast`` of that theta."""
+    """Every grid theta's row of the table at n is ``otm_forecast`` of that theta,
+    up to rounding relative to the series, since a forecast near zero loses its
+    relative precision to cancellation."""
     table = forecast_table(series, DEFAULT_THETA_GRID, [series.n], h, spec)
     assert table[series.n].shape == (len(DEFAULT_THETA_GRID), h)
+    atol = 1e-12 * np.abs(series.values).max()
     for row, theta in zip(table[series.n], DEFAULT_THETA_GRID):
         reference = otm_forecast(series, theta, h, spec)
-        np.testing.assert_allclose(row, reference, rtol=1e-12, atol=0.0, err_msg=f"{series.id} {theta}")
+        np.testing.assert_allclose(row, reference, rtol=1e-12, atol=atol, err_msg=f"{series.id} {theta}")
 
 
 @pytest.mark.parametrize("family", sorted(EXTRAPOLATORS))
@@ -619,6 +622,7 @@ def test_final_forecasts_match_otm_forecast_on_corpus(family):
     drift=st.floats(-3.0, 3.0),
     family=st.sampled_from(sorted(EXTRAPOLATORS)),
 )
+@example(seed=34, n=34, h=6, drift=-2.8993034154236703, family="damped")  # crosses zero at theta 3.5
 def test_final_forecasts_match_otm_forecast_on_random_walks(seed, n, h, drift, family):
     rng = np.random.default_rng(seed)
     series = TimeSeries("rw", 100.0 + np.cumsum(rng.normal(drift, 2.0, n)))
@@ -760,7 +764,9 @@ def test_power_of_two_scale_scales_every_token_bit_for_bit():
     # scaling y by 2**k is exact, and so is every step of every token at it:
     # the seasonal test, theta selection and each smoothing family, which
     # the rtol tests above only bound; the damped extrapolator runs on the
-    # two shortest series, where its 193,819-point search stays cheap
+    # two shortest series, where its 193,819-point search stays cheap. Near
+    # the float limit (k = 1010) a cell may fail with ValueError instead, as
+    # a non-finite line or forecast is refused, but never leaks a warning
     entries = sorted(synthetic_dataset(7, {"Yearly": 4, "Quarterly": 4, "Monthly": 4, "Other": 2}),
                      key=lambda entry: entry.series.n)
     specs = (MethodSpec.classic_theta(), *(MethodSpec.otm(a) for a in APPROACHES),
@@ -768,19 +774,25 @@ def test_power_of_two_scale_scales_every_token_bit_for_bit():
              MethodSpec.otm("a", cost="sape", name="otm-a-sape"),
              *(MethodSpec.benchmark(family) for family in smoothing.FAMILIES))
     damped = MethodSpec.otm("d", extrapolator="damped", name="otm-d-damped")
-    cells = 0
+    cells = failed = 0
     for i, entry in enumerate(entries):
         series, h = entry.series, entry.h
         tokens = (*specs, damped) if i < 2 else specs
         base = SeriesContext(series, h, tokens)
         wanted = {spec: run_method(series, h, spec, context=base) for spec in tokens}
-        for k in (-7, 3, 40):
+        for k in (-7, 3, 40, 1010):
             moved = series.with_values(np.ldexp(series.values, k))
             context = SeriesContext(moved, h, tokens)
             for spec, want in wanted.items():
-                got = run_method(moved, h, spec, context=context)
+                cells += 1
+                try:
+                    got = run_method(moved, h, spec, context=context)
+                except ValueError:
+                    assert k == 1010, (series.id, spec.name, k)
+                    failed += 1
+                    continue
                 assert (got.theta, got.seasonal) == (want.theta, want.seasonal), (series.id, spec.name, k)
                 assert got.forecasts.tobytes() == np.ldexp(want.forecasts, k).tobytes(), (
                     series.id, spec.name, k)
-                cells += 1
-    assert cells == 14 * 3 * 18 + 2 * 3
+    assert cells == 14 * 4 * 18 + 2 * 4
+    assert 0 < failed < 14 * 18 + 2

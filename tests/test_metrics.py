@@ -129,6 +129,13 @@ def test_mase_beyond_the_float_range_is_inf():
     assert mase(np.linspace(1e-310, 1.7e-310, 8), np.ones(3), np.full(3, 1.7e-310)) == np.inf
 
 
+def test_mase_keeps_an_in_sample_step_far_below_the_actuals():
+    # a subnormal step beside unit actuals is no constant series: the true
+    # value, about 2e323, is beyond the float range, and exact forecasts score 0
+    assert mase([0.0, 5e-324], [1.0], [0.0]) == np.inf
+    assert mase([0.0, 5e-324], [1.0], [1.0]) == 0.0
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.integers(-200, 200), st.integers(2, 30), st.integers(1, 18), st.integers(1, 4), st.data())
 def test_mase_keeps_the_bits_of_the_unscaled_formula(exponent, n, h, k, data):
