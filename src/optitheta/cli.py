@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True, help="dataset file (see README for the format)")
     ev.add_argument("--methods", required=True,
                     help="comma-separated tokens, e.g. theta,otm-a,otm-d,naive,ses")
-    ev.add_argument("--workers", type=int, default=1, help="process pool size")
+    ev.add_argument("--workers", type=int, default=1, help="helper processes that run the series (1: run them in this process)")
     ev.add_argument("--out-dir", required=True, help="directory for the output tables")
     _add_otm_flags(ev)
     ev.set_defaults(func=_cmd_evaluate)

@@ -153,8 +153,9 @@ def save_dataset(dataset: Dataset, path) -> None:
     rows = [HEADER]
     for e in dataset:
         parts = [e.series.id, e.group, str(e.series.period), str(e.h), str(e.series.n)]
-        parts += [repr(float(v)) for v in e.series.values]
-        parts += [repr(float(v)) for v in e.actuals]
+        # repr of each Python float, as repr(float(v)) gives, without a call per value
+        parts += map(repr, e.series.values.tolist())
+        parts += map(repr, e.actuals.tolist())
         rows.append(",".join(parts))
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 

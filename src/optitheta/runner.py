@@ -1,9 +1,17 @@
 """Batch experiment driver with deterministic, order-stable aggregation.
 
-Per-series work is pure, so it can be farmed out to a process pool, in tasks
-of ceil(entries / (4 * processes)) entries in a row (the chunks ``pool.map``
-would pick; workers=1 runs the same tasks in process). A task is the list of
-its series' :class:`~optitheta.pipeline.SeriesContext`, so each smoothing
+Per-series work is pure, so it can be farmed out to helper processes, in tasks
+of ceil(entries / (4 * processes)) entries in a row; workers=1 runs the same
+tasks in process. Each helper claims the next task index from one shared
+counter and sends each finished task's cells back on its own pipe, which the
+calling thread reads as they become ready, storing the cells by task index;
+it runs no task and starts no thread. A task's exception reaches the caller,
+as it does at workers=1. A helper that ends before sending a claimed task's
+cells (killed, or exiting inside a method) costs only that task: once every
+helper has ended, each task left without cells runs once more alone in a
+fresh helper, and if that one dies too, the task's cells fail with an error
+that names its exit code. A task is the list of its series'
+:class:`~optitheta.pipeline.SeriesContext`, so each smoothing
 fit is made for all of them at once and its time charged to them by their
 lengths, each share in the cell that takes the fit, so the cell times of a
 group still add up. A series' cells are scored together once they have
@@ -15,7 +23,6 @@ aside) identical for any worker count and task size.
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import time
 from dataclasses import astuple, dataclass
@@ -75,7 +82,7 @@ Cell = tuple[SeriesScore, ForecastResult | None]
 
 
 def _task_size(entries: int, processes: int) -> int:
-    # the chunk pool.map would pick: ceil(entries / (4 * processes))
+    # about four tasks per helper, so the helpers that finish first take the rest
     return -(-entries // (4 * processes))
 
 
@@ -128,6 +135,72 @@ def _evaluate_entry(entry: DatasetEntry, context: SeriesContext,
     return out
 
 
+def _serve(tasks: list[list[DatasetEntry]], methods: tuple[MethodSpec, ...], counter, conn) -> None:
+    """A helper process: claim the next task index from ``counter`` until none
+    is left, sending ``(index, cells)``, or ``(index, exception)`` and stop."""
+    with conn:
+        while True:
+            with counter.get_lock():
+                index = counter.value
+                counter.value = index + 1
+            if index >= len(tasks):
+                return
+            try:
+                cells = _evaluate_task(tasks[index], methods)
+            except Exception as exc:
+                conn.send((index, exc))
+                return
+            conn.send((index, cells))
+
+
+def _in_helpers(tasks: list[list[DatasetEntry]], methods: tuple[MethodSpec, ...],
+                processes: int) -> tuple[list[list[Cell] | None], list[int]]:
+    """Run ``tasks`` in at most ``processes`` helper processes, reading their
+    pipes in this thread: each task's cells (None where the helper that
+    claimed it ended first) and the helpers' exit codes. A task's exception
+    is raised here; no helper outlives the call."""
+    from multiprocessing.connection import wait
+
+    counter = multiprocessing.Value("i", 0)
+    per_task: list[list[Cell] | None] = [None] * len(tasks)
+    helpers, readers = [], []
+    try:
+        for _ in range(min(processes, len(tasks))):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            # under fork the tasks are inherited, not pickled
+            helper = multiprocessing.Process(target=_serve, args=(tasks, methods, counter, writer),
+                                             daemon=True)
+            helper.start()
+            writer.close()  # the helper holds the only writer, so its exit is the pipe's EOF
+            helpers.append(helper)
+            readers.append(reader)
+        while readers:
+            for reader in wait(readers):
+                try:
+                    index, cells = reader.recv()
+                except (EOFError, OSError):  # the helper has ended, maybe mid-message
+                    readers.remove(reader)
+                    reader.close()
+                    continue
+                if isinstance(cells, Exception):
+                    raise cells
+                per_task[index] = cells
+    finally:
+        for helper in helpers:
+            if helper.exitcode is None:
+                helper.terminate()
+            helper.join()
+        for reader in readers:
+            reader.close()
+    return per_task, [helper.exitcode for helper in helpers]
+
+
+def _lost_cells(entries: list[DatasetEntry], methods: tuple[MethodSpec, ...], code: int) -> list[Cell]:
+    error = f"HelperDied: the process running this series' task exited with code {code}"
+    return [(SeriesScore(entry.series.id, entry.group, spec.name, None, None, error=error), None)
+            for entry in entries for spec in methods]
+
+
 def _rank_table(scores: tuple[SeriesScore, ...], methods: list[str],
                 attr: str) -> dict[str, float] | None:
     """Average ranks over the series every method scored.
@@ -155,12 +228,15 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
     processes = max(1, min(config.workers, len(entries)))
     size = _task_size(len(entries), processes)
     tasks = [entries[i : i + size] for i in range(0, len(entries), size)]
-    job = functools.partial(_evaluate_task, methods=tuple(config.methods))
+    methods = tuple(config.methods)
     if processes > 1:
-        with multiprocessing.Pool(processes) as pool:
-            per_task = pool.map(job, tasks)
+        per_task, _ = _in_helpers(tasks, methods, processes)
+        for i, cells in enumerate(per_task):
+            if cells is None:  # its helper died: run it once more, alone
+                (cells,), (code,) = _in_helpers([tasks[i]], methods, 1)
+                per_task[i] = _lost_cells(tasks[i], methods, code) if cells is None else cells
     else:
-        per_task = [job(task) for task in tasks]
+        per_task = [_evaluate_task(task, methods) for task in tasks]
     cells = [cell for cell_list in per_task for cell in cell_list]
     scores = tuple(score for score, _ in cells)
     forecasts = tuple(result for _, result in cells if result is not None)

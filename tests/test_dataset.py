@@ -1,9 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from optitheta import Dataset, DatasetError, load_dataset, save_dataset, synthetic_dataset
+from optitheta import Dataset, DatasetError, TimeSeries, load_dataset, save_dataset, synthetic_dataset
 from optitheta.cli import main
-from optitheta.dataset import GROUP_DEFAULTS, HEADER
+from optitheta.dataset import GROUP_DEFAULTS, HEADER, DatasetEntry
 
 
 def write(tmp_path, rows):
@@ -95,6 +99,24 @@ def test_round_trip(tmp_path):
         assert np.array_equal(a.series.values, b.series.values)
         assert np.array_equal(a.actuals, b.actuals)
 
+
+
+SAVED_VALUES = [0.1 + 0.2, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1 / 3, -7.25,
+                123456789.0, 1e16, 1.7976931348623157e308]
+
+
+@example(SAVED_VALUES)
+@example(SAVED_VALUES[::-1])
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=20))
+def test_saved_rows_equal_the_per_value_form(values):
+    entry = DatasetEntry(TimeSeries("S1", values[:-1], 1), values[-1:], "Other")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "one.csv"
+        save_dataset(Dataset((entry,)), path)
+        header, row = path.read_text(encoding="utf-8").splitlines()
+    numbers = [*entry.series.values, *entry.actuals]
+    assert row == ",".join(["S1", "Other", "1", "1", str(len(values) - 1), *(repr(float(v)) for v in numbers)])
+    assert header == HEADER
 
 def test_synthetic_is_deterministic():
     first = synthetic_dataset(7)

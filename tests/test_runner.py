@@ -1,3 +1,7 @@
+import contextlib
+import multiprocessing
+import os
+import signal
 import time
 import weakref
 from dataclasses import replace
@@ -90,30 +94,93 @@ def test_worker_invariance_smoke():
         assert np.array_equal(a.forecasts, b.forecasts)
 
 
-def test_pool_is_no_larger_than_the_series_count(monkeypatch):
-    sizes = []
+def test_helpers_are_no_more_than_the_series_count(monkeypatch):
+    started = []
 
-    class InProcessPool:
-        def __init__(self, size):
-            sizes.append(size)
+    class CountedProcess(multiprocessing.Process):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(runner.multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(runner.multiprocessing, "Process", CountedProcess)
     ds = synthetic_dataset(5, {"Yearly": 3, "Other": 2})
     methods = (MethodSpec.classic_theta(), MethodSpec.benchmark("naive"))
     serial = run_experiment(ds, ExperimentConfig(methods=methods, workers=1))
+    assert started == []  # one worker runs in process
     pooled = run_experiment(ds, ExperimentConfig(methods=methods, workers=64))
-    assert sizes == [5]
+    assert len(started) == 5
     assert [f.forecasts.tobytes() for f in pooled.forecasts] == [
         f.forecasts.tobytes() for f in serial.forecasts]
+
+
+forking = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                             reason="the helpers see a patched runner only when forked")
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the main thread once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@forking
+def test_a_dying_helper_fails_only_its_own_task(monkeypatch):
+    ds = synthetic_dataset(5, {"Yearly": 4, "Other": 4})
+    methods = (MethodSpec.classic_theta(), MethodSpec.benchmark("naive"), MethodSpec.benchmark("ses"))
+    monkeypatch.setattr(runner, "_task_size", lambda entries, processes: 2)
+    serial = run_experiment(ds, ExperimentConfig(methods=methods, workers=1))
+    original = runner._evaluate_entry
+    victim = ds.entries[4].series.id
+
+    def dying(entry, context, methods):
+        if entry.series.id == victim:
+            os._exit(7)
+        return original(entry, context, methods)
+
+    monkeypatch.setattr(runner, "_evaluate_entry", dying)
+    with deadline(60):
+        pooled = run_experiment(ds, ExperimentConfig(methods=methods, workers=2))
+    assert multiprocessing.active_children() == []
+    # tasks are pairs of series in a row, so the victim's task is entries 4 and 5
+    lost = {ds.entries[i].series.id for i in (4, 5)}
+    assert [(s.series_id, s.method) for s in pooled.scores] == [(s.series_id, s.method) for s in serial.scores]
+    for before, after in zip(serial.scores, pooled.scores):
+        if after.series_id in lost:
+            assert after.smape is None and after.mase is None
+            assert after.error is not None and "exited with code 7" in after.error
+        else:
+            assert replace(after, elapsed=0.0) == replace(before, elapsed=0.0)
+    kept = [(f.series_id, f.method, f.forecasts.tobytes()) for f in serial.forecasts if f.series_id not in lost]
+    assert [(f.series_id, f.method, f.forecasts.tobytes()) for f in pooled.forecasts] == kept
+
+
+@forking
+def test_a_task_exception_reaches_the_caller_as_at_one_worker(monkeypatch):
+    ds = synthetic_dataset(3, {"Yearly": 3, "Other": 3})
+    original = runner._evaluate_entry
+
+    def raising(entry, context, methods):
+        if entry.series.id == ds.entries[3].series.id:
+            raise LookupError(f"planted on {entry.series.id}")
+        return original(entry, context, methods)
+
+    monkeypatch.setattr(runner, "_evaluate_entry", raising)
+    raised = []
+    for workers in (1, 2):
+        with deadline(60), pytest.raises(LookupError) as info:
+            run_experiment(ds, ExperimentConfig(methods=(MethodSpec.benchmark("naive"),), workers=workers))
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1] == (LookupError, f"planted on {ds.entries[3].series.id}")
+    assert multiprocessing.active_children() == []
 
 
 OUTPUT_FILES = ("forecasts.csv", "scores.csv", "ranks.csv")
@@ -132,7 +199,7 @@ def test_outputs_equal_for_any_worker_count_and_task_size(monkeypatch, tmp_path)
                MethodSpec.benchmark("naive2"), MethodSpec.benchmark("ses"))
     default = runner._task_size
     outputs = {}
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         for size in (1, 3, None):
             monkeypatch.setattr(runner, "_task_size", default if size is None else lambda *_: size)
             out_dir = tmp_path / f"w{workers}-{size}"

@@ -458,7 +458,11 @@ def test_pruned_search_equals_whole_grid(family, make_seasonal, monkeypatch):
 @pytest.mark.parametrize("family", ["holt", "damped"])
 def test_pruned_search_keeps_ties_at_the_minimum(family, monkeypatch):
     # a step from 2 to 5: (alpha, beta) = (1, 0) tracks it with one error of
-    # 3, so SSE 9 ties at every phi and the first phi wins
+    # 3, so SSE 9 ties at every phi and the first phi wins. Holt's grid fits one
+    # float32 block, which runs no sample and prunes nothing, so half-size
+    # blocks make its screen run a sample and prune as damped's does
+    if family == "holt":
+        monkeypatch.setattr(smoothing, "_BLOCK", smoothing._BLOCK // 2)
     series = TimeSeries("step", np.repeat([2.0, 5.0], 12))
     _, fitted, share = pruned_and_reference(ForecasterSpec(family), series, monkeypatch)
     assert (fitted.params["alpha"], fitted.params["beta"], fitted.sse) == (1.0, 0.0, 9.0)
@@ -536,6 +540,20 @@ def test_fit_within_one_block_runs_no_sample_and_prunes_nothing(spec, make_rw, m
     assert size <= smoothing._BLOCK
     sizes, updates = search_runs(lambda: fit(spec, series), monkeypatch)
     assert sizes == [size] and updates == size * (series.n - 1)
+
+
+@pytest.mark.parametrize("family", ["holt", "holt_winters"])
+def test_screen_within_one_float32_block_runs_no_sample(family, make_seasonal, monkeypatch):
+    # the grid spans two float64 blocks but fits one float32 block: the screen
+    # sweeps it whole with no sample and no pruning, then the float64 search
+    # runs only the points it kept
+    spec = ForecasterSpec(family)
+    size = smoothing._grid(spec)["alpha"].size
+    assert smoothing._BLOCK < size <= 2 * smoothing._BLOCK
+    series = make_seasonal(4, 60, MONTHLY_PATTERN, noise=0.03)
+    sizes, updates = search_runs(lambda: fit(spec, series), monkeypatch)
+    assert sizes[0] == size and len(sizes) == 2 and 0 < sizes[1] < size
+    assert updates == (size + sizes[1]) * (series.n - 1)
 
 
 @pytest.mark.parametrize("origins", [[30], [20, 25, 30]], ids=["one_origin", "three_origins"])
