@@ -17,9 +17,7 @@ from .groe import (
     GroeConfig,
     approach_config,
     estimate_theta,
-    groe_loss,
     origin_schedule,
-    otm_candidate,
     p_max,
 )
 from .metrics import (
@@ -43,7 +41,7 @@ from .seasonal import (
 )
 from .series import TimeSeries, TrendFit, fit_linear_trend, trend_value
 from .smoothing import FAMILIES, FittedForecaster, ForecasterSpec
-from .theta import combination_weight, otm_forecast, recompose, theta_line
+from .theta import otm_forecast, theta_line
 
 __version__ = "0.1.0"
 
@@ -71,19 +69,15 @@ __all__ = [
     "aggregate_scores",
     "approach_config",
     "average_ranks",
-    "combination_weight",
     "deseasonalize",
     "estimate_theta",
     "fit_linear_trend",
-    "groe_loss",
     "is_seasonal",
     "load_dataset",
     "mase",
     "origin_schedule",
-    "otm_candidate",
     "otm_forecast",
     "p_max",
-    "recompose",
     "reseasonalize",
     "run_experiment",
     "run_method",

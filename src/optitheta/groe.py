@@ -7,8 +7,8 @@ evaluation (p = 1), rolling-origin evaluation (m = 1, H >= n - n1) and the
 in-sample one-step loss (n1 = 2, m = H = 1) are all special cases. The
 theta coefficient is selected by brute force over a small grid.
 
-:func:`groe_loss` with :func:`otm_candidate` is the reference: it re-fits
-the optimised-theta forecaster on every prefix, once per grid theta.
+The paper's loss re-fits the optimised-theta forecaster on every prefix,
+once per grid theta; the tests keep that re-fit as their oracle.
 :func:`estimate_theta` makes the same choice, up to losses that tie within
 rounding, without a single re-fit. The theta line on the prefix of origin o
 is ``theta*y + (1-theta)*(a_o + b_o*t)``, and SES and damped trend, seeds
@@ -40,17 +40,15 @@ import numpy as np
 from .metrics import sape
 from .series import TimeSeries, TrendFit, prefix_trends, trend_value
 from .smoothing import ForecasterSpec, _grid, _min_n, _sanitize, _search, damping
-from .theta import SES, check_extrapolator, otm_forecast, recombine
+from .theta import SES, check_extrapolator, recombine
 
 DEFAULT_THETA_GRID = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
 APPROACHES = ("a", "b", "c", "d", "e", "f", "g", "h")
 MIN_FIRST_ORIGIN = 4
 
-Candidate = Callable[[np.ndarray, int], np.ndarray]
-
 
 class EvaluationError(RuntimeError):
-    """A forecast candidate failed during rolling-origin evaluation."""
+    """No theta candidate could be evaluated: a prefix too short to fit, or no finite loss."""
 
 
 def se(a, b):
@@ -115,35 +113,6 @@ def origin_schedule(config: GroeConfig, n: int) -> list[int]:
     return [config.n1 + i * config.m for i in range(config.p)]
 
 
-def groe_loss(series: TimeSeries, candidate: Candidate, config: GroeConfig, cost="se") -> float:
-    """Accumulated prediction cost over all origins of the schedule.
-
-    At each origin n_i the candidate is called with the training prefix
-    y_1..y_{n_i} and the inner horizon min(H, n - n_i); its forecasts are
-    scored against the observations immediately after the origin. Origins
-    with no room left contribute zero terms. Candidate exceptions are
-    re-raised as :class:`EvaluationError` tagged with the origin.
-    """
-    g = resolve_cost(cost)
-    y = series.values
-    n = series.n
-    total = 0.0
-    for ni in origin_schedule(config, n):
-        horizon = min(config.H, n - ni)
-        if horizon <= 0:
-            continue
-        try:
-            fx = np.asarray(candidate(y[:ni], horizon), dtype=np.float64)
-        except Exception as exc:
-            raise EvaluationError(f"candidate failed at origin {ni}: {exc}") from exc
-        if fx.shape != (horizon,):
-            raise EvaluationError(
-                f"candidate at origin {ni} returned shape {fx.shape}, expected ({horizon},)"
-            )
-        total += float(np.sum(g(y[ni : ni + horizon], fx)))
-    return total
-
-
 def check_approach(approach: str) -> None:
     """Raise ``ValueError`` unless ``approach`` is one of the names in :data:`APPROACHES`."""
     if approach not in APPROACHES:
@@ -183,15 +152,6 @@ def approach_config(approach: str, n: int, h: int) -> GroeConfig:
     return GroeConfig(p=p, m=m, H=h, n1=n1)
 
 
-def otm_candidate(theta: float, extrapolator: ForecasterSpec = SES) -> Candidate:
-    """A closure that re-fits the optimised-theta forecaster on each training prefix."""
-
-    def candidate(prefix: np.ndarray, horizon: int) -> np.ndarray:
-        return otm_forecast(TimeSeries("groe-prefix", prefix), theta, horizon, extrapolator)
-
-    return candidate
-
-
 def check_grid(grid) -> tuple[float, ...]:
     """``grid`` as a tuple of floats; ``ValueError`` unless it is non-empty,
     finite, at least 1 and strictly ascending."""
@@ -215,10 +175,10 @@ def forecast_table(
     series: TimeSeries, grid, origins, H: int, extrapolator: ForecasterSpec = SES
 ) -> dict[int, np.ndarray]:
     """``{origin: forecasts}``: row i of ``forecasts``, shape (len(grid), H),
-    is what :func:`otm_candidate` of ``grid[i]`` forecasts from that origin,
-    computed by superposition (see the module docstring); at origin n it is
-    :func:`otm_forecast` up to rounding. Origins lie in [2, n], and one
-    origin's rows depend neither on the others nor on a cost; the prefix
+    is what theta ``grid[i]``'s forecaster, re-fitted on the prefix, forecasts
+    from that origin, computed by superposition (see the module docstring); at
+    origin n it is :func:`otm_forecast` up to rounding. Origins lie in [2, n],
+    and one origin's rows depend neither on the others nor on a cost; the prefix
     lines, the score weights and the rows of every origin are each computed
     once as one array over all origins, bit-identical to one origin at a
     time. H must be at least 1. Candidates that cannot be fitted (a prefix
@@ -332,8 +292,8 @@ def estimate_theta(
     cost="se",
     extrapolator: ForecasterSpec = SES,
 ) -> float:
-    """Grid-search theta minimising the GROE loss of :func:`groe_loss` with
-    :func:`otm_candidate`; ties go to the smallest theta. It is :func:`forecast_table`
+    """Grid-search theta minimising the GROE loss of the optimised-theta forecaster
+    re-fitted on each prefix; ties go to the smallest theta. It is :func:`forecast_table`
     over the schedule's origins, then :func:`loss_rows` and :func:`select_theta`.
     """
     origins = scored_origins(config, series.n)

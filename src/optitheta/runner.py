@@ -61,8 +61,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.methods:
             raise ValueError("need at least one method to evaluate")
-        if self.workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {self.workers}")
+        if not float(self.workers).is_integer() or self.workers < 1:
+            raise ValueError(f"worker count must be a positive integer, got {self.workers}")
+        object.__setattr__(self, "workers", int(self.workers))
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ValueError(f"method names must be unique, got {names}")

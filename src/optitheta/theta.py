@@ -42,30 +42,6 @@ def theta_line(series: TimeSeries, fit: TrendFit, theta: float) -> TimeSeries:
     return series.with_values(theta * series.values + (1.0 - theta) * trend_value(fit, t))
 
 
-def combination_weight(theta1: float, theta2: float) -> float:
-    """The unique weight that recomposes the original series from two theta lines.
-
-    Defined for theta1 <= 1 <= theta2 as (theta2 - 1) / (theta2 - theta1),
-    with the degenerate pair (1, 1) mapping to 1. Always lies in [0, 1].
-    """
-    if theta1 > 1.0 or theta2 < 1.0:
-        raise ValueError(
-            f"recomposition requires theta1 <= 1 <= theta2, got ({theta1}, {theta2})"
-        )
-    if theta1 == theta2:  # both are exactly 1
-        return 1.0
-    return (theta2 - 1.0) / (theta2 - theta1)
-
-
-def recompose(line1: TimeSeries, line2: TimeSeries, omega: float) -> np.ndarray:
-    """Elementwise convex combination ``omega*Z(theta1) + (1-omega)*Z(theta2)``."""
-    if line1.values.size != line2.values.size:
-        raise ValueError(
-            f"theta lines differ in length: {line1.values.size} vs {line2.values.size}"
-        )
-    return omega * line1.values + (1.0 - omega) * line2.values
-
-
 def otm_forecast(
     series: TimeSeries, theta: float, h: int, extrapolator: ForecasterSpec = SES, fitted=None,
     fit: TrendFit | None = None,

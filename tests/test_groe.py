@@ -9,9 +9,7 @@ from optitheta import (
     TimeSeries,
     approach_config,
     estimate_theta,
-    groe_loss,
     origin_schedule,
-    otm_candidate,
     p_max,
     synthetic_dataset,
 )
@@ -24,6 +22,7 @@ from optitheta.pipeline import MethodSpec, SeriesContext, run_method
 from optitheta.series import fit_linear_trend, trend_value
 from optitheta.smoothing import ForecasterSpec
 from optitheta.theta import SES, otm_forecast
+from reference import groe_loss, otm_candidate
 
 
 def naive_candidate(prefix, horizon):

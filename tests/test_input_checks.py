@@ -12,6 +12,7 @@ from optitheta.groe import (
 )
 from optitheta.metrics import mase, smape
 from optitheta.pipeline import MethodSpec
+from optitheta.runner import ExperimentConfig
 from optitheta.seasonal import SeasonalIndices, autocorrelations, reseasonalize, seasonal_indices
 from optitheta.smoothing import ForecasterSpec
 from optitheta.theta import otm_forecast
@@ -85,6 +86,10 @@ CHECKS = {
     "row-period-zero": (lambda: _parse_entry("Y1,Yearly,0,1,2,10,11,12".split(",")), "positive"),
     "row-h-zero": (lambda: _parse_entry("Y1,Yearly,1,0,2,10,11".split(",")), "positive"),
     "row-n-negative": (lambda: _parse_entry("Y1,Yearly,1,1,-2,10".split(",")), "positive"),
+    # a fractional count would fail later, inside the runner's task slicing
+    "workers-fraction": (
+        lambda: ExperimentConfig((MethodSpec.classic_theta(),), workers=2.5),
+        "worker count must be a positive integer, got 2.5"),
 }
 
 

