@@ -24,6 +24,20 @@ the search that selects theta also yields the forecasts of the chosen theta.
 Everything outside the search (the prefix lines, the score weights and the
 forecasts) is computed as arrays over all origins at once, with a leading
 origin axis, so a table's cost per origin is little beyond the recurrence's.
+
+A table's 101-point SES steps are mostly numpy call overhead, so
+:func:`forecast_tables` packs up to ``_BLOCK // (2 * 101)`` = 40 SES tables
+(a runner task's) into one search, shortest first. The members are
+right-aligned: every one ends at T, the longest n of the pack, and each
+member's two runs are padded at their start with their own first value
+(``resid[0]`` and 1.0). SES then makes exact zero errors and keeps its
+seeded level until the member starts, so every error, state and running sum
+of the member is bit-identical to its search alone, and origin o of a member
+of length n is checkpoint o + T - n: members with the same h share their
+checkpoints. (The t-runs differ by their padding, so the pack cannot share
+one.) Padding would seed a trend with 0 instead of y_2 - y_1, so a damped
+table is a pack of one, unpadded, through the same code.
+
 :func:`loss_rows` scores a table with the cost, which the search does not
 depend on, once per origin for every schedule that scores it, and
 :func:`select_theta` sums one schedule's rows.
@@ -32,6 +46,7 @@ depend on, once per origin for every schedule that scores it, and
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +54,7 @@ import numpy as np
 
 from .metrics import sape
 from .series import TimeSeries, TrendFit, prefix_trends, trend_value
-from .smoothing import ForecasterSpec, _grid, _min_n, _sanitize, _search, damping
+from .smoothing import _BLOCK, ForecasterSpec, _grid, _min_n, _sanitize, _search, damping
 from .theta import SES, check_extrapolator, recombine
 
 DEFAULT_THETA_GRID = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
@@ -170,7 +185,6 @@ def scored_origins(config: GroeConfig, n: int) -> list[int]:
     return [ni for ni in origin_schedule(config, n) if ni < n]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _search and select_theta sanitise overflow
 def forecast_table(
     series: TimeSeries, grid, origins, H: int, extrapolator: ForecasterSpec = SES
 ) -> dict[int, np.ndarray]:
@@ -184,12 +198,20 @@ def forecast_table(
     time. H must be at least 1. Candidates that cannot be fitted (a prefix
     too short for the extrapolator) raise :class:`EvaluationError`, and a
     theta line with no finite SSE at n at any grid point raises ``ValueError``.
+    It is :func:`forecast_tables` of the one member.
     """
-    values = check_grid(grid)
-    check_extrapolator(extrapolator)
+    (table,) = forecast_tables([(series, origins, H)], grid, extrapolator)
+    if isinstance(table, Exception):
+        raise table
+    return table
+
+
+def _prepare(series: TimeSeries, origins, H: int, theta: np.ndarray, family: str):
+    """A member of :func:`forecast_tables`: its two runs, shape (n, 2), its
+    sorted origins, their weight matrices, and the function that makes its
+    table from its origins' winners (score, level, trend, phi, origins first)."""
     if H < 1:
         raise ValueError(f"horizon must be >= 1, got {H}")
-    family = extrapolator.family
     y = series.values
     n = series.n
     origins = sorted(set(origins))
@@ -200,8 +222,6 @@ def forecast_table(
             f"series {series.id!r}: every theta candidate failed (family {family!r} needs "
             f"a prefix of n >= {_min_n(family)}, the first origin is {origins[0]})"
         )
-
-    theta = np.array(values)[:, None]  # one row per grid theta
     # each origin's prefix line, in arrays of shape (origins, thetas, ...), and last the full line
     intercepts, slopes = prefix_trends(y, [*origins, n])
     prefix = TrendFit(intercepts[:-1, None, None], slopes[:-1, None, None])
@@ -210,26 +230,83 @@ def forecast_table(
     # Run on the residuals about the full-series line, not on y: the line comes
     # back through the coefficients of 1 and t, and the quadratic form below
     # then does not cancel on strongly trended series.
-    runs = np.stack([y - trend_value(full, t), t], axis=1)[:, :, None]
+    run = np.stack([y - trend_value(full, t), t], axis=1)
     # the prefix's theta line is theta*residual + c1*1 + c2*t, and its SSE
     # sum((theta*e_residual + c2*e_t)**2) a quadratic form in the runs' error products
     c1 = theta * full.intercept + (1.0 - theta) * prefix.intercept
     c2 = theta * full.slope + (1.0 - theta) * prefix.slope
     weights = np.concatenate(np.broadcast_arrays(theta * theta, theta * c2, theta * c2, c2 * c2), axis=2)
-    found = _search(_grid(extrapolator), runs[:, None], {o: (range(1), w) for o, w in zip(origins, weights)})
-    if (0, n) in found and not np.isfinite(found[0, n][0]).all():
-        raise ValueError(
-            f"series {series.id!r}: a theta line has no finite in-sample SSE at any "
-            f"{family!r} grid point (the recursion overflows)"
-        )
-    _, params, level, trend, _ = zip(*(found[0, ni] for ni in origins))
-    level = np.stack(level)
-    line = theta * level[:, 0, :, None] + c1 + c2 * level[:, 1, :, None]
-    if trend[0] is not None:
-        trend = np.stack(trend)
-        slope = theta * trend[:, 0, :, None] + c2 * trend[:, 1, :, None]
-        line = line + damping(np.stack([p["phi"] for p in params]), H) * slope
-    return dict(zip(origins, recombine(prefix, theta, np.array(origins)[:, None, None], line, H)))
+
+    def finish(score, level, trend, phi) -> dict[int, np.ndarray]:
+        if origins[-1] == n and not np.isfinite(score[-1]).all():
+            raise ValueError(
+                f"series {series.id!r}: a theta line has no finite in-sample SSE at any "
+                f"{family!r} grid point (the recursion overflows)"
+            )
+        line = theta * level[..., :1] + c1 + c2 * level[..., 1:]
+        if trend is not None:
+            slope = theta * trend[..., :1] + c2 * trend[..., 1:]
+            line = line + damping(phi, H) * slope
+        return dict(zip(origins, recombine(prefix, theta, np.array(origins)[:, None, None], line, H)))
+
+    return run, origins, weights, finish
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _search and select_theta sanitise overflow
+def forecast_tables(members, grid, extrapolator: ForecasterSpec = SES) -> list:
+    """The :func:`forecast_table` of each member ``(series, origins, H)``, or the
+    exception that fails it, which leaves the other members' tables alone.
+    SES tables are searched in right-aligned packs (see the module docstring),
+    shortest first, of at most ``_BLOCK // (2 * grid size)`` members (40); a
+    table with a trend is a pack of one. Each table is bit-identical to a
+    search of it alone.
+    """
+    values = check_grid(grid)
+    check_extrapolator(extrapolator)
+    theta = np.array(values)[:, None]  # one row per grid theta
+    params = _grid(extrapolator)
+    out, ready = [], []  # ready: (index, run, origins, weights, finish) of each prepared member
+    for series, origins, H in members:
+        try:
+            ready.append((len(out), *_prepare(series, origins, H, theta, extrapolator.family)))
+            out.append(None)
+        except Exception as exc:
+            out.append(exc)
+    # padding would make the trend's seed y_2 - y_1 zero, so a trended table runs alone
+    width = 1 if "beta" in params else max(1, _BLOCK // (2 * params["alpha"].size))
+    ready.sort(key=lambda member: len(member[1]))
+    for start in range(0, len(ready), width):
+        pack = ready[start : start + width]
+        T = len(pack[-1][1])  # every member ends at the longest n
+        runs = np.empty((T, len(pack), 2, 1))
+        due = []  # (checkpoint, member, weight row) of every origin of the pack
+        for m, (_, run, origins, _, _) in enumerate(pack):
+            offset = T - len(run)  # origin ni is checkpoint ni + offset
+            runs[:offset, m, :, 0] = run[0]
+            runs[offset:, m, :, 0] = run
+            due += [(ni + offset, m, len(due) + r) for r, ni in enumerate(origins)]
+        due.sort()  # by checkpoint, members ascending within one
+        ts, owner, order = (list(column) for column in zip(*due))
+        weights = np.concatenate([member[3] for member in pack])[order]
+        checks = {}
+        for t in dict.fromkeys(ts):
+            rows = slice(bisect_left(ts, t), bisect_right(ts, t))
+            checks[t] = owner[rows], weights[rows]
+        found = _search(params, runs, checks)
+        # every row's winners, in the same order; a member's rows are its origins, ascending
+        won = [found[t] for t in checks]
+        score, level, trend = (None if won[0][k] is None else np.concatenate([w[k] for w in won])
+                               for k in (0, 2, 3))
+        phi = None if trend is None else np.concatenate([w[1]["phi"] for w in won])
+        rows = {}
+        for r, m in enumerate(owner):
+            rows.setdefault(m, []).append(r)
+        for m, (j, *_, finish) in enumerate(pack):
+            try:
+                out[j] = finish(*(a if a is None else a[rows[m]] for a in (score, level, trend, phi)))
+            except Exception as exc:
+                out[j] = exc
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed loss is sanitised by select_theta

@@ -20,8 +20,10 @@ H = h; the search has no cost). The tokens of a table and a cost share each
 origin's loss rows, and each selecting token sums its own origins' rows, as
 ``estimate_theta`` does, and takes the chosen row at n. A smoothing fit is
 made once per series and family (with pins), so a seasonal family falling back
-to its sibling reuses that token's fit, and it is made in one batch for every
-context of the runner task (a list of contexts) that plans it.
+to its sibling reuses that token's fit. A fit and a table are each made in one
+batch (``smoothing.fit_all``, ``groe.forecast_tables``) for every context of
+the runner task (a list of contexts) that plans it, and its time is charged
+to those contexts by their series' lengths.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from . import smoothing
 from .dataset import check_field
 from .groe import (
-    DEFAULT_THETA_GRID, approach_config, check_approach, check_grid, forecast_table,
+    DEFAULT_THETA_GRID, approach_config, check_approach, check_grid, forecast_tables,
     loss_rows, resolve_cost, scored_origins, select_theta,
 )
 from .seasonal import (
@@ -130,8 +132,8 @@ class SeriesContext:
     without a season that its tokens will ask for, and appends the context to
     ``task``, the runner task's contexts whose cells have yet to run. Nothing
     else is computed until a token asks for it, and a piece that raises is not
-    stored (a fit keeps its error), so it fails every token that needs it and
-    no other.
+    stored (a fit or a table keeps its error), so it fails every token that
+    needs it and no other.
     """
 
     def __init__(self, series: TimeSeries, h: int, specs=(), task: list | None = None) -> None:
@@ -141,9 +143,9 @@ class SeriesContext:
         self._task = [] if task is None else task
         self._task.append(self)
         self.charge = 0.0
-        self._tables: dict[tuple, dict[int, np.ndarray]] = {}
         self._rows: dict[tuple, dict[int, np.ndarray]] = {}
-        self._fits: dict[tuple, tuple] = {}  # (theta or None, spec): (fit or error, time share)
+        # a table's (grid, extrapolator) or a fit's (theta or None, spec): (it or its error, time share)
+        self._done: dict[tuple, tuple] = {}
         self._planned: set[tuple] = set()
         self._origins: dict[MethodSpec, list[int]] = {}
         self._unions: dict[tuple, set[int]] = {}  # (grid, extrapolator): its table's origins
@@ -153,7 +155,9 @@ class SeriesContext:
                 try:
                     config = approach_config(spec.approach, series.n, h)
                     origins = self._origins[spec] = scored_origins(config, series.n)
-                    self._unions.setdefault((spec.grid, spec.extrapolator), {series.n}).update(origins)
+                    key = (spec.grid, spec.extrapolator)
+                    self._unions.setdefault(key, {series.n}).update(origins)
+                    self._planned.add(key)
                 except ValueError as exc:
                     self._fixed[spec] = FALLBACK_THETA, f"fallback to theta={FALLBACK_THETA:g}: {exc}"
             elif spec.family is None:
@@ -177,56 +181,61 @@ class SeriesContext:
         on and its forecasts are recombined with."""
         return fit_linear_trend(self.adjusted[1])
 
-    def _input(self, theta, spec: ForecasterSpec) -> tuple[TimeSeries, np.ndarray | None]:
-        # (what the fit of key (theta, spec) runs on, its seasonal factors)
-        if theta is None:
+    def _input(self, key: tuple) -> tuple:
+        # what the batch of ``key`` runs on: a table's forecast_tables member, or the
+        # series a fit runs on and its seasonal factors
+        first, spec = key
+        if isinstance(first, tuple):  # a table's (grid, extrapolator)
+            return self.adjusted[1], self._unions[key], self.h
+        if first is None:
             return self.series, self.adjusted[0].indices if spec.family in SEASONAL else None
-        return theta_line(self.adjusted[1], self.trend, theta), None
+        return theta_line(self.adjusted[1], self.trend, first), None
 
     def _batch(self, key: tuple) -> None:
-        # one fit_all for this series and each of its task's that plans and lacks
-        # fit ``key``: each keeps its error or fit and a time share by its length
+        # one forecast_tables or fit_all call for this series and each of its task's
+        # that plans and lacks ``key``: each keeps its result or error and a time
+        # share by its series' length
         start = time.perf_counter()
-        inputs, season = {}, None  # no context plans a fit with a season, so it runs alone
         members = [self]
         if key in self._planned:  # else no other context plans it either: skip the scan
             members += [m for m in self._task
-                        if m is not self and key in m._planned and key not in m._fits]
+                        if m is not self and key in m._planned and key not in m._done]
+        inputs = {}
         for member in members:
             try:
-                inputs[member], season = member._input(*key)
+                inputs[member] = member._input(key)
             except Exception as exc:
-                member._fits[key] = exc, 0.0
-        fits = smoothing.fit_all(key[1], list(inputs.values()), season=season)
+                member._done[key] = exc, 0.0
+        if isinstance(key[0], tuple):
+            results = forecast_tables(list(inputs.values()), *key)
+        else:  # no context plans a fit with a season, so one with a season runs alone
+            season = next(iter(inputs.values()), (None, None))[1]
+            results = smoothing.fit_all(key[1], [line for line, _ in inputs.values()], season=season)
         elapsed = time.perf_counter() - start
-        total = sum(line.n for line in inputs.values())
-        for (member, line), fitted in zip(inputs.items(), fits):
-            member._fits[key] = fitted, elapsed * line.n / total
+        total = sum(work.n for work, *_ in inputs.values())
+        for (member, (work, *_)), result in zip(inputs.items(), results):
+            member._done[key] = result, elapsed * work.n / total
         self.charge -= elapsed
+
+    def _take(self, key: tuple):
+        # the result of ``key``, batched on first use; raises its error
+        if key not in self._done:
+            self._batch(key)
+        result, share = self._done[key]
+        self._done[key] = result, 0.0  # its time share is charged once, to this cell
+        self.charge += share
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def fitted(self, theta, spec: ForecasterSpec) -> smoothing.FittedForecaster:
         """``spec``'s fit of the series (theta None) or of the adjusted series' theta line."""
-        key = (theta, spec)
-        if key not in self._fits:
-            self._batch(key)
-        fitted, share = self._fits[key]
-        self._fits[key] = fitted, 0.0  # its time share is charged once, to this cell
-        self.charge += share
-        if isinstance(fitted, Exception):
-            raise fitted
-        return fitted
+        return self._take((theta, spec))
 
     def settle(self) -> float:
-        """The time correction of the cell that just ran: minus its batches, plus its fits' shares."""
+        """The time correction of the cell that just ran: minus its batches, plus its shares."""
         charge, self.charge = self.charge, 0.0
         return charge
-
-    def _table(self, spec: MethodSpec) -> dict[int, np.ndarray]:
-        key = (spec.grid, spec.extrapolator)
-        if key not in self._tables:
-            _, work = self.adjusted
-            self._tables[key] = forecast_table(work, spec.grid, self._unions[key], self.h, spec.extrapolator)
-        return self._tables[key]
 
     def run(self, spec: MethodSpec) -> ForecastResult:
         """Run ``spec``, one of the context's tokens, on the series: the optimised-theta
@@ -244,7 +253,8 @@ class SeriesContext:
             raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
         idx, work = self.adjusted
         if spec in self._origins:
-            table, key, n = self._table(spec), (spec.grid, spec.extrapolator, spec.cost), series.n
+            table, n = self._take((spec.grid, spec.extrapolator)), series.n
+            key = (spec.grid, spec.extrapolator, spec.cost)
             if key not in self._rows:  # every origin of the table but n, scored once per cost
                 self._rows[key] = loss_rows(work, spec.grid, table, set(table) - {n}, spec.cost)
             theta = select_theta(work, spec.grid, self._rows[key], self._origins[spec])

@@ -11,10 +11,10 @@ cells (killed, or exiting inside a method) costs only that task: once every
 helper has ended, each task left without cells runs once more alone in a
 fresh helper, and if that one dies too, the task's cells fail with an error
 that names its exit code. A task is the list of its series'
-:class:`~optitheta.pipeline.SeriesContext`, so each smoothing
-fit is made for all of them at once and its time charged to them by their
-lengths, each share in the cell that takes the fit, so the cell times of a
-group still add up. A series' cells are scored together once they have
+:class:`~optitheta.pipeline.SeriesContext`, so each smoothing fit and GROE
+forecast table is made for all of them at once and its time charged to them
+by their lengths, each share in the cell that takes it, so the cell times of
+a group still add up. A series' cells are scored together once they have
 all run, by one ``smape`` and one ``mase`` call over their stacked forecasts,
 so a cell's ``elapsed`` covers its own run alone. Results are merged back in
 dataset order and folded sequentially, which makes every output file (timing
@@ -48,6 +48,7 @@ FORECASTS_FILE = "forecasts.csv"
 RANKS_FILE = "ranks.csv"
 FORECASTS_HEADER = "id,method,theta_hat,seasonal,f_1..f_h"
 AGGREGATE_HEADER = "method,group,n_series,n_smape,n_mase,n_failed,smape_mean,mase_mean,elapsed_sec"
+_EXIT_GRACE = 1.0  # seconds, see _in_helpers
 
 
 @dataclass(frozen=True)
@@ -158,13 +159,16 @@ def _in_helpers(tasks: list[list[DatasetEntry]], methods: tuple[MethodSpec, ...]
                 processes: int) -> tuple[list[list[Cell] | None], list[int]]:
     """Run ``tasks`` in at most ``processes`` helper processes, reading their
     pipes in this thread: each task's cells (None where the helper that
-    claimed it ended first) and the helpers' exit codes. A task's exception
-    is raised here; no helper outlives the call."""
+    claimed it ended first) and the helpers' exit codes. Once every pipe is
+    read to its end, the helpers get ``_EXIT_GRACE`` seconds in all to exit
+    on their own, so their at-exit work is not cut short. A task's exception
+    is raised here, terminating them at once; no helper outlives the call."""
     from multiprocessing.connection import wait
 
     counter = multiprocessing.Value("i", 0)
     per_task: list[list[Cell] | None] = [None] * len(tasks)
     helpers, readers = [], []
+    grace = 0.0
     try:
         for _ in range(min(processes, len(tasks))):
             reader, writer = multiprocessing.Pipe(duplex=False)
@@ -186,8 +190,11 @@ def _in_helpers(tasks: list[list[DatasetEntry]], methods: tuple[MethodSpec, ...]
                 if isinstance(cells, Exception):
                     raise cells
                 per_task[index] = cells
+        grace = _EXIT_GRACE
     finally:
+        deadline = time.monotonic() + grace
         for helper in helpers:
+            helper.join(max(0.0, deadline - time.monotonic()))
             if helper.exitcode is None:
                 helper.terminate()
             helper.join()

@@ -45,15 +45,17 @@ times, two sweeps), as speed against the whole-grid search: 2,048 points
 1.41/1.93x. 8,192 points (64 KB per array, under 1 MB per step) sits on the
 plateau with 16,384, which the sweep's noise does not separate from it.
 
-A search also runs several members (series, or prefixes of one) side by
-side on a leading member axis: runs of shape (n, members, inputs, 1),
-left-aligned with padding after each member's end, each member scored at
-its own checkpoints (its n, for a fit). The recursion is elementwise, so a
-member's result is bit-identical to a search of it alone. :func:`fit_all`
-packs ``_BLOCK // grid size`` series of a family without a season into one
-search, shortest first: 81 for SES, whose 101-point steps are otherwise
-mostly numpy call overhead. Larger and seasonal grids keep one series per
-search, and a one-series fit or a GROE forecast table is one member.
+A search also runs several members side by side on a leading member axis:
+runs of shape (n, members, inputs, 1), each member scored at its own
+checkpoints, with one matmul, argmin and gather per checkpoint for all the
+members due there. The recursion is elementwise, so a member's result is
+bit-identical to a search of it alone as long as its padding leaves its own
+steps alone. :func:`fit_all` packs ``_BLOCK // grid size`` series of a
+family without a season into one search, shortest first and left-aligned
+with padding after each member's end, scored at each member's n: 81 for SES,
+whose 101-point steps are otherwise mostly numpy call overhead. Larger and
+seasonal grids keep one series per search. ``groe.forecast_tables`` packs
+up to 40 SES GROE forecast tables, right-aligned (see the ``groe`` module).
 
 A fit whose grid spans more than one block (holt, holt_winters, damped,
 seasonal_damped) screens it first (:func:`_screen`): it scales y by the power
@@ -108,6 +110,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -303,25 +306,47 @@ def _fit_naive(series: TimeSeries, season) -> FittedForecaster:
     return FittedForecaster("naive2", series.n, sse, level=float(adjusted[-1]), season=season)
 
 
+@lru_cache(maxsize=64)
+def _indices(members: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    # a search's member indices as a column and its score rows (see _search), read-only
+    # since every search of that shape shares them; cached, as they cost a SES fit 1%
+    index, rows = np.arange(members)[:, None], np.arange(rows)
+    index.setflags(write=False)
+    rows.setflags(write=False)
+    return index, rows
+
+
 def _search(grid: dict[str, np.ndarray], runs: np.ndarray, checks: dict, season=None) -> dict:
     """Search the flattened ``grid`` (see :func:`_grid`) on ``runs``, ``_BLOCK`` points at a time.
 
-    ``runs`` has shape (n, members, inputs, 1): one member, or several with
-    one input each, and one of both under a season (see the module
-    docstring). A block sums each member's one-step error products, e*e or
-    e_a*e_b in row a*inputs + b. ``checks`` maps a prefix length t to the
-    ``range`` of consecutive members scored after y_t and their one (rows,
-    inputs**2) weight matrix: each row w scores every grid point by ``w @
-    products`` of its member; a fit's matrix is ``_SSE``, so its score is its
-    SSE. A row's winner, with a copy of its state, is the first least sanitised
-    score: a later block replaces it only on a strict ``<``. Returns ``{(member,
-    t): (score, params, level, trend, season)}`` over ``checks``, rows last.
+    ``runs`` has shape (n, members, inputs, 1), with one member and one input
+    under a season (see the module docstring). A block sums each member's
+    one-step error products, e*e or e_a*e_b in row a*inputs + b. ``checks``
+    maps a prefix length t to the ascending indices of the members scored
+    after y_t and their weight matrices, of shape (members, rows,
+    inputs**2), or ``_SSE``, which broadcasts: each row w scores every grid
+    point by ``w @ products`` of its member, so a fit's score is its SSE. A
+    row's winner, with a copy of its state, is the first least sanitised
+    score: a later block replaces it only on a strict ``<``. Returns ``{t:
+    (score, params, level, trend, season)}`` over ``checks``, each with t's
+    members first, then rows, then a state's own axis (inputs or period).
     """
     n, members, inputs = runs.shape[:3]
-    # _recurrence takes a season only on a 1-d input, so a single run is passed as one
-    y = runs.reshape(n) if members * inputs == 1 else runs.reshape(n, members * inputs, 1)
-    products = np.square if inputs == 1 else lambda e: e[:, None] * e
-    last = max(checks)
+    # _recurrence takes a season only on a 1-d input, so a single run is passed as one;
+    # several inputs' states have shape (members, inputs, 1, size), so e_a*e_b is one product
+    if inputs == 1:
+        y, products = runs.reshape(n) if members == 1 else runs.reshape(n, members, 1), np.square
+    else:
+        y, products = runs[..., None], lambda e: e * e.swapaxes(1, 2)
+    # each checkpoint's members, as a slice when consecutive (their sums are then
+    # a view), and the columns of their indices and positions, which gather winners
+    index, rows = _indices(members, next(iter(checks.values()))[1].shape[-2])
+    due = {}
+    for t, (js, w) in checks.items():
+        k = len(js)
+        js = slice(js[0], js[-1] + 1) if js[-1] - js[0] == k - 1 else js
+        due[t] = js, index[js], (index[:k], rows), w
+    last = max(due)
     found = {}
     with np.errstate(all="ignore"):
         for start in range(0, grid["alpha"].size, _BLOCK):
@@ -331,24 +356,24 @@ def _search(grid: dict[str, np.ndarray], runs: np.ndarray, checks: dict, season=
             for t, (e, level, trend, factors) in enumerate(steps, start=2):
                 if e is not None:
                     sums += products(e)
-                if t in checks:
-                    js, w = checks[t]
+                if t in due:
+                    js, column, pick, w = due[t]
                     size = level.shape[-1]
-                    scores = _sanitize(w @ sums.reshape(members, -1, size)[js.start : js.stop])
-                    i, mins = scores.argmin(axis=-1), scores.min(axis=-1)
-                    states = [a if a is None else a.reshape(members, -1, size) for a in (level, trend)]
-                    for pos, j in enumerate(js):
-                        state = (*(a if a is None else a[j] for a in states), factors, *block.values())
-                        won = [mins[pos], *(a if a is None else a.take(i[pos], -1) for a in state)]
-                        if (j, t) in found:
-                            score, params, *old = found[j, t]
-                            better = won[0] < score
-                            won = [a if a is None else np.where(better, a, b)
-                                   for a, b in zip(won, (score, *old, *params.values()))]
-                        found[j, t] = (won[0], dict(zip(grid, won[4:])), *won[1:4])
+                    scores = _sanitize(w @ sums.reshape(members, -1, size)[js])
+                    i = scores.argmin(axis=-1)
+                    won = [scores[(*pick, i)], *(v[i] for v in block.values()), *(
+                        a if a is None else a.reshape(members, -1, size)[column, :, i]
+                        for a in (level, trend, factors))]
+                    if t in found:
+                        better = won[0] < found[t][0]
+                        won = [a if a is None else
+                               np.where(better if a.ndim == 2 else better[..., None], a, b)
+                               for a, b in zip(won, found[t])]
+                    found[t] = won
                     if t == last:
                         break
-    return found
+    names = len(grid)
+    return {t: (score, dict(zip(grid, won[:names])), *won[names:]) for t, (score, *won) in found.items()}
 
 
 @np.errstate(all="ignore")  # an overflowed or NaN SSE never wins
@@ -419,16 +444,19 @@ def fit_all(spec: ForecasterSpec, series: list, season=None) -> list:
         lengths = [s.n for s in members]  # ascending, so each length's members are consecutive
         checks = {t: (range(bisect_left(lengths, t), bisect_right(lengths, t)), _SSE) for t in lengths}
         found = _search(narrow, runs, checks, season)
-        for m, (j, s) in enumerate(zip(order[start : start + pack], members)):
-            (sse,), params, level, trend, factors = found[m, s.n]
-            out[j] = ValueError(
-                f"series {s.id!r}: family {spec.family!r} has no finite in-sample SSE "
-                "at any grid point (the recursion overflows)"
-            ) if sse == np.inf else FittedForecaster(
-                spec.family, s.n, float(sse), float(level[0, 0]),
-                0.0 if trend is None else float(trend[0, 0]),
-                None if factors is None else factors[:, 0], {k: float(v[0]) for k, v in params.items()},
-            )
+        for t, (js, _) in checks.items():
+            sse, params, level, trend, factors = found[t]
+            for pos, m in enumerate(js):
+                j, s = order[start + m], members[m]
+                out[j] = ValueError(
+                    f"series {s.id!r}: family {spec.family!r} has no finite in-sample SSE "
+                    "at any grid point (the recursion overflows)"
+                ) if sse[pos, 0] == np.inf else FittedForecaster(
+                    spec.family, s.n, float(sse[pos, 0]), float(level[pos, 0, 0]),
+                    0.0 if trend is None else float(trend[pos, 0, 0]),
+                    None if factors is None else factors[pos, 0],
+                    {k: float(v[pos, 0]) for k, v in params.items()},
+                )
     return out
 
 

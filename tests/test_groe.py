@@ -13,7 +13,7 @@ from optitheta import (
     p_max,
     synthetic_dataset,
 )
-from optitheta import smoothing
+from optitheta import groe, smoothing
 from optitheta.groe import (
     COST_FUNCTIONS, DEFAULT_THETA_GRID, MIN_FIRST_ORIGIN, ae, forecast_table, loss_rows, sape,
     scored_origins, se, select_theta,
@@ -510,6 +510,122 @@ def test_table_builds_no_prefix_series(monkeypatch):
 
     monkeypatch.setattr(TimeSeries, "__post_init__", refuse)
     assert forecast_table(series, DEFAULT_THETA_GRID, union, h).keys() == set(union)
+
+
+# ---------------------------------------------------------------------------
+# right-aligned packs of tables against tables alone
+# ---------------------------------------------------------------------------
+
+
+def pack_members():
+    """``(series, origins, h)`` of 56 series of mixed groups and lengths, in no
+    order, with h of 6, 8 and 18; each table is over n and every approach's
+    scored origins, as a runner task plans it. Four short series (and some
+    yearly ones) have their first origin clamped to ``MIN_FIRST_ORIGIN``."""
+    entries = synthetic_dataset(11, {"Yearly": 20, "Quarterly": 14, "Monthly": 10, "Other": 8}).entries
+    rng = np.random.default_rng(5)
+    short = [TimeSeries(f"short{n}", 100.0 + np.cumsum(rng.normal(0.0, 2.0, n))) for n in (7, 9, 12, 15)]
+    members = []
+    for series, h in [(e.series, e.h) for e in entries] + [(s, 6) for s in short]:
+        origins = {series.n}
+        for approach in APPROACHES:
+            origins.update(scored_origins(approach_config(approach, series.n, h), series.n))
+        members.append((series, sorted(origins), h))
+    clamped = {s.id for s, origins, h in members if s.n - 2 * h < MIN_FIRST_ORIGIN == origins[0]}
+    assert {s.id for s in short} <= clamped
+    return [members[i] for i in rng.permutation(len(members))]
+
+
+def recorded_packs(monkeypatch):
+    """The runs shape and the checkpoints of every search groe makes from here on."""
+    packs, real = [], groe._search
+
+    def recording(grid, runs, checks, *args):
+        packs.append((runs.shape, {t: list(js) for t, (js, _) in checks.items()}))
+        return real(grid, runs, checks, *args)
+
+    monkeypatch.setattr(groe, "_search", recording)
+    return packs
+
+
+def assert_tables_alone(members, tables, extrapolator=SES):
+    """Each of ``tables`` is the member's forecast_table alone, bit for bit, or its error."""
+    failed = set()
+    for (series, origins, h), table in zip(members, tables, strict=True):
+        try:
+            alone = forecast_table(series, DEFAULT_THETA_GRID, origins, h, extrapolator)
+        except (ValueError, EvaluationError) as exc:
+            assert type(table) is type(exc) and str(table) == str(exc), series.id
+            failed.add(series.id)
+            continue
+        assert table.keys() == alone.keys() == set(origins), series.id
+        for ni in origins:
+            assert table[ni].tobytes() == alone[ni].tobytes(), (series.id, ni)
+    return failed
+
+
+@pytest.mark.parametrize("size", [1, 7, 14, 40, 56], ids=lambda size: f"pack{size}")
+def test_packed_tables_equal_tables_alone(size, monkeypatch):
+    # SES packs hold 8192 // (2 * 101) = 40 members, shortest first, each
+    # right-aligned to end at the longest n; members of one h share checkpoints
+    members = pack_members()[:size]
+    with monkeypatch.context() as patch:
+        packs = recorded_packs(patch)
+        tables = groe.forecast_tables(members, DEFAULT_THETA_GRID)
+    ordered = sorted(members, key=lambda member: member[0].n)
+    assert len(packs) == len(range(0, size, 40))
+    for start, (shape, checks) in zip(range(0, size, 40), packs):
+        pack = ordered[start : start + 40]
+        T = pack[-1][0].n
+        assert shape == (T, len(pack), 2, 1)
+        # origin o of member m is checkpoint o + T - n, where each member ends
+        due = {}
+        for m, (series, origins, _) in enumerate(pack):
+            for ni in origins:
+                due.setdefault(ni + T - series.n, []).append(m)
+        assert checks == due
+        if len(pack) >= 7:
+            assert len({h for _, _, h in pack}) >= 2  # the pack straddles values of h
+    assert assert_tables_alone(members, tables) == set()
+
+
+@pytest.mark.parametrize("cost", COST_FUNCTIONS)
+def test_packed_tables_select_as_estimate_theta(cost):
+    members = pack_members()
+    tables = groe.forecast_tables(members, DEFAULT_THETA_GRID)
+    for (series, _, h), table in zip(members, tables):
+        for approach in APPROACHES:
+            config = approach_config(approach, series.n, h)
+            own = scored_origins(config, series.n)
+            rows = loss_rows(series, DEFAULT_THETA_GRID, table, own, cost)
+            assert select_theta(series, DEFAULT_THETA_GRID, rows, own) == estimate_theta(
+                series, config=config, cost=cost), (series.id, approach)
+
+
+def test_a_trended_table_is_never_packed(monkeypatch):
+    # padding would seed the trend with 0, not y2 - y1, so each damped table is
+    # a pack of one, unpadded, even on a pinned grid of 19 points that 215 would fill
+    extrapolator = ForecasterSpec("damped", alpha=0.3, beta=0.1)
+    members = pack_members()[:6]
+    with monkeypatch.context() as patch:
+        packs = recorded_packs(patch)
+        tables = groe.forecast_tables(members, DEFAULT_THETA_GRID, extrapolator)
+    assert [shape for shape, _ in packs] == sorted((s.n, 1, 2, 1) for s, _, _ in members)
+    assert assert_tables_alone(members, tables, extrapolator) == set()
+
+
+def test_a_failed_member_leaves_its_pack_alone():
+    # a member that its preparation refuses or whose theta line overflows at n
+    # gets its own error; the members packed with it keep their tables
+    members = pack_members()[:20]
+    walk, origins, h = members[0]
+    huge = walk.with_values(np.ldexp(walk.values, 530))
+    members[3:3] = [(TimeSeries("h0", walk.values), origins, 0),
+                    (TimeSeries("beyond", walk.values), [*origins, walk.n + 1], h),
+                    (TimeSeries("huge", huge.values), origins, h)]
+    tables = groe.forecast_tables(members, DEFAULT_THETA_GRID)
+    assert assert_tables_alone(members, tables) == {"h0", "beyond", "huge"}
+    assert "no finite in-sample SSE" in str(tables[5])
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ from optitheta import (
     run_method,
     synthetic_dataset,
 )
-from optitheta import pipeline, smoothing
+from optitheta import groe, pipeline, smoothing
 from optitheta import theta as theta_module
 from optitheta.groe import (
-    COST_FUNCTIONS, DEFAULT_THETA_GRID, forecast_table, loss_rows, scored_origins, select_theta,
+    COST_FUNCTIONS, DEFAULT_THETA_GRID, forecast_table, forecast_tables, loss_rows, scored_origins,
+    select_theta,
 )
 from optitheta.pipeline import SeriesContext
 from optitheta.seasonal import SeasonalIndices, reseasonalize
@@ -242,11 +243,11 @@ def test_tokens_with_different_costs_share_one_search(monkeypatch):
     # and each token still selects as estimate_theta does with its own cost
     tables = []
 
-    def counting(series, *args):
-        tables.append(series.id)
-        return forecast_table(series, *args)
+    def counting(members, *args):
+        tables.extend(series.id for series, _, _ in members)
+        return forecast_tables(members, *args)
 
-    monkeypatch.setattr(pipeline, "forecast_table", counting)
+    monkeypatch.setattr(pipeline, "forecast_tables", counting)
     specs = [MethodSpec.otm("d", cost=cost, name=f"otm-d-{cost}") for cost in COST_FUNCTIONS]
     differ = 0
     for series, h in synthetic_cases():
@@ -283,14 +284,14 @@ def _selecting_corpus():
 def test_failed_loss_table_fails_only_the_cells_that_select(monkeypatch, tmp_path):
     dataset = _selecting_corpus()
     target = dataset.entries[1].series.id
-    original = pipeline.forecast_table
+    original = groe._prepare
 
     def failing(series, *args):
         if series.id == target:
             raise RuntimeError("table failed")
         return original(series, *args)
 
-    monkeypatch.setattr(pipeline, "forecast_table", failing)
+    monkeypatch.setattr(groe, "_prepare", failing)
     methods = (MethodSpec.classic_theta(), MethodSpec.otm("a"), MethodSpec.otm("d"),
                MethodSpec.benchmark("naive"), MethodSpec.benchmark("ses"))
     outputs = []
@@ -306,13 +307,14 @@ def test_failed_loss_table_fails_only_the_cells_that_select(monkeypatch, tmp_pat
 
 def test_shared_work_runs_once_per_series(monkeypatch):
     dataset = synthetic_dataset(8, {"Yearly": 2, "Quarterly": 2, "Monthly": 2, "Other": 1})
-    calls = {"seasonality_applies": [], "forecast_table": [], "otm_forecast": []}
+    calls = {"seasonality_applies": [], "forecast_tables": [], "otm_forecast": []}
     for name, log in calls.items():
         original = getattr(pipeline, name)
 
-        def counting(series, *args, _original=original, _log=log, **kwargs):
-            _log.append(series.id)
-            return _original(series, *args, **kwargs)
+        def counting(first, *args, _original=original, _log=log, **kwargs):
+            # forecast_tables takes a list of (series, origins, H) members
+            _log.extend([member[0].id for member in first] if isinstance(first, list) else [first.id])
+            return _original(first, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, counting)
     methods = (MethodSpec.classic_theta(),) + tuple(MethodSpec.otm(a) for a in APPROACHES)
@@ -320,7 +322,7 @@ def test_shared_work_runs_once_per_series(monkeypatch):
     assert all(s.error is None and s.theta is not None for s in result.scores)
     ids = [entry.series.id for entry in dataset.entries]
     assert sorted(calls["seasonality_applies"]) == sorted(ids)
-    assert sorted(calls["forecast_table"]) == sorted(ids)
+    assert sorted(calls["forecast_tables"]) == sorted(ids)
     # the selecting tokens take their forecasts from the table, so only the
     # fixed-theta cells, classic Theta here, fit a theta line directly
     assert sorted(calls["otm_forecast"]) == sorted(ids)

@@ -21,7 +21,7 @@ from optitheta import (
     run_method,
     synthetic_dataset,
 )
-from optitheta import metrics, runner, smoothing
+from optitheta import groe, metrics, pipeline, runner, smoothing
 from optitheta.dataset import DatasetEntry
 
 
@@ -298,6 +298,104 @@ def test_a_task_makes_each_fit_for_all_its_series_at_once(monkeypatch):
         assert all(s.error is None for s in result.scores)
         tasks = [min(size, len(ds) - start) for start in range(0, len(ds), size)]
         assert calls == [("ses", members) for members in tasks for _ in range(2)]
+
+
+def test_a_task_builds_each_table_for_all_its_series_at_once(monkeypatch):
+    # the first selecting cell of a task builds the SES GROE table of every
+    # series of the task in one forecast_tables call
+    calls = []
+    original = pipeline.forecast_tables
+
+    def counting(members, *args):
+        calls.append(len(members))
+        return original(members, *args)
+
+    monkeypatch.setattr(pipeline, "forecast_tables", counting)
+    ds = synthetic_dataset(7, {"Yearly": 4, "Quarterly": 2, "Monthly": 2, "Other": 3})
+    methods = (MethodSpec.classic_theta(), MethodSpec.otm("a"), MethodSpec.otm("h"))
+    for size in (len(ds), 3):
+        calls.clear()
+        monkeypatch.setattr(runner, "_task_size", lambda entries, processes, size=size: size)
+        result = run_experiment(ds, ExperimentConfig(methods=methods))
+        assert all(s.error is None for s in result.scores)
+        assert calls == [min(size, len(ds) - start) for start in range(0, len(ds), size)]
+
+
+def test_a_pack_is_charged_to_its_series_by_length(monkeypatch):
+    # the three tables are one pack; each selecting cell pays the pack's time
+    # in proportion to its series' length, not the first cell for all three
+    original = pipeline.forecast_tables
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "forecast_tables", slow)
+    monkeypatch.setattr(runner, "_task_size", lambda entries, processes: entries)
+    lengths = (10, 20, 30)
+    ds = Dataset(tuple(DatasetEntry(TimeSeries(f"s{n}", np.arange(1.0, n + 1)), np.ones(2), "Other")
+                       for n in lengths))
+    result = run_experiment(ds, ExperimentConfig(methods=(MethodSpec.otm("a"),)))
+    for score, n in zip(result.scores, lengths):
+        assert score.error is None, score.error
+        share = 0.3 * n / sum(lengths)
+        assert share <= score.elapsed < share + 0.05, score.series_id
+
+
+def test_a_failed_table_fails_only_its_own_cells(monkeypatch):
+    # one task, so one pack holds every table; a series whose table
+    # preparation raises, and one whose theta line has no finite SSE at n,
+    # fail only their own cells, and every other cell is the cell alone
+    entries = [*synthetic_dataset(9, {"Yearly": 3, "Quarterly": 2, "Monthly": 2, "Other": 2})]
+    walk = entries[0]
+    huge = TimeSeries("huge", np.ldexp(walk.series.values, 530))
+    entries.insert(2, DatasetEntry(huge, walk.actuals, walk.group))
+    target = entries[4].series.id
+    original = groe._prepare
+
+    def failing(series, *args):
+        if series.id == target:
+            raise RuntimeError("table failed")
+        return original(series, *args)
+
+    monkeypatch.setattr(groe, "_prepare", failing)
+    monkeypatch.setattr(runner, "_task_size", lambda entries, processes: entries)
+    methods = (MethodSpec.classic_theta(), MethodSpec.otm("a"), MethodSpec.otm("e", cost="sape"),
+               MethodSpec.benchmark("naive"))
+    result = run_experiment(Dataset(tuple(entries)), ExperimentConfig(methods=methods))
+    cells = iter(result.forecasts)
+    failed = {}
+    for entry in entries:
+        for spec in methods:
+            try:
+                alone = run_method(entry.series, entry.h, spec)
+            except Exception as exc:
+                failed[entry.series.id, spec.name] = f"{type(exc).__name__}: {exc}"
+                continue
+            assert next(cells).forecasts.tobytes() == alone.forecasts.tobytes()
+    assert {(s.series_id, s.method): s.error for s in result.scores if s.error is not None} == failed
+    assert {key for key, error in failed.items() if "table failed" in error} == {
+        (target, "otm-a"), (target, "otm-e")}
+    assert {("huge", "otm-a"), ("huge", "otm-e")} <= set(failed)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the helpers inherit the patched _serve only under fork")
+def test_helpers_that_closed_their_pipes_exit_on_their_own(monkeypatch, tmp_path):
+    # work a helper does after its pipe's EOF (as at-exit handlers do) is not
+    # cut short by a terminate: every helper leaves its marker
+    original = runner._serve
+
+    def serve(*args):
+        original(*args)
+        time.sleep(0.1)
+        (tmp_path / f"helper-{os.getpid()}").write_text("done")
+
+    monkeypatch.setattr(runner, "_serve", serve)
+    ds = synthetic_dataset(3, {"Yearly": 4, "Quarterly": 3, "Monthly": 2, "Other": 2})
+    result = run_experiment(ds, ExperimentConfig(methods=(MethodSpec.benchmark("naive"),), workers=2))
+    assert all(s.error is None for s in result.scores)
+    assert len([p for p in tmp_path.iterdir() if p.read_text() == "done"]) == 2
 
 
 def test_a_task_frees_each_series_once_its_cells_ran(monkeypatch):
