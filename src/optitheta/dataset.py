@@ -135,7 +135,7 @@ def _parse_entry(fields: list[str]) -> DatasetEntry:
     if len(fields) != 5 + n + h:
         raise ValueError(f"declared n={n} and h={h} need {5 + n + h} fields, got {len(fields)}")
     try:
-        numbers = np.array([float(v) for v in fields[5:]], dtype=np.float64)
+        numbers = np.array(list(map(float, fields[5:])))
     except ValueError:
         raise ValueError("non-numeric observation") from None
     series = TimeSeries(sid, numbers[:n], period)

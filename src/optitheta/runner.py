@@ -3,14 +3,21 @@
 Per-series work is pure, so it can be farmed out to helper processes, in tasks
 of ceil(entries / (4 * processes)) entries in a row; workers=1 runs the same
 tasks in process. Each helper claims the next task index from one shared
-counter and sends each finished task's cells back on its own pipe, which the
-calling thread reads as they become ready, storing the cells by task index;
-it runs no task and starts no thread. A task's exception reaches the caller,
-as it does at workers=1. A helper that ends before sending a claimed task's
-cells (killed, or exiting inside a method) costs only that task: once every
-helper has ended, each task left without cells runs once more alone in a
-fresh helper, and if that one dies too, the task's cells fail with an error
-that names its exit code. A task is the list of its series'
+counter and sends each finished task's :class:`TaskResult` back on its own
+pipe, which the calling thread reads as they become ready, storing them by
+task index; it runs no task and starts no thread. A task result is compact:
+each cell's ``SeriesScore`` fields and ``scores.csv`` row, and, for the cells
+that produced forecasts, their ``forecasts.csv`` rows, their provenance and
+their forecasts end to end in one float64 array. Every row is formatted where
+its cell ran, and each ``ForecastResult`` is built and checked there, so the
+calling thread only rebuilds the score objects, writes the rows it received,
+and builds ``ExperimentResult.forecasts`` from the arrays when it is first
+read. A task's exception reaches the caller, as it does at workers=1. A
+helper that ends before sending a claimed task's result (killed, or exiting
+inside a method) costs only that task: once every helper has ended, each task
+left without a result runs once more alone in a fresh helper, and if that one
+dies too, the task's cells fail with an error that names its exit code. A
+task is the list of its series'
 :class:`~optitheta.pipeline.SeriesContext`, so each smoothing fit and GROE
 forecast table is made for all of them at once and its time charged to them
 by their lengths, each share in the cell that takes it, so the cell times of
@@ -25,8 +32,10 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,17 +79,62 @@ class ExperimentConfig:
             raise ValueError(f"method names must be unique, got {names}")
 
 
+# one (series, method) cell as its task makes it: its SeriesScore fields in
+# order and, unless it failed, its forecasts
+Cell = tuple[tuple, ForecastResult | None]
+
+
+class TaskResult(NamedTuple):
+    """A task's cells as its helper sends them back: each cell's
+    ``SeriesScore`` fields and ``scores.csv`` row, in dataset order, and, for
+    the cells that produced forecasts, their ``forecasts.csv`` rows, their
+    (id, method, theta, seasonal, note, h) and their forecasts end to end."""
+
+    scores: list[tuple]
+    score_rows: list[str]
+    forecast_rows: list[str]
+    produced: list[tuple]
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, cells: list[Cell]) -> "TaskResult":
+        scores = [score for score, _ in cells]
+        results = [result for _, result in cells if result is not None]
+        return cls(
+            scores=scores,
+            score_rows=[_csv_row([series_id, method, smape_value, mase_value, theta])
+                        for series_id, _, method, smape_value, mase_value, theta, *_ in scores],
+            forecast_rows=[forecast_row(fc) for fc in results],
+            produced=[(fc.series_id, fc.method, fc.theta, fc.seasonal, fc.note, fc.forecasts.size)
+                      for fc in results],
+            values=np.concatenate([fc.forecasts for fc in results]) if results else np.empty(0),
+        )
+
+    def forecasts(self) -> list[ForecastResult]:
+        """Each produced cell's ``ForecastResult``, rebuilt bit for bit from ``values``."""
+        ends = np.cumsum([h for *_, h in self.produced])[:-1]
+        return [ForecastResult(series_id, method, values, theta, seasonal, note)
+                for (series_id, method, theta, seasonal, note, _), values
+                in zip(self.produced, np.split(self.values, ends))]
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Every cell's score, the aggregate table and the average ranks of a run,
+    with its tasks' results in dataset order, which the output files and
+    ``forecasts`` are made from."""
+
     scores: tuple[SeriesScore, ...]
     table: tuple[AggregateRow, ...]
-    forecasts: tuple[ForecastResult, ...]
     rank_smape: dict[str, float] | None
     rank_mase: dict[str, float] | None
+    _tasks: tuple[TaskResult, ...] = field(repr=False, compare=False)
 
-
-# one (series, method) cell: its score row and, unless it failed, its forecasts
-Cell = tuple[SeriesScore, ForecastResult | None]
+    @cached_property
+    def forecasts(self) -> tuple[ForecastResult, ...]:
+        """The forecasts of every cell that produced them, in dataset order,
+        built when first read."""
+        return tuple(fc for task in self._tasks for fc in task.forecasts())
 
 
 def _task_size(entries: int, processes: int) -> int:
@@ -88,13 +142,14 @@ def _task_size(entries: int, processes: int) -> int:
     return -(-entries // (4 * processes))
 
 
-def _evaluate_task(entries: list[DatasetEntry], methods: tuple[MethodSpec, ...]) -> list[Cell]:
+def _evaluate_task(entries: list[DatasetEntry], methods: tuple[MethodSpec, ...]) -> TaskResult:
     # built here, in the worker, so the shared work is never pickled
     task: list[SeriesContext] = []
     for entry in entries:
         SeriesContext(entry.series, entry.h, methods, task)
     # no later batch needs a series, so its work is freed once its cells have run
-    return [cell for entry in entries for cell in _evaluate_entry(entry, task.pop(0), methods)]
+    return TaskResult.of([cell for entry in entries
+                          for cell in _evaluate_entry(entry, task.pop(0), methods)])
 
 
 def _evaluate_entry(entry: DatasetEntry, context: SeriesContext,
@@ -123,17 +178,9 @@ def _evaluate_entry(entry: DatasetEntry, context: SeriesContext,
     out: list[Cell] = []
     for spec, result, error, elapsed in runs:
         smape_value, mase_value = (None, None) if result is None else next(scored)
-        score = SeriesScore(
-            series_id=entry.series.id,
-            group=entry.group,
-            method=spec.name,
-            smape=smape_value,
-            mase=mase_value,
-            theta=None if result is None else result.theta,
-            elapsed=elapsed,
-            error=error,
-        )
-        out.append((score, result))
+        theta = None if result is None else result.theta
+        out.append(((entry.series.id, entry.group, spec.name, smape_value, mase_value, theta,
+                     elapsed, error), result))
     return out
 
 
@@ -156,7 +203,7 @@ def _serve(tasks: list[list[DatasetEntry]], methods: tuple[MethodSpec, ...], cou
 
 
 def _in_helpers(tasks: list[list[DatasetEntry]], methods: tuple[MethodSpec, ...],
-                processes: int) -> tuple[list[list[Cell] | None], list[int]]:
+                processes: int) -> tuple[list[TaskResult | None], list[int]]:
     """Run ``tasks`` in at most ``processes`` helper processes, reading their
     pipes in this thread: each task's cells (None where the helper that
     claimed it ended first) and the helpers' exit codes. Once every pipe is
@@ -166,7 +213,7 @@ def _in_helpers(tasks: list[list[DatasetEntry]], methods: tuple[MethodSpec, ...]
     from multiprocessing.connection import wait
 
     counter = multiprocessing.Value("i", 0)
-    per_task: list[list[Cell] | None] = [None] * len(tasks)
+    per_task: list[TaskResult | None] = [None] * len(tasks)
     helpers, readers = [], []
     grace = 0.0
     try:
@@ -203,10 +250,10 @@ def _in_helpers(tasks: list[list[DatasetEntry]], methods: tuple[MethodSpec, ...]
     return per_task, [helper.exitcode for helper in helpers]
 
 
-def _lost_cells(entries: list[DatasetEntry], methods: tuple[MethodSpec, ...], code: int) -> list[Cell]:
+def _lost_cells(entries: list[DatasetEntry], methods: tuple[MethodSpec, ...], code: int) -> TaskResult:
     error = f"HelperDied: the process running this series' task exited with code {code}"
-    return [(SeriesScore(entry.series.id, entry.group, spec.name, None, None, error=error), None)
-            for entry in entries for spec in methods]
+    return TaskResult.of([((entry.series.id, entry.group, spec.name, None, None, None, 0.0, error), None)
+                          for entry in entries for spec in methods])
 
 
 def _rank_table(scores: tuple[SeriesScore, ...], methods: list[str],
@@ -245,16 +292,14 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
                 per_task[i] = _lost_cells(tasks[i], methods, code) if cells is None else cells
     else:
         per_task = [_evaluate_task(task, methods) for task in tasks]
-    cells = [cell for cell_list in per_task for cell in cell_list]
-    scores = tuple(score for score, _ in cells)
-    forecasts = tuple(result for _, result in cells if result is not None)
+    scores = tuple(SeriesScore(*fields) for cells in per_task for fields in cells.scores)
     method_names = [m.name for m in config.methods]
     result = ExperimentResult(
         scores=scores,
         table=tuple(aggregate_scores(scores)),
-        forecasts=forecasts,
         rank_smape=_rank_table(scores, method_names, "smape"),
         rank_mase=_rank_table(scores, method_names, "mase"),
+        _tasks=tuple(per_task),
     )
     if config.out_dir is not None:
         write_outputs(result, config.out_dir)
@@ -281,17 +326,21 @@ def forecast_row(fc: ForecastResult) -> str:
 
 
 def write_outputs(result: ExperimentResult, out_dir) -> dict[str, Path]:
-    """Write scores, aggregate table, forecasts, and (when complete) ranks."""
+    """Write scores, aggregate table, forecasts, and (when complete) ranks.
+
+    The scores and forecasts rows are those the tasks formatted where they ran.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = {
-        "scores": (SCORES_FILE, "id,method,smape,mase,theta_hat", [
-            _csv_row([s.series_id, s.method, s.smape, s.mase, s.theta]) for s in result.scores
-        ]),
+        "scores": (SCORES_FILE, "id,method,smape,mase,theta_hat",
+                   [row for cells in result._tasks for row in cells.score_rows]),
         "aggregate": (AGGREGATE_FILE, AGGREGATE_HEADER, [
-            _csv_row([*astuple(row)[:-1], f"{row.elapsed:.3f}"]) for row in result.table
+            _csv_row([row.method, row.group, row.n_series, row.n_smape, row.n_mase, row.n_failed,
+                      row.smape_mean, row.mase_mean, f"{row.elapsed:.3f}"]) for row in result.table
         ]),
-        "forecasts": (FORECASTS_FILE, FORECASTS_HEADER, map(forecast_row, result.forecasts)),
+        "forecasts": (FORECASTS_FILE, FORECASTS_HEADER,
+                      [row for cells in result._tasks for row in cells.forecast_rows]),
     }
     if result.rank_smape is not None:
         mase_ranks = result.rank_mase or {}

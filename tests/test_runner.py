@@ -20,6 +20,7 @@ from optitheta import (
     run_experiment,
     run_method,
     synthetic_dataset,
+    write_outputs,
 )
 from optitheta import groe, metrics, pipeline, runner, smoothing
 from optitheta.dataset import DatasetEntry
@@ -133,11 +134,11 @@ def deadline(seconds):
 
 
 @forking
-def test_a_dying_helper_fails_only_its_own_task(monkeypatch):
+def test_a_dying_helper_fails_only_its_own_task(monkeypatch, tmp_path):
     ds = synthetic_dataset(5, {"Yearly": 4, "Other": 4})
     methods = (MethodSpec.classic_theta(), MethodSpec.benchmark("naive"), MethodSpec.benchmark("ses"))
     monkeypatch.setattr(runner, "_task_size", lambda entries, processes: 2)
-    serial = run_experiment(ds, ExperimentConfig(methods=methods, workers=1))
+    serial = run_experiment(ds, ExperimentConfig(methods=methods, workers=1, out_dir=tmp_path / "serial"))
     original = runner._evaluate_entry
     victim = ds.entries[4].series.id
 
@@ -148,7 +149,8 @@ def test_a_dying_helper_fails_only_its_own_task(monkeypatch):
 
     monkeypatch.setattr(runner, "_evaluate_entry", dying)
     with deadline(60):
-        pooled = run_experiment(ds, ExperimentConfig(methods=methods, workers=2))
+        pooled = run_experiment(ds, ExperimentConfig(methods=methods, workers=2,
+                                                     out_dir=tmp_path / "pooled"))
     assert multiprocessing.active_children() == []
     # tasks are pairs of series in a row, so the victim's task is entries 4 and 5
     lost = {ds.entries[i].series.id for i in (4, 5)}
@@ -161,6 +163,15 @@ def test_a_dying_helper_fails_only_its_own_task(monkeypatch):
             assert replace(after, elapsed=0.0) == replace(before, elapsed=0.0)
     kept = [(f.series_id, f.method, f.forecasts.tobytes()) for f in serial.forecasts if f.series_id not in lost]
     assert [(f.series_id, f.method, f.forecasts.tobytes()) for f in pooled.forecasts] == kept
+    # the written files hold the lost cells' error rows in place, and no forecasts of them
+    def read(run, name):
+        return (tmp_path / run / name).read_text(encoding="utf-8").splitlines()
+
+    assert read("pooled", "scores.csv") == [
+        ",".join(row.split(",")[:2]) + ",,," if row.split(",")[0] in lost else row
+        for row in read("serial", "scores.csv")]
+    assert read("pooled", "forecasts.csv") == [
+        row for row in read("serial", "forecasts.csv") if row.split(",")[0] not in lost]
 
 
 @forking
@@ -181,6 +192,48 @@ def test_a_task_exception_reaches_the_caller_as_at_one_worker(monkeypatch):
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1] == (LookupError, f"planted on {ds.entries[3].series.id}")
     assert multiprocessing.active_children() == []
+
+
+def test_the_calling_process_builds_forecasts_only_when_they_are_read(monkeypatch, tmp_path):
+    # a task sends back its rows and one array, never a pickled ForecastResult;
+    # result.forecasts is built from them on first read, bit for bit as at one worker
+    loads = []
+
+    def setstate(self, state):
+        loads.append(state["series_id"])
+        self.__dict__.update(state)
+
+    monkeypatch.setattr(ForecastResult, "__setstate__", setstate, raising=False)
+    entries = [*synthetic_dataset(8, {"Yearly": 3, "Quarterly": 2, "Monthly": 2, "Other": 1}),
+               DatasetEntry(TimeSeries("short", np.arange(1.0, 6.0)), np.ones(6), "Other"),
+               DatasetEntry(TimeSeries("one", [4.0]), np.ones(3), "Other")]
+    methods = (MethodSpec.classic_theta(), MethodSpec.otm("a"), MethodSpec.benchmark("naive2"),
+               MethodSpec.benchmark("holt_winters"))
+    ds = Dataset(tuple(entries))
+    serial = run_experiment(ds, ExperimentConfig(methods=methods, workers=1))
+    with deadline(60):
+        pooled = run_experiment(ds, ExperimentConfig(methods=methods, workers=2, out_dir=tmp_path / "run"))
+    assert loads == []
+    forecasts = pooled.forecasts
+    assert type(forecasts) is tuple and pooled.forecasts is forecasts and loads == []
+
+    def cell(fc):
+        return fc.series_id, fc.method, fc.theta, fc.seasonal, fc.note, fc.forecasts.tobytes()
+
+    assert [cell(fc) for fc in forecasts] == [cell(fc) for fc in serial.forecasts]
+    # the rows written where the cells ran, and the cells run alone, hold the same
+    rows = (tmp_path / "run" / "forecasts.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [runner.forecast_row(fc) for fc in forecasts] == rows
+    alone = [run_method(entry.series, entry.h, spec) for entry in entries[:-1] for spec in methods]
+    assert [cell(fc) for fc in forecasts] == [cell(fc) for fc in alone]
+    assert {s.series_id for s in pooled.scores if s.error} == {"one"}  # every method fails on it
+    assert len(forecasts) == (len(ds) - 1) * len(methods)
+    assert any(fc.note for fc in forecasts) and any(fc.seasonal for fc in forecasts)
+    assert not any(fc.forecasts.flags.writeable for fc in forecasts)
+    again = write_outputs(pooled, tmp_path / "again")
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(p.name for p in again.values())
+    for path in again.values():
+        assert path.read_bytes() == (tmp_path / "run" / path.name).read_bytes(), path.name
 
 
 OUTPUT_FILES = ("forecasts.csv", "scores.csv", "ranks.csv")
