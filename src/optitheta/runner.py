@@ -7,12 +7,12 @@ counter and sends each finished task's :class:`TaskResult` back on its own
 pipe, which the calling thread reads as they become ready, storing them by
 task index; it runs no task and starts no thread. A task result is compact:
 each cell's ``SeriesScore`` fields and ``scores.csv`` row, and, for the cells
-that produced forecasts, their ``forecasts.csv`` rows, their provenance and
-their forecasts end to end in one float64 array. Every row is formatted where
-its cell ran, and each ``ForecastResult`` is built and checked there, so the
-calling thread only rebuilds the score objects, writes the rows it received,
-and builds ``ExperimentResult.forecasts`` from the arrays when it is first
-read. A task's exception reaches the caller, as it does at workers=1. A
+that produced forecasts, their ``forecasts.csv`` rows and notes, the one
+field a row lacks. Every row is formatted where its cell ran, and each
+``ForecastResult`` is built and checked there, so the calling thread only
+rebuilds the score objects, writes the rows it received, and reads
+``ExperimentResult.forecasts`` back from the rows when it is first read. A
+task's exception reaches the caller, as it does at workers=1. A
 helper that ends before sending a claimed task's result (killed, or exiting
 inside a method) costs only that task: once every helper has ended, each task
 left without a result runs once more alone in a fresh helper, and if that one
@@ -85,16 +85,14 @@ Cell = tuple[tuple, ForecastResult | None]
 
 
 class TaskResult(NamedTuple):
-    """A task's cells as its helper sends them back: each cell's
-    ``SeriesScore`` fields and ``scores.csv`` row, in dataset order, and, for
-    the cells that produced forecasts, their ``forecasts.csv`` rows, their
-    (id, method, theta, seasonal, note, h) and their forecasts end to end."""
+    """A task's cells as its helper sends them back: each cell's ``SeriesScore``
+    fields and ``scores.csv`` row, in dataset order, and, for the cells that
+    produced forecasts, their ``forecasts.csv`` rows and notes."""
 
     scores: list[tuple]
     score_rows: list[str]
     forecast_rows: list[str]
-    produced: list[tuple]
-    values: np.ndarray
+    notes: list[str | None]
 
     @classmethod
     def of(cls, cells: list[Cell]) -> "TaskResult":
@@ -105,17 +103,8 @@ class TaskResult(NamedTuple):
             score_rows=[_csv_row([series_id, method, smape_value, mase_value, theta])
                         for series_id, _, method, smape_value, mase_value, theta, *_ in scores],
             forecast_rows=[forecast_row(fc) for fc in results],
-            produced=[(fc.series_id, fc.method, fc.theta, fc.seasonal, fc.note, fc.forecasts.size)
-                      for fc in results],
-            values=np.concatenate([fc.forecasts for fc in results]) if results else np.empty(0),
+            notes=[fc.note for fc in results],
         )
-
-    def forecasts(self) -> list[ForecastResult]:
-        """Each produced cell's ``ForecastResult``, rebuilt bit for bit from ``values``."""
-        ends = np.cumsum([h for *_, h in self.produced])[:-1]
-        return [ForecastResult(series_id, method, values, theta, seasonal, note)
-                for (series_id, method, theta, seasonal, note, _), values
-                in zip(self.produced, np.split(self.values, ends))]
 
 
 @dataclass(frozen=True)
@@ -133,8 +122,9 @@ class ExperimentResult:
     @cached_property
     def forecasts(self) -> tuple[ForecastResult, ...]:
         """The forecasts of every cell that produced them, in dataset order,
-        built when first read."""
-        return tuple(fc for task in self._tasks for fc in task.forecasts())
+        read back from their rows when first read."""
+        return tuple(read_forecast_row(row, note) for task in self._tasks
+                     for row, note in zip(task.forecast_rows, task.notes))
 
 
 def _task_size(entries: int, processes: int) -> int:
@@ -323,6 +313,14 @@ def forecast_row(fc: ForecastResult) -> str:
     # repr of each Python float, as _fmt gives, without a call per value
     return ",".join([_csv_row([fc.series_id, fc.method, fc.theta, int(fc.seasonal)]),
                      *map(repr, fc.forecasts.tolist())])
+
+
+def read_forecast_row(row: str, note: str | None) -> ForecastResult:
+    """The ``ForecastResult`` of :func:`forecast_row`'s ``row`` and ``note``, bit for bit: a
+    float's repr reads back as that float, and ``check_field`` keeps commas out of the names."""
+    series_id, method, theta, seasonal, *values = row.split(",")
+    return ForecastResult(series_id, method, list(map(float, values)),
+                          float(theta) if theta else None, seasonal == "1", note)
 
 
 def write_outputs(result: ExperimentResult, out_dir) -> dict[str, Path]:

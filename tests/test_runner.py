@@ -2,9 +2,12 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from optitheta import (
     write_outputs,
 )
 from optitheta import groe, metrics, pipeline, runner, smoothing
-from optitheta.dataset import DatasetEntry
+from optitheta.dataset import DatasetEntry, check_field
 
 
 def constant_dataset():
@@ -195,8 +198,8 @@ def test_a_task_exception_reaches_the_caller_as_at_one_worker(monkeypatch):
 
 
 def test_the_calling_process_builds_forecasts_only_when_they_are_read(monkeypatch, tmp_path):
-    # a task sends back its rows and one array, never a pickled ForecastResult;
-    # result.forecasts is built from them on first read, bit for bit as at one worker
+    # a task sends back its rows and notes, never a pickled ForecastResult;
+    # result.forecasts reads the rows back on first read, bit for bit as at one worker
     loads = []
 
     def setstate(self, state):
@@ -259,6 +262,49 @@ def test_outputs_equal_for_any_worker_count_and_task_size(monkeypatch, tmp_path)
             run_experiment(ds, ExperimentConfig(methods=methods, workers=workers, out_dir=out_dir))
             outputs[workers, size] = timeless_outputs(out_dir)
     assert all(files == outputs[1, 1] for files in outputs.values())
+
+
+START_METHOD_SCRIPT = """
+import multiprocessing
+import sys
+from pathlib import Path
+
+from optitheta import ExperimentConfig, MethodSpec, run_experiment, synthetic_dataset
+
+
+def cell(fc):
+    return fc.series_id, fc.method, fc.theta, fc.seasonal, fc.note, fc.forecasts.tobytes()
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    out = Path(sys.argv[2])
+    ds = synthetic_dataset(5, {"Yearly": 4, "Quarterly": 3, "Monthly": 3, "Other": 2})
+    methods = (MethodSpec.classic_theta(), MethodSpec.otm("a"), MethodSpec.benchmark("naive2"),
+               MethodSpec.benchmark("ses"), MethodSpec.benchmark("holt_winters", name="holt-winters"))
+    cells = {}
+    for workers in (1, 2):
+        result = run_experiment(ds, ExperimentConfig(methods=methods, workers=workers,
+                                                     out_dir=out / f"w{workers}"))
+        assert multiprocessing.active_children() == [], workers
+        cells[workers] = [cell(fc) for fc in result.forecasts]
+    assert cells[1] == cells[2] and len(cells[1]) == len(ds) * len(methods)
+    for name in ("forecasts.csv", "scores.csv", "ranks.csv"):
+        assert (out / "w1" / name).read_bytes() == (out / "w2" / name).read_bytes(), name
+    print(multiprocessing.get_start_method())
+"""
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_outputs_equal_at_two_workers_under_start_method(method, tmp_path):
+    # without fork the helpers get their tasks pickled, not inherited
+    script = tmp_path / "run.py"
+    script.write_text(START_METHOD_SCRIPT, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(runner.__file__).parents[1])}
+    done = subprocess.run([sys.executable, str(script), method, str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [method]
 
 
 def test_cells_equal_for_any_corpus_order():
@@ -527,6 +573,37 @@ def test_forecast_rows_equal_the_per_value_form(values, theta, seasonal):
     fc = ForecastResult("S1", "otm-a", np.array(values), theta, seasonal)
     old = runner._csv_row([fc.series_id, fc.method, fc.theta, int(fc.seasonal), *fc.forecasts.tolist()])
     assert runner.forecast_row(fc) == old
+
+
+def accepted_field(value):
+    try:
+        check_field(value, "cell", "a field")
+    except ValueError:
+        return False
+    return True
+
+
+def float_bits(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+@example(ForecastResult("S1", "otm-a", np.array(FORECAST_VALUES), -0.0, True, "a, b\nc"))
+@example(ForecastResult("", "naive", np.array([-1.7976931348623157e308]), 5e-324, False, ","))
+@given(st.builds(ForecastResult,
+                 st.text(max_size=8).filter(accepted_field),
+                 st.text(max_size=8).filter(accepted_field),
+                 st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=24)
+                 .map(np.array),
+                 st.none() | st.floats(allow_nan=False, allow_infinity=False),
+                 st.booleans(),
+                 st.none() | st.text(alphabet=st.sampled_from("ab ,\n\r\u2028"), max_size=12)))
+def test_a_forecast_row_reads_back_bit_for_bit(fc):
+    back = runner.read_forecast_row(runner.forecast_row(fc), fc.note)
+    assert back.forecasts.tobytes() == fc.forecasts.tobytes()
+    assert not back.forecasts.flags.writeable
+    assert float_bits(back.theta) == float_bits(fc.theta)
+    assert (back.series_id, back.method, back.seasonal, back.note) == (
+        fc.series_id, fc.method, fc.seasonal, fc.note)
 
 
 def test_failures_recorded_not_fatal():
