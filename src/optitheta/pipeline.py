@@ -23,7 +23,8 @@ made once per series and family (with pins), so a seasonal family falling back
 to its sibling reuses that token's fit. A fit and a table are each made in one
 batch (``smoothing.fit_all``, ``groe.forecast_tables``) for every context of
 the runner task (a list of contexts) that plans it, and its time is charged
-to those contexts by their series' lengths.
+to those contexts by their series' lengths. A context plans in one table: a
+GROE table's key maps to its origins, a fit's to None.
 """
 
 from __future__ import annotations
@@ -128,12 +129,12 @@ class SeriesContext:
     """Per-series work shared by the method tokens ``specs`` run on ``series``.
 
     Construction plans each otm token (its scored origins, or its one theta
-    and any fallback note), the origins of each GROE table and the fits
-    without a season that its tokens will ask for, and appends the context to
-    ``task``, the runner task's contexts whose cells have yet to run. Nothing
-    else is computed until a token asks for it, and a piece that raises is not
-    stored (a fit or a table keeps its error), so it fails every token that
-    needs it and no other.
+    and any fallback note) and, in one table, the batches its tokens will ask
+    for: each GROE table with its origins, and each fit without a season. It
+    appends the context to ``task``, the runner task's contexts whose cells
+    have yet to run. Nothing else is computed until a token asks for it, and a
+    piece that raises is not stored (a fit or a table keeps its error), so it
+    fails every token that needs it and no other.
     """
 
     def __init__(self, series: TimeSeries, h: int, specs=(), task: list | None = None) -> None:
@@ -146,26 +147,23 @@ class SeriesContext:
         self._rows: dict[tuple, dict[int, np.ndarray]] = {}
         # a table's (grid, extrapolator) or a fit's (theta or None, spec): (it or its error, time share)
         self._done: dict[tuple, tuple] = {}
-        self._planned: set[tuple] = set()
+        self._planned: dict[tuple, set[int] | None] = {}  # planned keys: a table's origins, a fit's None
         self._origins: dict[MethodSpec, list[int]] = {}
-        self._unions: dict[tuple, set[int]] = {}  # (grid, extrapolator): its table's origins
         self._fixed: dict[MethodSpec, tuple[float, str | None]] = {}
         for spec in self.specs:
             if spec.family is None and len(spec.grid) > 1:
                 try:
                     config = approach_config(spec.approach, series.n, h)
                     origins = self._origins[spec] = scored_origins(config, series.n)
-                    key = (spec.grid, spec.extrapolator)
-                    self._unions.setdefault(key, {series.n}).update(origins)
-                    self._planned.add(key)
+                    self._planned.setdefault((spec.grid, spec.extrapolator), {series.n}).update(origins)
                 except ValueError as exc:
                     self._fixed[spec] = FALLBACK_THETA, f"fallback to theta={FALLBACK_THETA:g}: {exc}"
             elif spec.family is None:
                 self._fixed[spec] = spec.grid[0], None
             elif spec.family not in SEASONAL:
-                self._planned.add((None, ForecasterSpec(spec.family)))
+                self._planned[None, ForecasterSpec(spec.family)] = None
         if series.n >= MIN_THETA_N:
-            self._planned.update((theta, spec.extrapolator) for spec, (theta, _) in self._fixed.items())
+            self._planned.update(((theta, spec.extrapolator), None) for spec, (theta, _) in self._fixed.items())
 
     @cached_property
     def adjusted(self) -> tuple[SeasonalIndices | None, TimeSeries]:
@@ -186,7 +184,7 @@ class SeriesContext:
         # series a fit runs on and its seasonal factors
         first, spec = key
         if isinstance(first, tuple):  # a table's (grid, extrapolator)
-            return self.adjusted[1], self._unions[key], self.h
+            return self.adjusted[1], self._planned[key], self.h
         if first is None:
             return self.series, self.adjusted[0].indices if spec.family in SEASONAL else None
         return theta_line(self.adjusted[1], self.trend, first), None
@@ -228,10 +226,6 @@ class SeriesContext:
             raise result
         return result
 
-    def fitted(self, theta, spec: ForecasterSpec) -> smoothing.FittedForecaster:
-        """``spec``'s fit of the series (theta None) or of the adjusted series' theta line."""
-        return self._take((theta, spec))
-
     def settle(self) -> float:
         """The time correction of the cell that just ran: minus its batches, plus its shares."""
         charge, self.charge = self.charge, 0.0
@@ -247,7 +241,7 @@ class SeriesContext:
             # the other families never read the seasonal decision, so it is not made for them
             indices = self.adjusted[0] if spec.family in SEASONAL else None
             family = smoothing.effective_family(spec.family, indices)
-            fitted = self.fitted(None, ForecasterSpec(family))
+            fitted = self._take((None, ForecasterSpec(family)))
             return ForecastResult(series.id, spec.name, smoothing.forecast(fitted, h), None, fitted.seasonal)
         if series.n < MIN_THETA_N:
             raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
@@ -261,7 +255,7 @@ class SeriesContext:
             forecasts, note = table[n][spec.grid.index(theta)], None
         else:
             theta, note = self._fixed[spec]
-            fitted = self.fitted(theta, spec.extrapolator)
+            fitted = self._take((theta, spec.extrapolator))
             forecasts = otm_forecast(work, theta, h, spec.extrapolator, fitted, fit=self.trend)
         if idx is not None:
             forecasts = reseasonalize(forecasts, idx, start_t=series.n + 1)

@@ -68,7 +68,8 @@ def prefix_trends(y: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
         t_mean = (n + 1) / 2
         t_dev = t[:n] - t_mean
         y_mean = y[:n].sum() / n
-        slopes[i] = np.dot(t_dev, y[:n] - y_mean) / np.dot(t_dev, t_dev)
+        # exactly np.dot(t_dev, t_dev) for n < 300,000 on any kernel: all its sums are k/4 < 2**53
+        slopes[i] = np.dot(t_dev, y[:n] - y_mean) / ((n * n - 1) * n / 12)
         intercepts[i] = y_mean - slopes[i] * t_mean
     return intercepts, slopes
 

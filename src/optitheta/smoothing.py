@@ -146,7 +146,8 @@ _SSE = np.ones((1, 1, 1))  # a fit's weights: one scored step, one row, so its s
 # early abandoning in a sweep of a fit's grid; see the module docstring
 _STRIDE = 97  # every _STRIDE-th grid point gives the first bound
 _CHECK = 8  # steps between two pruning checks
-_COMPACT = 4  # compact once 1/_COMPACT of the live points are over the bound
+_COMPACT = 4  # compact once 1/_COMPACT of the live points are over the bound; on every
+# drop, damped fits took 19.1-19.2 ms, not 15.4-16.0, and seasonal_damped 37.2, not 26.7
 # the float32 screen's relative margin and its floor on SSE / n; see the module docstring
 _MARGIN = 2.0**-10
 _FLOOR = 2.0**-24
@@ -348,7 +349,8 @@ def _search(grid: dict[str, np.ndarray], members: list, season=None) -> list:
         else:
             y, products = runs[..., None, None], lambda e: e * e.swapaxes(1, 2)
         # each step's members, as a slice when consecutive (their sums are then
-        # a view), and the columns of their indices and positions, which gather winners
+        # a view), and the columns of their indices and positions, which gather winners;
+        # with lists, 3,003 SES fits in tasks of 376 took 81-87 ms against 75-78 ms
         index, rows = np.arange(k)[:, None], np.arange(weights.shape[1])
         checks = {}
         for t in dict.fromkeys(steps):
@@ -505,7 +507,8 @@ def forecast(fitted: FittedForecaster, h: int) -> np.ndarray:
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
     phi = fitted.params.get("phi")
-    # without phi the multiples are 1..h, exactly what damping(1.0, h) gives
+    # without phi the multiples are 1..h, exactly what damping(1.0, h) gives; np.arange
+    # takes 0.5 us at h = 18 against its 3.8 us, about 40 ms of CPU per m3-cheap call
     out = fitted.level + (np.arange(1.0, h + 1) if phi is None else damping(phi, h)) * fitted.trend
     if fitted.season is not None:
         out = out * fitted.season[(fitted.n + np.arange(h)) % fitted.season.size]

@@ -6,6 +6,9 @@ The package computes the same choice without a re-fit, by superposition, in
 ``optitheta.groe.forecast_table``. :func:`combination_weight` and
 :func:`recompose` are the two-line recomposition identity; the package
 recombines the trend and one theta line in ``optitheta.theta.recombine``.
+:func:`prefix_trends_by_dot` is the prefix OLS lines with the sum of squared
+time deviations taken by ``np.dot``, where ``optitheta.series.prefix_trends``
+uses its closed form.
 """
 
 from __future__ import annotations
@@ -82,3 +85,17 @@ def recompose(line1: TimeSeries, line2: TimeSeries, omega: float) -> np.ndarray:
             f"theta lines differ in length: {line1.values.size} vs {line2.values.size}"
         )
     return omega * line1.values + (1.0 - omega) * line2.values
+
+
+def prefix_trends_by_dot(y: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Intercepts and slopes of the OLS lines of y_1..y_L on t = 1..L, one per
+    length L, with both sums of products taken by ``np.dot``."""
+    t = np.arange(1.0, max(lengths) + 1)
+    intercepts, slopes = np.empty(len(lengths)), np.empty(len(lengths))
+    for i, n in enumerate(lengths):
+        t_mean = (n + 1) / 2
+        t_dev = t[:n] - t_mean
+        y_mean = y[:n].sum() / n
+        slopes[i] = np.dot(t_dev, y[:n] - y_mean) / np.dot(t_dev, t_dev)
+        intercepts[i] = y_mean - slopes[i] * t_mean
+    return intercepts, slopes

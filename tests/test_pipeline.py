@@ -345,6 +345,50 @@ def test_a_fixed_theta_token_fits_the_adjusted_line_once_per_series(monkeypatch)
     assert sorted(fitted_lines) == sorted(entry.series.id for entry in dataset.entries)
 
 
+def test_a_context_plans_exactly_what_its_tokens_take(monkeypatch):
+    # a planned batch that no token takes is wasted in every batch that scans for it, and
+    # a table planned without n or one of its tokens' origins cannot serve them
+    taken = []
+    take = SeriesContext._take
+
+    def recording(context, key):
+        taken.append((context, key))
+        return take(context, key)
+
+    monkeypatch.setattr(SeriesContext, "_take", recording)
+    cases = [(entry.series, entry.h) for entry in synthetic_dataset(
+        3, {"Yearly": 5, "Quarterly": 5, "Monthly": 5, "Other": 5}).entries]
+    cases += [(TimeSeries("n2", [3.0, 4.0]), 6), (TimeSeries("q5", [5.0, 7.0, 6.0, 8.0, 9.0], 4), 8),
+              (TimeSeries("flat", np.full(48, 3.5), 12), 18)]
+    specs = [MethodSpec.classic_theta(), *(MethodSpec.otm(a) for a in APPROACHES),
+             *(MethodSpec.benchmark(family) for family in smoothing.FAMILIES),
+             MethodSpec.otm("a", grid=(1.0,))]
+    assert len(specs) == 17
+    task, unplanned = [], 0
+    for series, h in cases:
+        context = SeriesContext(series, h, specs, task)
+        tables = {}
+        for spec in selecting(specs):
+            try:
+                origins = scored_origins(approach_config(spec.approach, series.n, h), series.n)
+            except ValueError:
+                continue
+            tables.setdefault((spec.grid, spec.extrapolator), {series.n}).update(origins)
+        for spec in specs:
+            try:
+                context.run(spec)
+            except ValueError:
+                pass  # a cell that fails still takes what it asks for first
+        mine = {key for owner, key in taken if owner is context}
+        planned = context._planned
+        assert set(planned) <= mine, series.id
+        assert {key: planned[key] for key in planned if isinstance(key[0], tuple)} == tables, series.id
+        for first, spec in mine - set(planned):
+            assert first is None and spec.family in smoothing.SEASONAL, (series.id, spec)
+            unplanned += 1
+    assert unplanned > 0  # the seasonal fits of the seasonal series
+
+
 def test_benchmark_tokens_share_the_seasonal_test(monkeypatch, make_seasonal):
     series = make_seasonal(3, 48, [0.7, 1.3, 0.9, 1.1], noise=0.02)
     dataset = Dataset(entries=(DatasetEntry(series, np.full(4, 250.0), "Quarterly"),))

@@ -4,6 +4,7 @@ from hypothesis import example, given, strategies as st
 
 from optitheta import TimeSeries, fit_linear_trend, trend_value
 from optitheta.series import prefix_trends
+from reference import prefix_trends_by_dot
 
 
 def test_exact_line():
@@ -117,3 +118,22 @@ def test_prefix_trends_equal_fit_linear_trend_bit_for_bit(values, exponent):
         fit = fit_linear_trend(series.with_values(series.values[:length]))
         assert line.tobytes() == np.array([fit.intercept, fit.slope]).tobytes(), length
         assert line.tobytes() == np.array(mean_based_trend(series.values[:length])).tobytes()
+
+
+def test_ols_denominator_is_the_exact_dot():
+    # prefix_trends divides by (n*n - 1) * n / 12, not np.dot(t_dev, t_dev): every term
+    # and partial sum of that dot is a multiple of 1/4 below 2**53, so any kernel gives it
+    for n in range(2, 5001):
+        t_dev = np.arange(1.0, n + 1) - (n + 1) / 2
+        assert (n * n - 1) * n / 12 == np.dot(t_dev, t_dev), n
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prefix_trends_equal_the_dot_reference_bit_for_bit(seed, make_rw):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 600))
+    y = make_rw(seed, n, drift=rng.normal(0.0, 1.0)).values * 10.0 ** rng.integers(-8, 9)
+    # every length, shuffled and once more at n, as a GROE table passes its origins then n
+    lengths = [*rng.permutation(np.arange(2, n + 1)).tolist(), n]
+    got, want = prefix_trends(y, lengths), prefix_trends_by_dot(y, lengths)
+    assert np.stack(got).tobytes() == np.stack(want).tobytes()
