@@ -27,9 +27,12 @@ origin axis, so a table's cost per origin is little beyond the recurrence's.
 
 :func:`forecast_tables` makes one ``smoothing._search`` for all its
 members (a runner task's tables), which packs up to 40 SES tables into one
-recurrence by the rule of the ``smoothing`` module docstring; a damped table
-runs alone. (A member's t-run is padded with its own first value, so the
-members of a pack cannot share one.)
+recurrence by the rule of the ``smoothing`` module docstring: members with
+one schedule share a pack. A table's schedule there is how far back from n
+each of its origins lies, so the tables of one h share one unless a first
+origin is clamped to ``MIN_FIRST_ORIGIN``. A damped table runs alone. (A
+member's t-run is padded with its own first value, so the members of a pack
+cannot share one.)
 
 :func:`loss_rows` scores a table with the cost, which the search does not
 depend on, once per origin for every schedule that scores it, and

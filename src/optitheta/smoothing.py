@@ -46,18 +46,21 @@ times, two sweeps), as speed against the whole-grid search: 2,048 points
 plateau with 16,384, which the sweep's noise does not separate from it.
 
 A search also runs several members side by side on a leading member axis,
-by one rule for fits and GROE forecast tables alike. A member with no trend
-and no season joins a pack of ``_BLOCK // (inputs * grid size)`` members,
-shortest first: 81 SES fits (one input each) or 40 SES tables (two, see the
-``groe`` module), whose 101-point steps are otherwise mostly numpy call
-overhead. A pack is right-aligned: every member ends at the longest n, T,
-and is padded at its start with its own first row. SES then makes exact zero
-errors and keeps its seeded level until the member starts, so every error,
-state and running sum of the member is bit-identical to a search of it
-alone, and its step t is the pack's step t + T - n. All members scored at
-one step (every fit of a pack, or tables of one h at one origin) share one
-matmul, argmin and gather. Padding would seed a trend with 0 instead of
-y_2 - y_1 and shift a season, so any other member runs alone, unpadded.
+by one rule for fits and GROE forecast tables alike: members with one
+schedule share a pack, where a member's schedule is how far back from its
+end, n - t, each of its scored steps t lies. A member with no trend and no
+season joins a pack of up to ``_BLOCK // (inputs * grid size)`` members of
+its schedule, shortest first: 81 SES fits (one input each, all of schedule
+(0,)) or 40 SES tables (two, see the ``groe`` module), whose 101-point steps
+are otherwise mostly numpy call overhead. A pack is right-aligned: every
+member ends at the longest n, T, and is padded at its start with its own
+first row. SES then makes exact zero errors and keeps its seeded level until
+the member starts, so every error, state and running sum of the member is
+bit-identical to a search of it alone, and its step t is the pack's step
+t + T - n. Every member is thus scored at every checkpoint T - d of the pack,
+d in the schedule, and each checkpoint scores the whole pack with one matmul,
+argmin and gather. Padding would seed a trend with 0 instead of y_2 - y_1
+and shift a season, so any other member runs alone, unpadded.
 
 A fit whose grid spans more than one block (holt, holt_winters, damped,
 seasonal_damped) screens it first (:func:`_screen`): it scales y by the power
@@ -110,7 +113,6 @@ naive random walk.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -315,7 +317,8 @@ def _search(grid: dict[str, np.ndarray], members: list, season=None) -> list:
 
     A member ``(run, ts, weights)`` has a run of shape (n, inputs), one input
     under a season, its scored steps ``ts``, ascending, and their weight
-    matrices, of shape (len(ts), rows, inputs**2). A block sums the member's
+    matrices, of shape (len(ts), rows, inputs**2). Members with one schedule,
+    ``n - t`` for each t of ``ts``, share a pack. A block sums the member's
     one-step error products, e*e or e_a*e_b in row a*inputs + b, and after
     y_t, for each t of ``ts``, each row w scores every grid point by ``w @
     products`` (a fit's one row of ones scores its SSE). A row's winner, with
@@ -329,36 +332,27 @@ def _search(grid: dict[str, np.ndarray], members: list, season=None) -> list:
     inputs, size = members[0][0].shape[1], grid["alpha"].size
     # padding would seed a trend with 0 instead of y_2 - y_1 and shift a season
     width = max(1, _BLOCK // (inputs * size)) if season is None and "beta" not in grid else 1
-    order = sorted(range(len(members)), key=lambda j: len(members[j][0]))
+    schedules = {}  # each schedule's members, shortest first
+    for j in sorted(range(len(members)), key=lambda j: len(members[j][0])):
+        run, ts, _ = members[j]
+        schedules.setdefault(tuple(len(run) - t for t in ts), []).append(j)
     out = [None] * len(members)
-    for start in range(0, len(order), width):
-        pack = order[start : start + width]
+    for schedule, pack in [(s, js[i : i + width]) for s, js in schedules.items() for i in range(0, len(js), width)]:
         k, n = len(pack), len(members[pack[-1]][0])  # every member ends at the longest n
         runs = np.empty((n, k, inputs))
-        due = []  # (step, member, weight row) of every scored row of the pack
-        for m, (run, ts, _) in enumerate(members[j] for j in pack):
-            offset = n - len(run)  # the member's step t is the pack's t + offset
-            runs[:offset, m], runs[offset:, m] = run[0], run
-            due += [(t + offset, m, len(due) + r) for r, t in enumerate(ts)]
-        steps, owner, flat = zip(*sorted(due))  # by step, members ascending within one
-        weights = np.concatenate([members[j][2] for j in pack])[list(flat)]
+        for m, run in enumerate(members[j][0] for j in pack):
+            runs[: n - len(run), m], runs[n - len(run) :, m] = run[0], run
         # _recurrence takes a season only on a 1-d input, so a single run is passed as one;
         # several inputs' states have shape (members, inputs, 1, size), so e_a*e_b is one product
         if inputs == 1:
             y, products = runs.reshape(n) if k == 1 else runs, np.square
         else:
             y, products = runs[..., None, None], lambda e: e * e.swapaxes(1, 2)
-        # each step's members, as a slice when consecutive (their sums are then
-        # a view), and the columns of their indices and positions, which gather winners;
-        # with lists, 3,003 SES fits in tasks of 376 took 81-87 ms against 75-78 ms
-        index, rows = np.arange(k)[:, None], np.arange(weights.shape[1])
-        checks = {}
-        for t in dict.fromkeys(steps):
-            at = slice(bisect_left(steps, t), bisect_right(steps, t))
-            js = owner[at]
-            pick = index[: len(js)], rows
-            js = slice(js[0], js[-1] + 1) if js[-1] - js[0] == len(js) - 1 else list(js)
-            checks[t] = js, index[js], pick, weights[at]
+        # every member is due at each checkpoint n - s: one matmul scores the whole pack,
+        # and the columns of member and row indices gather its winners
+        steps = [n - s for s in schedule]
+        weights = np.concatenate([members[j][2][:, None] for j in pack], axis=1)
+        checks, index, rows = dict(zip(steps, weights)), np.arange(k)[:, None], np.arange(weights.shape[2])
         found = {}
         for first in range(0, size, _BLOCK):
             block = {key: v[first : first + _BLOCK] for key, v in grid.items()}
@@ -367,11 +361,10 @@ def _search(grid: dict[str, np.ndarray], members: list, season=None) -> list:
                 if e is not None:
                     sums += products(e)
                 if t in checks:
-                    js, column, pick, w = checks[t]
-                    scores = _sanitize(w @ sums.reshape(k, -1, level.shape[-1])[js])
+                    scores = _sanitize(checks[t] @ sums.reshape(k, -1, level.shape[-1]))
                     i = scores.argmin(axis=-1)
-                    won = [scores[(*pick, i)], *(v[i] for v in block.values()), *(
-                        a if a is None else a.reshape(k, -1, level.shape[-1])[column, :, i]
+                    won = [scores[index, rows, i], *(v[i] for v in block.values()), *(
+                        a if a is None else a.reshape(k, -1, level.shape[-1])[index, :, i]
                         for a in (level, trend, factors))]
                     if t in found:
                         better = won[0] < found[t][0]
@@ -381,15 +374,11 @@ def _search(grid: dict[str, np.ndarray], members: list, season=None) -> list:
                     found[t] = won
                     if t == steps[-1]:
                         break
-        # every scored row's winners, in the order of due; a member's rows are its ts, ascending
-        won = [None if a[0] is None else np.concatenate(a) for a in zip(*found.values())]
-        mine = {}
-        for r, m in enumerate(owner):
-            mine.setdefault(m, []).append(r)
+        # each field's winners, members first, then checkpoints, so a member's are a view
+        won = [None if a[0] is None else np.concatenate([w[:, None] for w in a], axis=1)
+               for a in zip(*found.values())]
         for m, j in enumerate(pack):
-            r = mine[m]  # a view when consecutive, as a fit's one row is
-            r = slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else r
-            score, *rest = (a if a is None else a[r] for a in won)
+            score, *rest = (a if a is None else a[m] for a in won)
             out[j] = score, dict(zip(grid, rest)), *rest[len(grid):]
     return out
 

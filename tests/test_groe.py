@@ -552,29 +552,85 @@ def assert_tables_alone(members, tables, extrapolator=SES):
     return failed
 
 
+@pytest.fixture
+def recorded_inputs(recorded_runs, monkeypatch):
+    """The input ``y`` of every ``smoothing._recurrence`` run that ``recorded_runs`` records."""
+    inputs, recording = [], smoothing._recurrence
+
+    def keeping(y, alpha, **kwargs):
+        inputs.append(np.copy(y))
+        return recording(y, alpha, **kwargs)
+
+    monkeypatch.setattr(smoothing, "_recurrence", keeping)
+    return inputs
+
+
+def recorded_packs(members, inputs, family="ses"):
+    """Each recorded run's members, as indices into ``members`` in the order of its
+    member axis, after checking that each holds its member's two runs right-aligned
+    to the pack's length and padded at the start with their own first row."""
+    theta = np.array(DEFAULT_THETA_GRID)[:, None]
+    own = {groe._prepare(s, o, h, theta, family)[0].tobytes(): j for j, (s, o, h) in enumerate(members)}
+    packs = []
+    for y in inputs:
+        pack = []
+        for column in np.moveaxis(y[..., 0, 0], 1, 0):
+            start = len(column) - int(column[-1, 1])  # the t-run ends at the member's n
+            pack.append(own[column[start:].tobytes()])
+            assert (column[:start] == column[start]).all()
+        packs.append(pack)
+    return packs
+
+
+def schedule(member):
+    """A table's scored steps, as distances back from its series' end."""
+    series, origins, _ = member
+    return tuple(series.n - ni for ni in origins)
+
+
+def assert_ses_packs(members, runs, inputs):
+    """``runs`` packed ``members`` by the rule of the ``smoothing`` module docstring:
+    at most 8192 // (2 * 101) = 40 SES tables of one schedule a pack, shortest first,
+    40 at a time, and every scoring call scores every member of its pack."""
+    packs = recorded_packs(members, inputs)
+    assert sorted(j for pack in packs for j in pack) == list(range(len(members)))
+    for pack, (shape, grid_size, scored) in zip(packs, runs, strict=True):
+        assert len({schedule(members[j]) for j in pack}) == 1 and len(pack) <= 40
+        assert shape == (members[pack[-1]][0].n, len(pack), 2, 1, 1) and grid_size == 101
+        assert scored == [len(pack)] * len(schedule(members[pack[0]]))
+    for key in {schedule(member) for member in members}:
+        mine = [pack for pack in packs if schedule(members[pack[0]]) == key]
+        ns = [members[j][0].n for pack in mine for j in pack]
+        assert ns == sorted(ns) and [len(pack) for pack in mine[:-1]] == [40] * (len(mine) - 1)
+    return packs
+
+
 @pytest.mark.parametrize("size", [1, 7, 14, 40, 56], ids=lambda size: f"pack{size}")
-def test_packed_tables_equal_tables_alone(size, recorded_runs):
-    # SES packs hold 8192 // (2 * 101) = 40 members, shortest first, each
-    # right-aligned to end at the longest n; members of one h share checkpoints
+def test_packed_tables_equal_tables_alone(size, recorded_runs, recorded_inputs):
+    # SES packs hold members of one schedule, each right-aligned to end at the
+    # longest n, so every member is due at every one of the pack's checkpoints
     members = pack_members()[:size]
     tables = groe.forecast_tables(members, DEFAULT_THETA_GRID)
-    packs = recorded_runs[:]
-    ordered = sorted(members, key=lambda member: member[0].n)
-    assert len(packs) == len(range(0, size, 40))
-    for start, (shape, grid_size, scored) in zip(range(0, size, 40), packs):
-        pack = ordered[start : start + 40]
-        T = pack[-1][0].n
-        assert shape == (T, len(pack), 2, 1, 1) and grid_size == 101
-        # origin o of member m is checkpoint o + T - n, where each member ends,
-        # and one scoring call scores every member due there
-        due = {}
-        for m, (series, origins, _) in enumerate(pack):
-            for ni in origins:
-                due.setdefault(ni + T - series.n, []).append(m)
-        assert scored == [len(due[t]) for t in sorted(due)]
-        if len(pack) >= 7:
-            assert len({h for _, _, h in pack}) >= 2  # the pack straddles values of h
-            assert len(scored) < sum(len(origins) for _, origins, _ in pack)
+    packs = assert_ses_packs(members, recorded_runs, recorded_inputs)
+    if size >= 7:
+        assert max(map(len, packs)) >= 2  # some schedule is shared
+    assert assert_tables_alone(members, tables) == set()
+
+
+def test_one_schedule_packs_40_tables_at_a_time(recorded_runs, recorded_inputs):
+    # with h = 6 and n >= 16 no first origin is clamped, so the 45 tables share
+    # one schedule and split into packs of 40 and 5, shortest first
+    rng = np.random.default_rng(8)
+    members = []
+    for i, n in enumerate(rng.permutation(np.arange(16, 61))):
+        series = TimeSeries(f"rw{i}", 100.0 + np.cumsum(rng.normal(0.0, 2.0, n)))
+        origins = {series.n}
+        for approach in APPROACHES:
+            origins.update(scored_origins(approach_config(approach, series.n, 6), series.n))
+        members.append((series, sorted(origins), 6))
+    tables = groe.forecast_tables(members, DEFAULT_THETA_GRID)
+    packs = assert_ses_packs(members, recorded_runs, recorded_inputs)
+    assert [len(pack) for pack in packs] == [40, 5]
     assert assert_tables_alone(members, tables) == set()
 
 
@@ -591,14 +647,17 @@ def test_packed_tables_select_as_estimate_theta(cost):
                 series, config=config, cost=cost), (series.id, approach)
 
 
-def test_a_trended_table_is_never_packed(recorded_runs):
+def test_a_trended_table_is_never_packed(recorded_runs, recorded_inputs):
     # padding would seed the trend with 0, not y2 - y1, so each damped table is
     # a pack of one, unpadded, even on a pinned grid of 19 points that 215 would fill
     extrapolator = ForecasterSpec("damped", alpha=0.3, beta=0.1)
     members = pack_members()[:6]
     tables = groe.forecast_tables(members, DEFAULT_THETA_GRID, extrapolator)
-    ordered = sorted(members, key=lambda member: member[0].n)
-    assert recorded_runs == [((s.n, 1, 2, 1, 1), 19, [1] * len(origins)) for s, origins, _ in ordered]
+    packs = recorded_packs(members, recorded_inputs, "damped")
+    assert sorted(packs) == [[j] for j in range(len(members))]
+    for [j], run in zip(packs, recorded_runs, strict=True):
+        series, origins, _ = members[j]
+        assert run == ((series.n, 1, 2, 1, 1), 19, [1] * len(origins))
     assert assert_tables_alone(members, tables, extrapolator) == set()
 
 
