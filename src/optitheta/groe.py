@@ -267,7 +267,7 @@ def forecast_tables(members, grid, extrapolator: ForecasterSpec = SES) -> list:
         except Exception as exc:
             out.append(exc)
     found = _search(_grid(extrapolator), [member[:3] for _, member in ready])
-    for (j, (*_, finish)), (score, params, level, trend, _) in zip(ready, found):
+    for (j, (*_, finish)), (score, params, level, trend, *_) in zip(ready, found):
         try:
             out[j] = finish(score, level, trend, params.get("phi"))
         except Exception as exc:

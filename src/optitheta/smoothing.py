@@ -65,38 +65,39 @@ and shift a season, so any other member runs alone, unpadded.
 A fit whose grid spans more than one block (holt, holt_winters, damped,
 seasonal_damped) screens it first (:func:`_screen`): it scales y by the power
 of two that puts max|y| in [0.5, 1), to which every family is bit-exactly
-equivariant, sweeps the grid in float32, where a numpy pass costs about half
+equivariant, searches the grid in float32, where a numpy pass costs about half
 as much, and keeps the points whose SSE is at most its best times ``1 +
 _MARGIN``. The float64 search runs only those, in grid order, so it finds the
 whole-grid winner and state whenever that point is kept. Below a best SSE of
 ``_FLOOR * n`` (an RMS error of 2**-12 of max|y|) float32 rounding can reorder
-the best points, so the float32 sweep stops once its bound is under it, and
-such a series, or one with no finite float32 SSE, is swept again in float64
-with margin 0, which keeps exactly the winner and its ties.
+the best points, so the float32 search stops once its bound is under it, and
+such a series, or one with no finite float32 SSE, has its whole grid searched
+in float64, which prunes by the same rule with margin 0.
 
-A sweep (:func:`_sweep`) abandons grid points early (the bound of Rakthanmanon
-et al., KDD 2012). A point's in-sample SSE is a running sum of non-negative
-terms, and a rounded sum of them never falls, so a point whose partial SSE
-already exceeds the bound times ``1 + margin`` can never come within the
-margin of the best. When the grid spans more than one block, the first bound
-is the least sanitised SSE of every ``_STRIDE``-th grid point (about 1% of the
-grid, one block, run first under an infinite bound); each block that finishes
-lowers it to the running best. A grid that fits one block (holt's and
-holt_winters' in float32) skips the sample and runs that block under an
-infinite bound: there the sample cost more than the pruning it allowed saved
-(per-fit CPU on 14 bench corpus series, medians of 12 best-of-5 rounds on a
-2-core Xeon: holt 2.82 -> 2.19 ms, holt_winters 5.63 -> 3.76 ms). The kept
-points are the same either way, since each point's SSE is computed
-elementwise and, as below, no bound drops a point within the final margin.
-A float32 block holds ``2 * _BLOCK`` points, a float64 block's bytes. Every
-``_CHECK`` steps a block counts the points whose partial SSE is strictly ``>``
-the limit; once they are at least ``1/_COMPACT`` of its live points, it sends
-the indices of the others to :func:`_recurrence`, which keeps only those, and
-it abandons the block when none is left. A point within the margin of the
-final best, ties included, has partial SSE <= final SSE <= limit, so it always
-survives; a NaN compares false and is never dropped (nor wins), and an
-overflowed inf is dropped once the bound is finite. Every 8 steps at 1/4 sat
-on the plateau of a sweep of the check interval and threshold on float64 fits.
+A fit searched alone (one member, one input), unlike a pack or a GROE table,
+abandons grid points early (the bound of Rakthanmanon et al., KDD 2012). A
+point's in-sample SSE is a running sum of non-negative terms, and a rounded
+sum of them never falls, so a point whose partial SSE already exceeds the
+bound times ``1 + margin`` can never come within the margin of the best. When
+the grid spans more than one block, the first bound is the least sanitised SSE
+of every ``_STRIDE``-th grid point (about 1% of the grid, one block, searched
+first under an infinite bound); each block that finishes lowers it to the
+running best. A grid that fits one block (holt's and holt_winters' in float32)
+skips the sample and runs that block under an infinite bound: there the sample
+cost more than the pruning it allowed saved (per-fit CPU on 14 bench corpus
+series, medians of 12 best-of-5 rounds on a 2-core Xeon: holt 2.82 -> 2.19 ms,
+holt_winters 5.63 -> 3.76 ms). The kept points and the winner are the same
+either way, since each point's SSE is computed elementwise and, as below, no
+bound drops a point within the final margin. A float32 block holds
+``2 * _BLOCK`` points, a float64 block's bytes. Every ``_CHECK`` steps a block
+counts the points whose partial SSE is strictly ``>`` the limit; once they are
+at least ``1/_COMPACT`` of its live points, it sends the indices of the others
+to :func:`_recurrence`, which keeps only those, and it abandons the block when
+none is left. A point within the margin of the final best, ties and so the
+winner included, has partial SSE <= final SSE <= limit, so it always survives;
+a NaN compares false and is never dropped (nor wins), and an overflowed inf is
+dropped once the bound is finite. Every 8 steps at 1/4 sat on the plateau of a
+sweep of the check interval and threshold on float64 fits.
 
 A fit is summarised by a :class:`FittedForecaster`: the family, the chosen
 parameters and the final state (level, trend, seasonal factors). Every
@@ -145,7 +146,7 @@ _SEASONAL_WEIGHT_GRID = np.round(np.arange(0.0, 1.0 + 1e-9, 0.05), 2)
 # grid points per _recurrence run in a search; see the module docstring
 _BLOCK = 8192
 _SSE = np.ones((1, 1, 1))  # a fit's weights: one scored step, one row, so its score is its SSE
-# early abandoning in a sweep of a fit's grid; see the module docstring
+# early abandoning in the search of a fit alone; see the module docstring
 _STRIDE = 97  # every _STRIDE-th grid point gives the first bound
 _CHECK = 8  # steps between two pruning checks
 _COMPACT = 4  # compact once 1/_COMPACT of the live points are over the bound; on every
@@ -311,9 +312,10 @@ def _fit_naive(series: TimeSeries, season) -> FittedForecaster:
 
 
 @np.errstate(all="ignore")  # an overflowed or NaN score never wins
-def _search(grid: dict[str, np.ndarray], members: list, season=None) -> list:
-    """Search the flattened ``grid`` (see :func:`_grid`) on each of ``members``,
-    ``_BLOCK`` points at a time, in the packs the module docstring describes.
+def _search(grid: dict[str, np.ndarray], members: list, season=None, dtype=np.float64,
+            margin: float | None = None, stop: float = 0.0) -> list:
+    """Search the flattened ``grid`` (see :func:`_grid`) on each of ``members`` in
+    ``dtype``, a block at a time, in the packs the module docstring describes.
 
     A member ``(run, ts, weights)`` has a run of shape (n, inputs), one input
     under a season, its scored steps ``ts``, ascending, and their weight
@@ -324,14 +326,27 @@ def _search(grid: dict[str, np.ndarray], members: list, season=None) -> list:
     products`` (a fit's one row of ones scores its SSE). A row's winner, with
     a copy of its state, is the first least sanitised score: a later block
     replaces it only on a strict ``<``. Returns each member's ``(score, params,
-    level, trend, season)``, each with its ``ts`` first, then rows, then a
-    state's own axis (inputs or period).
+    level, trend, season, kept)``, the first five with its ``ts`` first, then
+    rows, then a state's own axis (inputs or period).
+
+    A fit searched alone prunes as the module docstring says; given a ``margin``,
+    its ``kept`` holds the ascending indices of the points whose SSE is at most
+    its least times ``1 + margin``. ``kept`` is None otherwise, and once a bound
+    falls under ``stop``, which ends the search.
     """
     if not members:
         return []
     inputs, size = members[0][0].shape[1], grid["alpha"].size
     # padding would seed a trend with 0 instead of y_2 - y_1 and shift a season
     width = max(1, _BLOCK // (inputs * size)) if season is None and "beta" not in grid else 1
+    span = _BLOCK * 8 // np.dtype(dtype).itemsize  # a block of any dtype holds as many bytes
+    season = None if season is None else season.astype(dtype, copy=False)
+    prune, bound, reach = len(members) == inputs == 1, np.inf, 1 + (margin or 0.0)
+    kept = [] if prune and margin is not None else None
+    if prune and size > span:  # the first bound: every _STRIDE-th point, in one block
+        sample = _search({k: v[::_STRIDE] for k, v in grid.items()}, members, season, dtype, margin, stop)
+        if (bound := sample[0][0][0, 0]) < stop:
+            return sample
     schedules = {}  # each schedule's members, shortest first
     for j in sorted(range(len(members)), key=lambda j: len(members[j][0])):
         run, ts, _ = members[j]
@@ -339,7 +354,7 @@ def _search(grid: dict[str, np.ndarray], members: list, season=None) -> list:
     out = [None] * len(members)
     for schedule, pack in [(s, js[i : i + width]) for s, js in schedules.items() for i in range(0, len(js), width)]:
         k, n = len(pack), len(members[pack[-1]][0])  # every member ends at the longest n
-        runs = np.empty((n, k, inputs))
+        runs = np.empty((n, k, inputs), dtype)
         for m, run in enumerate(members[j][0] for j in pack):
             runs[: n - len(run), m], runs[n - len(run) :, m] = run[0], run
         # _recurrence takes a season only on a 1-d input, so a single run is passed as one;
@@ -351,19 +366,20 @@ def _search(grid: dict[str, np.ndarray], members: list, season=None) -> list:
         # every member is due at each checkpoint n - s: one matmul scores the whole pack,
         # and the columns of member and row indices gather its winners
         steps = [n - s for s in schedule]
-        weights = np.concatenate([members[j][2][:, None] for j in pack], axis=1)
+        weights = np.concatenate([members[j][2][:, None] for j in pack], axis=1).astype(dtype, copy=False)
         checks, index, rows = dict(zip(steps, weights)), np.arange(k)[:, None], np.arange(weights.shape[2])
         found = {}
-        for first in range(0, size, _BLOCK):
-            block = {key: v[first : first + _BLOCK] for key, v in grid.items()}
-            sums = 0.0
-            for t, (e, level, trend, factors) in enumerate(_recurrence(y, season=season, **block), start=2):
+        for first in range(0, size, span):
+            block = {key: v[first : first + span].astype(dtype, copy=False) for key, v in grid.items()}
+            points, limit, sums, scores = np.arange(first, first + block["alpha"].size), bound * reach, 0.0, None
+            recursion = _recurrence(y, season=season, **block)
+            for t, (e, level, trend, factors) in enumerate(recursion, start=2):
                 if e is not None:
                     sums += products(e)
                 if t in checks:
                     scores = _sanitize(checks[t] @ sums.reshape(k, -1, level.shape[-1]))
                     i = scores.argmin(axis=-1)
-                    won = [scores[index, rows, i], *(v[i] for v in block.values()), *(
+                    won = [scores[index, rows, i], *(v[points[i]] for v in grid.values()), *(
                         a if a is None else a.reshape(k, -1, level.shape[-1])[index, :, i]
                         for a in (level, trend, factors))]
                     if t in found:
@@ -374,59 +390,38 @@ def _search(grid: dict[str, np.ndarray], members: list, season=None) -> list:
                     found[t] = won
                     if t == steps[-1]:
                         break
+                if t % _CHECK == 0 and limit < np.inf:  # only a fit alone has a finite limit
+                    over = sums > limit
+                    dropped = np.count_nonzero(over)
+                    if dropped == over.size:
+                        break  # no point of this block can come within the margin
+                    if dropped * _COMPACT >= over.size:
+                        live = np.flatnonzero(~over)
+                        recursion.send(live)
+                        sums, points = sums[live], points[live]
+            if prune and scores is not None:  # the block reached a fit's one checkpoint, its end
+                if (bound := min(bound, won[0][0, 0])) < stop:
+                    kept = None
+                    break
+                if kept is not None:
+                    near = scores[0, 0] <= bound * reach
+                    kept.append((points[near], scores[0, 0][near]))
+        if kept:
+            kept = np.concatenate([p[sse <= bound * reach] for p, sse in kept])
         # each field's winners, members first, then checkpoints, so a member's are a view
         won = [None if a[0] is None else np.concatenate([w[:, None] for w in a], axis=1)
                for a in zip(*found.values())]
         for m, j in enumerate(pack):
             score, *rest = (a if a is None else a[m] for a in won)
-            out[j] = score, dict(zip(grid, rest)), *rest[len(grid):]
+            out[j] = score, dict(zip(grid, rest)), *rest[len(grid):], kept
     return out
-
-
-@np.errstate(all="ignore")  # an overflowed or NaN SSE never wins
-def _sweep(grid: dict[str, np.ndarray], y: np.ndarray, season, dtype, margin: float, stop=0.0):
-    """Sweep a fit's ``grid`` on the 1-d ``y`` in ``dtype`` (see the module docstring):
-    the least sanitised SSE, and the ascending indices of the points whose SSE is at
-    most that times ``1 + margin``; or, once a bound falls under ``stop``, it and None."""
-    size = grid["alpha"].size
-    width = _BLOCK * 8 // np.dtype(dtype).itemsize  # blocks of any dtype hold as many bytes
-    y, season = y.astype(dtype), None if season is None else season.astype(dtype)
-    bound, kept = np.inf, []
-    sample = [slice(0, size, _STRIDE)] if size > width else []  # a one-block grid needs no first bound
-    for block in [*sample, *(slice(s, s + width) for s in range(0, size, width))]:
-        index, limit = np.arange(*block.indices(size)), bound * (1 + margin)
-        steps = _recurrence(y, season=season, **{k: v[block].astype(dtype) for k, v in grid.items()})
-        sums = 0.0
-        for t, (e, *_) in enumerate(steps, start=2):
-            if e is not None:
-                sums += np.square(e)
-            if t % _CHECK == 0:
-                over = sums > limit
-                dropped = np.count_nonzero(over)
-                if dropped == over.size:
-                    break  # no point of this block can come within the margin
-                if dropped * _COMPACT >= over.size:
-                    live = np.flatnonzero(~over)
-                    steps.send(live)
-                    sums, index = sums[live], index[live]
-        else:
-            sums = _sanitize(sums)
-            if (bound := min(bound, sums.min())) < stop:
-                return bound, None
-            near = sums <= bound * (1 + margin)
-            kept.append((index[near], sums[near]))
-    # a sample's points (an infinite limit abandons nothing) recur in the blocks
-    index, sums = (np.concatenate(a) for a in zip(*kept[len(sample):]))
-    return bound, index[sums <= bound * (1 + margin)]
 
 
 def _screen(grid: dict[str, np.ndarray], y: np.ndarray, season) -> dict[str, np.ndarray]:
     """The points of a fit's ``grid`` on ``y`` the float64 search runs (see the module docstring)."""
-    scaled, floor = np.ldexp(y, -np.frexp(np.abs(y).max())[1]), _FLOOR * y.size
-    best, keep = _sweep(grid, scaled, season, np.float32, _MARGIN, floor)
-    if not floor <= best < np.inf:
-        keep = _sweep(grid, y, season, np.float64, 0.0)[1][:1]  # ties all: the first wins
-    return {k: v[keep] for k, v in grid.items()}
+    member = (np.ldexp(y, -np.frexp(np.abs(y).max())[1])[:, None], [y.size], _SSE)  # y scaled
+    best, *_, keep = _search(grid, [member], season, np.float32, _MARGIN, _FLOOR * y.size)[0]
+    return grid if keep is None or best[0, 0] == np.inf else {k: v[keep] for k, v in grid.items()}
 
 
 def fit_all(spec: ForecasterSpec, series: list, season=None) -> list:
@@ -446,7 +441,7 @@ def fit_all(spec: ForecasterSpec, series: list, season=None) -> list:
         found = _search(grid, members, season)
     else:  # each series screens the grid for its own search
         found = [_search(_screen(grid, s.values, season), [m], season)[0] for (_, s), m in zip(fits, members)]
-    for (j, s), (sse, params, level, trend, factors) in zip(fits, found):
+    for (j, s), (sse, params, level, trend, factors, _) in zip(fits, found):
         out[j] = ValueError(
             f"series {s.id!r}: family {spec.family!r} has no finite in-sample SSE "
             "at any grid point (the recursion overflows)"

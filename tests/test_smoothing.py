@@ -301,8 +301,8 @@ def counting(updates, sizes=None):
 
 
 def unpruned_updates(spec, family, n):
-    """The updates of a float64 sweep that drops nothing: the grid's, plus
-    those of its ``_STRIDE`` sample when the grid spans blocks."""
+    """The updates of a float64 search of a fit alone that drops nothing: the
+    grid's, plus those of its ``_STRIDE`` sample when the grid spans blocks."""
     size = smoothing._grid(replace(spec, family=family))["alpha"].size
     sample = -(-size // smoothing._STRIDE) if size > smoothing._BLOCK else 0
     return (size + sample) * (n - 1)
@@ -343,15 +343,22 @@ def test_blocked_search_equals_whole_grid(spec, kind, make_rw, make_seasonal, mo
     assert fitted.seasonal == (kind == "monthly_seasonal" and spec.family in smoothing.SEASONAL)
 
 
+def fit_search(grid, y, dtype, margin):
+    """A fit's one-member ``smoothing._search`` of ``grid`` on the 1-d ``y`` in
+    ``dtype``: its least sanitised SSE and the indices it keeps at ``margin``."""
+    score, *_, keep = smoothing._search(grid, [(y[:, None], [y.size], smoothing._SSE)], None, dtype, margin)[0]
+    return score[0, 0], keep
+
+
 @pytest.mark.parametrize("family", ["ses", "holt", "damped"])
 def test_blocked_search_all_tied_picks_first_point(family):
     # with y = 2 every update is exact, so every grid point has SSE 0: no
-    # partial SSE exceeds the bound 0, so a sweep in either dtype keeps the
+    # partial SSE exceeds the bound 0, so a search in either dtype keeps the
     # whole tie across every block, and the fit's winner is grid index 0
     series = TimeSeries("c", np.full(24, 2.0))
     grid = smoothing._grid(ForecasterSpec(family))
     for dtype in (np.float32, np.float64):
-        best, keep = smoothing._sweep(grid, series.values, None, dtype, 0.0)
+        best, keep = fit_search(grid, series.values, dtype, 0.0)
         assert best == 0.0 and np.array_equal(keep, np.arange(grid["alpha"].size)), dtype
     best, fitted = blocked_and_reference(ForecasterSpec(family), series)
     assert best == 0 and fitted.sse == 0.0
@@ -402,7 +409,7 @@ def test_blocked_search_first_finite_minimum_across_blocks(bad, monkeypatch):
     # ties with every later point, in every block after it. The strided
     # sample's alpha 0.97 makes the first bound finite, so at the check after
     # y_8 the partial SSE of an inf point exceeds it and the point is dropped;
-    # a NaN point compares false and is swept to the end
+    # a NaN point compares false and is searched to the end
     monkeypatch.setattr(smoothing, "_BLOCK", 7)
     finals = []
     monkeypatch.setattr(smoothing, "_recurrence", fake_recurrence(
@@ -412,7 +419,7 @@ def test_blocked_search_first_finite_minimum_across_blocks(bad, monkeypatch):
     alpha = grid["alpha"]
     assert alpha[3 * 7 - 1] == 0.2
     series = TimeSeries("s", np.arange(10.0))
-    best, keep = smoothing._sweep(grid, series.values, None, np.float64, 0.0)
+    best, keep = fit_search(grid, series.values, np.float64, 0.0)
     assert best == series.n - 1 and np.array_equal(keep, np.arange(20, alpha.size))
     pruned = alpha[(alpha >= 0.1) & (alpha < 0.2)] if bad == np.inf else alpha[:0]
     assert set(alpha) - set(finals) == set(pruned)
@@ -422,10 +429,10 @@ def test_blocked_search_first_finite_minimum_across_blocks(bad, monkeypatch):
 
 
 def test_blocked_search_no_finite_point_raises(monkeypatch):
-    # no grid point has a finite SSE, so a sweep's bound stays inf and drops
-    # nothing in either dtype: every point, and the strided sample's two, runs
-    # to the end. The screen then falls back to float64, whose first point the
-    # search finds infinite, and the fit raises
+    # no grid point has a finite SSE, so a fit's search keeps an infinite bound
+    # and drops nothing in either dtype: every point, and the strided sample's
+    # two, runs to the end. The screen then leaves the whole grid to the
+    # float64 search, whose winner is infinite, and the fit raises
     monkeypatch.setattr(smoothing, "_BLOCK", 7)
     finals = []
     monkeypatch.setattr(smoothing, "_recurrence", fake_recurrence(
@@ -435,7 +442,7 @@ def test_blocked_search_no_finite_point_raises(monkeypatch):
     size = grid["alpha"].size
     for dtype in (np.float32, np.float64):
         finals.clear()
-        best, keep = smoothing._sweep(grid, np.arange(10.0), None, dtype, smoothing._MARGIN)
+        best, keep = fit_search(grid, np.arange(10.0), dtype, smoothing._MARGIN)
         assert best == np.inf and np.array_equal(keep, np.arange(size)), dtype
         assert len(finals) == size + len(range(0, size, smoothing._STRIDE)), dtype
     with pytest.raises(ValueError, match="no finite in-sample SSE"):
@@ -482,14 +489,14 @@ def test_pruned_search_drops_overflowed_points(monkeypatch):
 
 def test_pruned_search_with_no_finite_point_prunes_nothing(monkeypatch):
     # every point overflows in float64, so no bound is finite and a float64
-    # sweep drops nothing. The float32 screen of the scaled series is finite,
+    # search drops nothing. The float32 screen of the scaled series is finite,
     # but the float64 search of the points it keeps overflows, so the fit
     # raises as the whole-grid reference finds no finite SSE
     spec, series, updates = ForecasterSpec("damped"), TimeSeries("o", [1e200, -1e200] * 5), [0]
     grid = smoothing._grid(spec)
     with monkeypatch.context() as patch:
         patch.setattr(smoothing, "_recurrence", counting(updates))
-        best, keep = smoothing._sweep(grid, series.values, None, np.float64, 0.0)
+        best, keep = fit_search(grid, series.values, np.float64, 0.0)
     assert best == np.inf and keep.size == grid["alpha"].size
     assert updates[0] == unpruned_updates(spec, "damped", series.n)
     with pytest.raises(ValueError, match="no finite in-sample SSE"):
@@ -513,12 +520,13 @@ def blocks(size, width=None):
 
 
 def test_fit_spanning_blocks_runs_its_sample_and_prunes(make_seasonal, monkeypatch):
-    # each sweep runs its strided sample first, in one block, then every block
-    # of the grid: the float32 screen's blocks are twice as wide, for the same
-    # bytes. Above the screen's floor the float64 search then runs only the
-    # points the screen kept. A constant series fits with SSE 0, under the
-    # floor, so the screen stops after its sample, a float64 sweep runs, and
-    # the search runs its first least point
+    # a fit's search of a grid that spans blocks runs its strided sample first,
+    # in one block, then every block of the grid: the float32 screen's blocks
+    # are twice as wide, for the same bytes. Above the screen's floor the
+    # float64 search then runs only the points the screen kept. A constant
+    # series fits with SSE 0, under the floor, so the screen stops after its
+    # sample and the float64 search runs the whole grid, sample first, with
+    # no search after it
     spec = ForecasterSpec("damped")
     size = smoothing._grid(spec)["alpha"].size
     sample = -(-size // smoothing._STRIDE)
@@ -528,7 +536,7 @@ def test_fit_spanning_blocks_runs_its_sample_and_prunes(make_seasonal, monkeypat
     assert sizes[:-1] == screen and 0 < sizes[-1] <= smoothing._BLOCK
     assert updates < unpruned_updates(spec, "damped", series.n)
     sizes, _ = search_runs(lambda: fit(spec, TimeSeries("c", np.full(24, 2.0))), monkeypatch)
-    assert sizes == [sample, sample, *blocks(size), 1]
+    assert sizes == [sample, sample, *blocks(size)]
 
 
 @pytest.mark.parametrize(
@@ -545,7 +553,7 @@ def test_fit_within_one_block_runs_no_sample_and_prunes_nothing(spec, make_rw, m
 @pytest.mark.parametrize("family", ["holt", "holt_winters"])
 def test_screen_within_one_float32_block_runs_no_sample(family, make_seasonal, monkeypatch):
     # the grid spans two float64 blocks but fits one float32 block: the screen
-    # sweeps it whole with no sample and no pruning, then the float64 search
+    # searches it whole with no sample and no pruning, then the float64 search
     # runs only the points it kept
     spec = ForecasterSpec(family)
     size = smoothing._grid(spec)["alpha"].size
@@ -591,16 +599,18 @@ def drawn_series(seed, n, period, noise, offset):
 
 
 def screen_dtypes(spec, series):
-    """The dtype of each sweep a fit of ``spec`` on ``series`` runs, after
-    checking the fit against the whole-grid reference."""
-    dtypes, sweep = [], smoothing._sweep
+    """The dtype of each search over more than ``_BLOCK`` points that a fit of
+    ``spec`` on ``series`` runs, after checking the fit against the whole-grid
+    reference."""
+    dtypes, search = [], smoothing._search
 
-    def recording(grid, y, season, dtype, *args):
-        dtypes.append(np.dtype(dtype).name)
-        return sweep(grid, y, season, dtype, *args)
+    def recording(grid, members, season=None, dtype=np.float64, *args):
+        if grid["alpha"].size > smoothing._BLOCK:
+            dtypes.append(np.dtype(dtype).name)
+        return search(grid, members, season, dtype, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(smoothing, "_sweep", recording)
+        patch.setattr(smoothing, "_search", recording)
         blocked_and_reference(spec, series)
     return dtypes
 
@@ -623,7 +633,7 @@ def test_screen_equals_whole_grid_on_drawn_series(seed, n, period, noise, offset
 @pytest.mark.parametrize("family", SCREENED)
 def test_screen_equals_whole_grid_on_exact_series(family):
     # a constant series fits with SSE 0 everywhere and an exact line or
-    # pattern nearly so: below the floor, where the float64 sweep decides
+    # pattern nearly so: below the floor, where the float64 search decides
     t = np.arange(1.0, 49.0)
     exact = [TimeSeries("flat", np.full(48, 7.0)), TimeSeries("line", 3.0 + 0.5 * t),
              TimeSeries("pattern", (200.0 + 1.5 * t) * np.array(MONTHLY_PATTERN)[(t.astype(int) - 1) % 12], 12)]
@@ -650,7 +660,7 @@ def test_screen_equals_whole_grid_on_lock_corpus(family, monkeypatch):
 def test_screen_below_its_floor_runs_float64(monkeypatch):
     # a 550x offset leaves relative noise of about 1.3e-9 of max|y|, under
     # float32's resolution: the best RMS error is under 2**-12 of max|y|, so
-    # the float64 sweep decides. Without the floor the float32 screen would
+    # the float64 search decides. Without the floor the float32 screen would
     # drop the float64 winner and keep a point with a larger SSE
     spec, series = ForecasterSpec("holt"), drawn_series(0, 87, 1, 7.2e-7, 550.0)
     assert screen_dtypes(spec, series) == ["float32", "float64"]
