@@ -20,11 +20,12 @@ H = h; the search has no cost). The tokens of a table and a cost share each
 origin's loss rows, and each selecting token sums its own origins' rows, as
 ``estimate_theta`` does, and takes the chosen row at n. A smoothing fit is
 made once per series and family (with pins), so a seasonal family falling back
-to its sibling reuses that token's fit. A fit and a table are each made in one
-batch (``smoothing.fit_all``, ``groe.forecast_tables``) for every context of
-the runner task (a list of contexts) that plans it, and its time is charged
-to those contexts by their series' lengths. A context plans in one table: a
-GROE table's key maps to its origins, a fit's to None.
+to its sibling reuses that token's fit. A context plans in one table: a GROE
+table's key maps to its origins, a fit's to None. Before a runner task's
+tokens run, :func:`make_batches` makes each key its contexts plan in one batch
+(``smoothing.fit_all``, ``groe.forecast_tables``) for all that plan it, its
+time charged to them by their series' lengths. A key no batch made is made
+alone by the token that asks for it.
 """
 
 from __future__ import annotations
@@ -130,19 +131,16 @@ class SeriesContext:
 
     Construction plans each otm token (its scored origins, or its one theta
     and any fallback note) and, in one table, the batches its tokens will ask
-    for: each GROE table with its origins, and each fit without a season. It
-    appends the context to ``task``, the runner task's contexts whose cells
-    have yet to run. Nothing else is computed until a token asks for it, and a
-    piece that raises is not stored (a fit or a table keeps its error), so it
-    fails every token that needs it and no other.
+    for: each GROE table with its origins, and each fit without a season.
+    Nothing else is computed until :func:`make_batches` or a token asks for
+    it, and a piece that raises is not stored (a fit or a table keeps its
+    error), so it fails every token that needs it and no other.
     """
 
-    def __init__(self, series: TimeSeries, h: int, specs=(), task: list | None = None) -> None:
+    def __init__(self, series: TimeSeries, h: int, specs=()) -> None:
         self.series = series
         self.h = h
         self.specs = tuple(specs)
-        self._task = [] if task is None else task
-        self._task.append(self)
         self.charge = 0.0
         self._rows: dict[tuple, dict[int, np.ndarray]] = {}
         # a table's (grid, extrapolator) or a fit's (theta or None, spec): (it or its error, time share)
@@ -189,45 +187,21 @@ class SeriesContext:
             return self.series, self.adjusted[0].indices if spec.family in SEASONAL else None
         return theta_line(self.adjusted[1], self.trend, first), None
 
-    def _batch(self, key: tuple) -> None:
-        # one forecast_tables or fit_all call for this series and each of its task's
-        # that plans and lacks ``key``: each keeps its result or error and a time
-        # share by its series' length
-        start = time.perf_counter()
-        members = [self]
-        if key in self._planned:  # else no other context plans it either: skip the scan
-            members += [m for m in self._task
-                        if m is not self and key in m._planned and key not in m._done]
-        inputs = {}
-        for member in members:
-            try:
-                inputs[member] = member._input(key)
-            except Exception as exc:
-                member._done[key] = exc, 0.0
-        if isinstance(key[0], tuple):
-            results = forecast_tables(list(inputs.values()), *key)
-        else:  # no context plans a fit with a season, so one with a season runs alone
-            season = next(iter(inputs.values()), (None, None))[1]
-            results = smoothing.fit_all(key[1], [line for line, _ in inputs.values()], season=season)
-        elapsed = time.perf_counter() - start
-        total = sum(work.n for work, *_ in inputs.values())
-        for (member, (work, *_)), result in zip(inputs.items(), results):
-            member._done[key] = result, elapsed * work.n / total
-        self.charge -= elapsed
-
     def _take(self, key: tuple):
-        # the result of ``key``, batched on first use; raises its error
+        # the result of ``key``, raising its error: a batch's charges its time share to the
+        # first cell that takes it, and a key no batch made is made alone, in this cell's time
         if key not in self._done:
-            self._batch(key)
+            _batch(key, [self])
+            self._done[key] = self._done[key][0], 0.0
         result, share = self._done[key]
-        self._done[key] = result, 0.0  # its time share is charged once, to this cell
+        self._done[key] = result, 0.0
         self.charge += share
         if isinstance(result, Exception):
             raise result
         return result
 
     def settle(self) -> float:
-        """The time correction of the cell that just ran: minus its batches, plus its shares."""
+        """The batch time shares that the cell that just ran took."""
         charge, self.charge = self.charge, 0.0
         return charge
 
@@ -260,6 +234,37 @@ class SeriesContext:
         if idx is not None:
             forecasts = reseasonalize(forecasts, idx, start_t=series.n + 1)
         return ForecastResult(series.id, spec.name, forecasts, theta, idx is not None, note)
+
+
+def _batch(key: tuple, contexts: list[SeriesContext]) -> None:
+    # one forecast_tables or fit_all call of ``key`` for ``contexts``: each keeps its result or
+    # error (that of the whole call, if it raises) and a time share by its series' length
+    start = time.perf_counter()
+    inputs = {}
+    for context in contexts:
+        try:
+            inputs[context] = context._input(key)
+        except Exception as exc:
+            context._done[key] = exc, 0.0
+    try:
+        if isinstance(key[0], tuple):
+            results = forecast_tables(list(inputs.values()), *key)
+        else:  # no context plans a fit with a season, so one with a season runs alone
+            season = next(iter(inputs.values()), (None, None))[1]
+            results = smoothing.fit_all(key[1], [line for line, _ in inputs.values()], season=season)
+    except Exception as exc:
+        results = [exc] * len(inputs)
+    elapsed = time.perf_counter() - start
+    total = sum(work.n for work, *_ in inputs.values())
+    for (context, (work, *_)), result in zip(inputs.items(), results):
+        context._done[key] = result, elapsed * work.n / total
+
+
+def make_batches(contexts: list[SeriesContext]) -> None:
+    """Make every key that ``contexts`` plan, before any of their tokens runs: one
+    batch per key for every context that plans it."""
+    for key in dict.fromkeys(key for context in contexts for key in context._planned):
+        _batch(key, [context for context in contexts if key in context._planned])
 
 
 def run_method(

@@ -17,11 +17,11 @@ helper that ends before sending a claimed task's result (killed, or exiting
 inside a method) costs only that task: once every helper has ended, each task
 left without a result runs once more alone in a fresh helper, and if that one
 dies too, the task's cells fail with an error that names its exit code. A
-task is the list of its series'
-:class:`~optitheta.pipeline.SeriesContext`, so each smoothing fit and GROE
-forecast table is made for all of them at once and its time charged to them
-by their lengths, each share in the cell that takes it, so the cell times of
-a group still add up. A series' cells are scored together once they have
+task builds its series' :class:`~optitheta.pipeline.SeriesContext` and, before
+any cell runs, makes each smoothing fit and GROE forecast table they plan for
+all of them at once (``pipeline.make_batches``), its time charged to them by
+their lengths, each share in the cell that takes it, so the cell times of a
+group still add up. A series' cells are scored together once they have
 all run, by one ``smape`` and one ``mase`` call over their stacked forecasts,
 so a cell's ``elapsed`` covers its own run alone. Results are merged back in
 dataset order and folded sequentially, which makes every output file (timing
@@ -49,7 +49,7 @@ from .metrics import (
     mase,
     smape,
 )
-from .pipeline import ForecastResult, MethodSpec, SeriesContext, run_method
+from .pipeline import ForecastResult, MethodSpec, SeriesContext, make_batches, run_method
 
 SCORES_FILE = "scores.csv"
 AGGREGATE_FILE = "aggregate.csv"
@@ -133,13 +133,12 @@ def _task_size(entries: int, processes: int) -> int:
 
 
 def _evaluate_task(entries: list[DatasetEntry], methods: tuple[MethodSpec, ...]) -> TaskResult:
-    # built here, in the worker, so the shared work is never pickled
-    task: list[SeriesContext] = []
-    for entry in entries:
-        SeriesContext(entry.series, entry.h, methods, task)
-    # no later batch needs a series, so its work is freed once its cells have run
+    # built here, in the worker, so the shared work is never pickled; every batch is
+    # made before the first cell, so a series' work is freed once its cells have run
+    contexts = [SeriesContext(entry.series, entry.h, methods) for entry in entries]
+    make_batches(contexts)
     return TaskResult.of([cell for entry in entries
-                          for cell in _evaluate_entry(entry, task.pop(0), methods)])
+                          for cell in _evaluate_entry(entry, contexts.pop(0), methods)])
 
 
 def _evaluate_entry(entry: DatasetEntry, context: SeriesContext,

@@ -21,7 +21,7 @@ from optitheta.groe import (
     COST_FUNCTIONS, DEFAULT_THETA_GRID, forecast_table, forecast_tables, loss_rows, scored_origins,
     select_theta,
 )
-from optitheta.pipeline import SeriesContext
+from optitheta.pipeline import SeriesContext, make_batches
 from optitheta.seasonal import SeasonalIndices, reseasonalize
 from optitheta.series import fit_linear_trend, trend_value
 from optitheta.smoothing import ForecasterSpec, fit as fit_forecaster, forecast as smooth_forecast
@@ -346,8 +346,8 @@ def test_a_fixed_theta_token_fits_the_adjusted_line_once_per_series(monkeypatch)
 
 
 def test_a_context_plans_exactly_what_its_tokens_take(monkeypatch):
-    # a planned batch that no token takes is wasted in every batch that scans for it, and
-    # a table planned without n or one of its tokens' origins cannot serve them
+    # a planned batch that no token takes is made for nothing, and a table planned
+    # without n or one of its tokens' origins cannot serve them
     taken = []
     take = SeriesContext._take
 
@@ -364,9 +364,10 @@ def test_a_context_plans_exactly_what_its_tokens_take(monkeypatch):
              *(MethodSpec.benchmark(family) for family in smoothing.FAMILIES),
              MethodSpec.otm("a", grid=(1.0,))]
     assert len(specs) == 17
-    task, unplanned = [], 0
-    for series, h in cases:
-        context = SeriesContext(series, h, specs, task)
+    contexts = [SeriesContext(series, h, specs) for series, h in cases]
+    make_batches(contexts)
+    unplanned = 0
+    for context, (series, h) in zip(contexts, cases):
         tables = {}
         for spec in selecting(specs):
             try:

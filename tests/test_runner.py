@@ -420,6 +420,55 @@ def test_a_task_builds_each_table_for_all_its_series_at_once(monkeypatch):
         assert calls == [min(size, len(ds) - start) for start in range(0, len(ds), size)]
 
 
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=forking)])
+def test_a_batch_that_raises_as_a_whole_fails_each_member_once(monkeypatch, tmp_path, workers):
+    # a forecast_tables call that raises outside its per-member handling is made once
+    # for the task and fails every cell that takes its table; the other cells run as alone
+    calls = tmp_path / "calls"
+
+    def failing(*args):
+        with calls.open("a") as log:  # a file, so a helper's calls are counted too
+            log.write("call\n")
+        raise MemoryError("planted")
+
+    monkeypatch.setattr(pipeline, "forecast_tables", failing)
+    monkeypatch.setattr(runner, "_task_size", lambda entries, processes: entries)
+    ds = synthetic_dataset(4, {"Yearly": 2, "Quarterly": 2, "Monthly": 2, "Other": 0})
+    methods = (MethodSpec.otm("a"), MethodSpec.otm("d"), MethodSpec.benchmark("naive"))
+    result = run_experiment(ds, ExperimentConfig(methods=methods, workers=workers))
+    assert calls.read_text() == "call\n"
+    assert len(ds) == 6 and len(result.scores) == 18
+    cells = iter(result.forecasts)
+    for score in result.scores:
+        if score.method == "naive":
+            entry = next(e for e in ds if e.series.id == score.series_id)
+            alone = run_method(entry.series, entry.h, methods[2])
+            assert score.error is None and next(cells).forecasts.tobytes() == alone.forecasts.tobytes()
+        else:
+            assert score.error == "MemoryError: planted", (score.series_id, score.method)
+
+
+def test_a_task_makes_its_tables_and_fits_before_its_first_cell(monkeypatch):
+    log = []
+    for module, name in ((runner, "run_method"), (pipeline, "forecast_tables"), (smoothing, "fit_all")):
+        original = getattr(module, name)
+
+        def logging(*args, _name=name, _original=original, **kwargs):
+            log.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, logging)
+    monkeypatch.setattr(runner, "_task_size", lambda entries, processes: entries)
+    ds = synthetic_dataset(8, {"Yearly": 2, "Quarterly": 2, "Monthly": 2, "Other": 1})
+    methods = (MethodSpec.classic_theta(), MethodSpec.otm("a"), MethodSpec.benchmark("naive"),
+               MethodSpec.benchmark("ses"))
+    result = run_experiment(ds, ExperimentConfig(methods=methods))
+    assert all(s.error is None for s in result.scores)
+    first = log.index("run_method")
+    assert {"forecast_tables", "fit_all"} <= set(log[:first])
+    assert set(log[first:]) == {"run_method"}
+
+
 def test_a_pack_is_charged_to_its_series_by_length(monkeypatch):
     # the three tables are one pack; each selecting cell pays the pack's time
     # in proportion to its series' length, not the first cell for all three
