@@ -266,7 +266,7 @@ def forecast_tables(members, grid, extrapolator: ForecasterSpec = SES) -> list:
             out.append(None)
         except Exception as exc:
             out.append(exc)
-    found = _search(_grid(extrapolator), [member[:3] for _, member in ready])
+    found = _search(_grid(extrapolator), [(*member[:3], None) for _, member in ready])
     for (j, (*_, finish)), (score, params, level, trend, *_) in zip(ready, found):
         try:
             out[j] = finish(score, level, trend, params.get("phi"))

@@ -21,11 +21,13 @@ origin's loss rows, and each selecting token sums its own origins' rows, as
 ``estimate_theta`` does, and takes the chosen row at n. A smoothing fit is
 made once per series and family (with pins), so a seasonal family falling back
 to its sibling reuses that token's fit. A context plans in one table: a GROE
-table's key maps to its origins, a fit's to None. Before a runner task's
-tokens run, :func:`make_batches` makes each key its contexts plan in one batch
-(``smoothing.fit_all``, ``groe.forecast_tables``) for all that plan it, its
-time charged to them by their series' lengths. A key no batch made is made
-alone by the token that asks for it.
+table's key maps to its origins, a fit's to None; a seasonal family's fit is
+not planned, since its season is known only once the series is tested. Before
+a runner task's tokens run, :func:`make_batches` makes each key its contexts
+plan in one batch (``smoothing.fit_all``, ``groe.forecast_tables``) for all
+that plan it, and splits the batch's time by series length among the contexts
+whose input it built. A key no batch made is made alone by the token that
+asks for it, in that token's own time.
 """
 
 from __future__ import annotations
@@ -143,8 +145,9 @@ class SeriesContext:
         self.specs = tuple(specs)
         self.charge = 0.0
         self._rows: dict[tuple, dict[int, np.ndarray]] = {}
-        # a table's (grid, extrapolator) or a fit's (theta or None, spec): (it or its error, time share)
-        self._done: dict[tuple, tuple] = {}
+        # a table's (grid, extrapolator) or a fit's (theta or None, spec): it or its error
+        self._done: dict[tuple, object] = {}
+        self._shares: dict[tuple, float] = {}  # each batch's time share, until a cell takes it
         self._planned: dict[tuple, set[int] | None] = {}  # planned keys: a table's origins, a fit's None
         self._origins: dict[MethodSpec, list[int]] = {}
         self._fixed: dict[MethodSpec, tuple[float, str | None]] = {}
@@ -178,8 +181,8 @@ class SeriesContext:
         return fit_linear_trend(self.adjusted[1])
 
     def _input(self, key: tuple) -> tuple:
-        # what the batch of ``key`` runs on: a table's forecast_tables member, or the
-        # series a fit runs on and its seasonal factors
+        # what the batch of ``key`` runs on: a table's forecast_tables member, or a fit's
+        # fit_all member, the series it runs on and its seasonal factors or None
         first, spec = key
         if isinstance(first, tuple):  # a table's (grid, extrapolator)
             return self.adjusted[1], self._planned[key], self.h
@@ -188,14 +191,12 @@ class SeriesContext:
         return theta_line(self.adjusted[1], self.trend, first), None
 
     def _take(self, key: tuple):
-        # the result of ``key``, raising its error: a batch's charges its time share to the
-        # first cell that takes it, and a key no batch made is made alone, in this cell's time
+        # the result of ``key``, raising its error: the first cell that takes a batch's result
+        # pays its time share, and a key no batch made is made alone, in this cell's time
         if key not in self._done:
             _batch(key, [self])
-            self._done[key] = self._done[key][0], 0.0
-        result, share = self._done[key]
-        self._done[key] = result, 0.0
-        self.charge += share
+        self.charge += self._shares.pop(key, 0.0)
+        result = self._done[key]
         if isinstance(result, Exception):
             raise result
         return result
@@ -236,35 +237,37 @@ class SeriesContext:
         return ForecastResult(series.id, spec.name, forecasts, theta, idx is not None, note)
 
 
-def _batch(key: tuple, contexts: list[SeriesContext]) -> None:
+def _batch(key: tuple, contexts: list[SeriesContext]) -> dict:
     # one forecast_tables or fit_all call of ``key`` for ``contexts``: each keeps its result or
-    # error (that of the whole call, if it raises) and a time share by its series' length
-    start = time.perf_counter()
+    # error (that of the whole call, if it raises); returns the contexts whose input it built
     inputs = {}
     for context in contexts:
         try:
             inputs[context] = context._input(key)
         except Exception as exc:
-            context._done[key] = exc, 0.0
+            context._done[key] = exc
     try:
         if isinstance(key[0], tuple):
             results = forecast_tables(list(inputs.values()), *key)
-        else:  # no context plans a fit with a season, so one with a season runs alone
-            season = next(iter(inputs.values()), (None, None))[1]
-            results = smoothing.fit_all(key[1], [line for line, _ in inputs.values()], season=season)
+        else:
+            results = smoothing.fit_all(key[1], list(inputs.values()))
     except Exception as exc:
         results = [exc] * len(inputs)
-    elapsed = time.perf_counter() - start
-    total = sum(work.n for work, *_ in inputs.values())
-    for (context, (work, *_)), result in zip(inputs.items(), results):
-        context._done[key] = result, elapsed * work.n / total
+    for context, result in zip(inputs, results):
+        context._done[key] = result
+    return inputs
 
 
 def make_batches(contexts: list[SeriesContext]) -> None:
     """Make every key that ``contexts`` plan, before any of their tokens runs: one
-    batch per key for every context that plans it."""
+    batch per key for every context that plans it, whose time the contexts it built
+    an input for share by their series' lengths."""
     for key in dict.fromkeys(key for context in contexts for key in context._planned):
-        _batch(key, [context for context in contexts if key in context._planned])
+        start = time.perf_counter()
+        made = _batch(key, [context for context in contexts if key in context._planned])
+        elapsed, total = time.perf_counter() - start, sum(context.series.n for context in made)
+        for context in made:
+            context._shares[key] = elapsed * context.series.n / total
 
 
 def run_method(

@@ -48,19 +48,21 @@ plateau with 16,384, which the sweep's noise does not separate from it.
 A search also runs several members side by side on a leading member axis,
 by one rule for fits and GROE forecast tables alike: members with one
 schedule share a pack, where a member's schedule is how far back from its
-end, n - t, each of its scored steps t lies. A member with no trend and no
-season joins a pack of up to ``_BLOCK // (inputs * grid size)`` members of
-its schedule, shortest first: 81 SES fits (one input each, all of schedule
-(0,)) or 40 SES tables (two, see the ``groe`` module), whose 101-point steps
-are otherwise mostly numpy call overhead. A pack is right-aligned: every
-member ends at the longest n, T, and is padded at its start with its own
-first row. SES then makes exact zero errors and keeps its seeded level until
+end, n - t, each of its scored steps t lies. A member whose grid has no trend
+(and so no season, which every family with ``gamma`` adds to a trend) joins a
+pack of up to ``_BLOCK // (inputs * grid size)`` members of its schedule,
+shortest first: 81 SES fits (one input each, all of schedule (0,)) or 40 SES
+tables (two, see the ``groe`` module), whose 101-point steps are otherwise
+mostly numpy call overhead. A pack is right-aligned: every member ends at the
+longest n, T, and is padded at its start with its own first row. SES then
+makes exact zero errors and keeps its seeded level until
 the member starts, so every error, state and running sum of the member is
 bit-identical to a search of it alone, and its step t is the pack's step
 t + T - n. Every member is thus scored at every checkpoint T - d of the pack,
 d in the schedule, and each checkpoint scores the whole pack with one matmul,
 argmin and gather. Padding would seed a trend with 0 instead of y_2 - y_1
-and shift a season, so any other member runs alone, unpadded.
+and shift a season, so a member whose grid has a trend runs alone, unpadded,
+with its own seasonal factors if it has any.
 
 A fit whose grid spans more than one block (holt, holt_winters, damped,
 seasonal_damped) screens it first (:func:`_screen`): it scales y by the power
@@ -235,8 +237,8 @@ def _recurrence(y: np.ndarray, alpha: np.ndarray, beta=None, phi=None, gamma=Non
     ``beta`` None runs SES; otherwise ``phi`` damps the trend (None for
     Holt, which skips the multiply by phi). ``gamma`` with the initial
     factors ``season`` (one per period position) adds a multiplicative
-    season, kept row-major with shape (period, grid size) so that each step
-    touches one contiguous row.
+    season, kept in the dtype of ``y`` and row-major with shape (period, grid
+    size) so that each step touches one contiguous row.
 
     Yields ``(e, level, trend, season)`` after each of y_2..y_n: the one-step
     errors of that observation and the states after it (``trend`` and
@@ -265,7 +267,7 @@ def _recurrence(y: np.ndarray, alpha: np.ndarray, beta=None, phi=None, gamma=Non
     step = np.empty_like(level)  # each state's correction in turn
     if season is not None:
         period = season.size
-        season = np.repeat(season[:, None], alpha.size, axis=1)
+        season = np.repeat(season[:, None].astype(level.dtype), alpha.size, axis=1)
     for t in range(1, len(y)):
         if trend is not None:
             if phi is not None:
@@ -312,18 +314,19 @@ def _fit_naive(series: TimeSeries, season) -> FittedForecaster:
 
 
 @np.errstate(all="ignore")  # an overflowed or NaN score never wins
-def _search(grid: dict[str, np.ndarray], members: list, season=None, dtype=np.float64,
+def _search(grid: dict[str, np.ndarray], members: list, dtype=np.float64,
             margin: float | None = None, stop: float = 0.0) -> list:
     """Search the flattened ``grid`` (see :func:`_grid`) on each of ``members`` in
     ``dtype``, a block at a time, in the packs the module docstring describes.
 
-    A member ``(run, ts, weights)`` has a run of shape (n, inputs), one input
-    under a season, its scored steps ``ts``, ascending, and their weight
-    matrices, of shape (len(ts), rows, inputs**2). Members with one schedule,
-    ``n - t`` for each t of ``ts``, share a pack. A block sums the member's
-    one-step error products, e*e or e_a*e_b in row a*inputs + b, and after
-    y_t, for each t of ``ts``, each row w scores every grid point by ``w @
-    products`` (a fit's one row of ones scores its SSE). A row's winner, with
+    A member ``(run, ts, weights, season)`` has a run of shape (n, inputs), its
+    scored steps ``ts``, ascending, their weight matrices, of shape (len(ts),
+    rows, inputs**2), and its initial seasonal factors or None; a member with a
+    season has one input and a grid with ``gamma``, and so runs alone. Members
+    with one schedule, ``n - t`` for each t of ``ts``, share a pack. A block sums
+    the member's one-step error products, e*e or e_a*e_b in row a*inputs + b,
+    and after y_t, for each t of ``ts``, each row w scores every grid point by
+    ``w @ products`` (a fit's one row of ones scores its SSE). A row's winner, with
     a copy of its state, is the first least sanitised score: a later block
     replaces it only on a strict ``<``. Returns each member's ``(score, params,
     level, trend, season, kept)``, the first five with its ``ts`` first, then
@@ -337,19 +340,18 @@ def _search(grid: dict[str, np.ndarray], members: list, season=None, dtype=np.fl
     if not members:
         return []
     inputs, size = members[0][0].shape[1], grid["alpha"].size
-    # padding would seed a trend with 0 instead of y_2 - y_1 and shift a season
-    width = max(1, _BLOCK // (inputs * size)) if season is None and "beta" not in grid else 1
+    # padding would seed a trend with 0 instead of y_2 - y_1 and shift a season, which only a trend has
+    width = max(1, _BLOCK // (inputs * size)) if "beta" not in grid else 1
     span = _BLOCK * 8 // np.dtype(dtype).itemsize  # a block of any dtype holds as many bytes
-    season = None if season is None else season.astype(dtype, copy=False)
     prune, bound, reach = len(members) == inputs == 1, np.inf, 1 + (margin or 0.0)
     kept = [] if prune and margin is not None else None
     if prune and size > span:  # the first bound: every _STRIDE-th point, in one block
-        sample = _search({k: v[::_STRIDE] for k, v in grid.items()}, members, season, dtype, margin, stop)
+        sample = _search({k: v[::_STRIDE] for k, v in grid.items()}, members, dtype, margin, stop)
         if (bound := sample[0][0][0, 0]) < stop:
             return sample
     schedules = {}  # each schedule's members, shortest first
     for j in sorted(range(len(members)), key=lambda j: len(members[j][0])):
-        run, ts, _ = members[j]
+        run, ts, *_ = members[j]
         schedules.setdefault(tuple(len(run) - t for t in ts), []).append(j)
     out = [None] * len(members)
     for schedule, pack in [(s, js[i : i + width]) for s, js in schedules.items() for i in range(0, len(js), width)]:
@@ -372,7 +374,7 @@ def _search(grid: dict[str, np.ndarray], members: list, season=None, dtype=np.fl
         for first in range(0, size, span):
             block = {key: v[first : first + span].astype(dtype, copy=False) for key, v in grid.items()}
             points, limit, sums, scores = np.arange(first, first + block["alpha"].size), bound * reach, 0.0, None
-            recursion = _recurrence(y, season=season, **block)
+            recursion = _recurrence(y, season=members[pack[0]][3], **block)  # only a member alone has one
             for t, (e, level, trend, factors) in enumerate(recursion, start=2):
                 if e is not None:
                     sums += products(e)
@@ -417,31 +419,34 @@ def _search(grid: dict[str, np.ndarray], members: list, season=None, dtype=np.fl
     return out
 
 
-def _screen(grid: dict[str, np.ndarray], y: np.ndarray, season) -> dict[str, np.ndarray]:
-    """The points of a fit's ``grid`` on ``y`` the float64 search runs (see the module docstring)."""
-    member = (np.ldexp(y, -np.frexp(np.abs(y).max())[1])[:, None], [y.size], _SSE)  # y scaled
-    best, *_, keep = _search(grid, [member], season, np.float32, _MARGIN, _FLOOR * y.size)[0]
+def _screen(grid: dict[str, np.ndarray], member: tuple) -> dict[str, np.ndarray]:
+    """The points of a fit's ``grid`` that the float64 search of its ``member`` (see
+    :func:`_search`) runs, as the module docstring says."""
+    run, *rest = member
+    scaled = np.ldexp(run, -np.frexp(np.abs(run).max())[1])
+    best, *_, keep = _search(grid, [(scaled, *rest)], np.float32, _MARGIN, _FLOOR * len(run))[0]
     return grid if keep is None or best[0, 0] == np.inf else {k: v[keep] for k, v in grid.items()}
 
 
-def fit_all(spec: ForecasterSpec, series: list, season=None) -> list:
-    """A fit of ``spec``'s family, with the factors ``season`` when given, on
-    every series, packed as the module docstring says: one fit per series, or
-    the ``ValueError`` of a series that is too short or on which the recursion
-    overflows at every grid point, which leaves the other series' fits alone."""
+def fit_all(spec: ForecasterSpec, members: list) -> list:
+    """A fit of ``spec``'s family on the series of each member ``(series, season)``,
+    with its seasonal factors ``season`` unless None, packed as the module
+    docstring says: one fit per member, or the ``ValueError`` of a series that is
+    too short or on which the recursion overflows at every grid point, which
+    leaves the other members' fits alone."""
     min_n = _min_n(spec.family)
     out = [ValueError(f"series {s.id!r}: family {spec.family!r} needs n >= {min_n}, got n={s.n}")
-           if s.n < min_n else None for s in series]
+           if s.n < min_n else None for s, _ in members]
     if not _PARAMS[spec.family]:
-        return [failed or _fit_naive(s, season) for failed, s in zip(out, series)]
+        return [failed or _fit_naive(s, season) for failed, (s, season) in zip(out, members)]
     grid = _grid(spec)
-    fits = [(j, s) for j, (failed, s) in enumerate(zip(out, series)) if failed is None]
-    members = [(s.values[:, None], [s.n], _SSE) for _, s in fits]
+    fits = [(j, s, (s.values[:, None], [s.n], _SSE, season))
+            for j, (failed, (s, season)) in enumerate(zip(out, members)) if failed is None]
     if grid["alpha"].size <= _BLOCK:
-        found = _search(grid, members, season)
+        found = _search(grid, [m for *_, m in fits])
     else:  # each series screens the grid for its own search
-        found = [_search(_screen(grid, s.values, season), [m], season)[0] for (_, s), m in zip(fits, members)]
-    for (j, s), (sse, params, level, trend, factors, _) in zip(fits, found):
+        found = [_search(_screen(grid, m), [m])[0] for *_, m in fits]
+    for (j, s, _), (sse, params, level, trend, factors, _) in zip(fits, found):
         out[j] = ValueError(
             f"series {s.id!r}: family {spec.family!r} has no finite in-sample SSE "
             "at any grid point (the recursion overflows)"
@@ -467,7 +472,7 @@ def fit(spec: ForecasterSpec, series: TimeSeries) -> FittedForecaster:
     """
     seasonal = spec.family in SEASONAL and seasonality_applies(series)
     season = seasonal_indices(series).indices if seasonal else None
-    (fitted,) = fit_all(replace(spec, family=effective_family(spec.family, season)), [series], season)
+    (fitted,) = fit_all(replace(spec, family=effective_family(spec.family, season)), [(series, season)])
     if isinstance(fitted, ValueError):
         raise fitted
     return fitted

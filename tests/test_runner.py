@@ -377,6 +377,49 @@ def test_a_batch_is_charged_to_its_series_by_length(monkeypatch):
         assert share <= score.elapsed < share + 0.05, score.series_id
 
 
+def test_a_batch_charges_no_share_to_a_series_whose_input_fails(monkeypatch):
+    # the theta line of "huge" overflows, so the batched fit of the theta lines
+    # runs on the other two series, which share its time by their lengths
+    original = smoothing.fit_all
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(smoothing, "fit_all", slow)
+    monkeypatch.setattr(runner, "_task_size", lambda entries, processes: entries)
+    huge = DatasetEntry(TimeSeries("huge", np.linspace(1e308, 1.4e308, 8)), np.ones(3), "Other")
+    walks = [DatasetEntry(TimeSeries(f"s{n}", np.arange(1.0, n + 1)), np.ones(2), "Other") for n in (10, 20)]
+    ds = Dataset((walks[0], huge, walks[1]))
+    result = run_experiment(ds, ExperimentConfig(methods=(MethodSpec.classic_theta(),)))
+    elapsed = {score.series_id: score.elapsed for score in result.scores}
+    assert [score.error is None for score in result.scores] == [True, False, True]
+    assert elapsed["huge"] < 0.05
+    for n in (10, 20):
+        share = 0.3 * n / 30
+        assert share <= elapsed[f"s{n}"] < share + 0.05, n
+
+
+def test_a_seasonal_fit_is_made_alone_in_its_own_cell(monkeypatch, make_seasonal):
+    # no context plans a seasonal family's fit, since its season is only known
+    # once the series is tested; the cell that asks for the fit makes it alone
+    log = []
+    for module, name in ((runner, "run_method"), (smoothing, "fit_all")):
+        original = getattr(module, name)
+
+        def logging(*args, _name=name, _original=original, **kwargs):
+            log.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, logging)
+    series = make_seasonal(3, 48, [0.7, 1.3, 0.9, 1.1], noise=0.02)
+    ds = Dataset((DatasetEntry(series, np.full(4, 250.0), "Quarterly"),))
+    methods = (MethodSpec.benchmark("holt_winters", name="holt-winters"),)
+    result = run_experiment(ds, ExperimentConfig(methods=methods))
+    assert log == ["run_method", "fit_all"]
+    assert result.scores[0].error is None and result.forecasts[0].seasonal
+
+
 def test_a_task_makes_each_fit_for_all_its_series_at_once(monkeypatch):
     # the ses token's fit of the series and classic Theta's fit of the theta
     # line are each one fit_all call over every series of the task that asks

@@ -346,7 +346,7 @@ def test_blocked_search_equals_whole_grid(spec, kind, make_rw, make_seasonal, mo
 def fit_search(grid, y, dtype, margin):
     """A fit's one-member ``smoothing._search`` of ``grid`` on the 1-d ``y`` in
     ``dtype``: its least sanitised SSE and the indices it keeps at ``margin``."""
-    score, *_, keep = smoothing._search(grid, [(y[:, None], [y.size], smoothing._SSE)], None, dtype, margin)[0]
+    score, *_, keep = smoothing._search(grid, [(y[:, None], [y.size], smoothing._SSE, None)], dtype, margin)[0]
     return score[0, 0], keep
 
 
@@ -604,10 +604,10 @@ def screen_dtypes(spec, series):
     reference."""
     dtypes, search = [], smoothing._search
 
-    def recording(grid, members, season=None, dtype=np.float64, *args):
+    def recording(grid, members, dtype=np.float64, *args):
         if grid["alpha"].size > smoothing._BLOCK:
             dtypes.append(np.dtype(dtype).name)
-        return search(grid, members, season, dtype, *args)
+        return search(grid, members, dtype, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(smoothing, "_search", recording)
@@ -691,7 +691,7 @@ def test_packed_fits_equal_fits_alone(spec, make_rw, recorded_runs):
     # Each fit is bit-identical to a search of its series alone, and a series
     # that fails gets the error a fit of it alone raises
     corpus = mixed_corpus(make_rw)
-    packed = smoothing.fit_all(spec, corpus)
+    packed = smoothing.fit_all(spec, [(series, None) for series in corpus])
     runs = recorded_runs[:]
     members = sorted((s for s in corpus if s.n >= smoothing._min_n(spec.family)), key=lambda s: s.n)
     size = smoothing._grid(spec)["alpha"].size
@@ -719,10 +719,10 @@ def test_a_fit_pack_scores_once(make_rw, recorded_runs):
     # no search and returns only errors
     corpus = mixed_corpus(make_rw)
     assert len({s.n for s in corpus if s.n >= 2}) == 15
-    smoothing.fit_all(ForecasterSpec("ses"), corpus)
+    smoothing.fit_all(ForecasterSpec("ses"), [(series, None) for series in corpus])
     assert [scored for *_, scored in recorded_runs] == [[18]]
     assert smoothing.fit_all(ForecasterSpec("ses"), []) == []
-    short = [TimeSeries("one", [4.0]), TimeSeries("other", [1.0])]
+    short = [(TimeSeries("one", [4.0]), None), (TimeSeries("other", [1.0]), None)]
     assert all(isinstance(r, ValueError) for r in smoothing.fit_all(ForecasterSpec("ses"), short))
     assert all(isinstance(r, ValueError) for r in smoothing.fit_all(ForecasterSpec("holt"), short[:1]))
     assert len(recorded_runs) == 1
@@ -731,9 +731,28 @@ def test_a_fit_pack_scores_once(make_rw, recorded_runs):
 def test_fits_pack_block_size_series_per_search(make_rw, recorded_runs):
     # SES's 101-point grid packs 8192 // 101 = 81 series into one search
     corpus = [make_rw(seed, 10 + seed % 7, sid=f"rw{seed}") for seed in range(200)]
-    smoothing.fit_all(ForecasterSpec("ses"), corpus)
+    smoothing.fit_all(ForecasterSpec("ses"), [(series, None) for series in corpus])
     assert [(shape[1], size, scored) for shape, size, scored in recorded_runs] == [
         (81, 101, [81]), (81, 101, [81]), (38, 101, [38])]
+
+
+@pytest.mark.parametrize("spec", [ForecasterSpec("holt_winters", alpha=0.3), ForecasterSpec("holt_winters")],
+                         ids=["pinned", "screened"])
+def test_seasonal_fits_in_one_call_are_never_packed_and_keep_their_own_season(spec, make_seasonal,
+                                                                               recorded_runs):
+    # two seasonal series with different factors share one fit_all call, through
+    # one search (pinned: one block) or a screen each; each runs alone, unpadded,
+    # with its own factors, and so is bit-identical to its fit alone
+    corpus = [make_seasonal(5, 48, MONTHLY_PATTERN, noise=0.02, sid="a"),
+              make_seasonal(6, 60, MONTHLY_PATTERN[6:] + MONTHLY_PATTERN[:6], noise=0.05, sid="b")]
+    seasons = [seasonal_indices(series).indices for series in corpus]
+    assert seasons[0].tobytes() != seasons[1].tobytes()
+    both = smoothing.fit_all(spec, list(zip(corpus, seasons)))
+    assert all(len(shape) == 1 for shape, *_ in recorded_runs)  # one unpadded member per run
+    for series, result in zip(corpus, both):
+        alone = fit(spec, series)
+        assert alone.family_used == "holt_winters"
+        assert_same_fit(result, alone)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -764,7 +783,7 @@ def test_grid_is_the_lexicographic_meshgrid(family, keys, size, pins, make_seaso
     # a fit names exactly the grid's parameters, pinned ones included
     series = make_seasonal(2, 16, [0.9, 1.1, 0.8, 1.2], noise=0.05)
     season = seasonal_indices(series).indices if family in smoothing.SEASONAL else None
-    (fitted,) = smoothing.fit_all(spec, [series], season)  # with a season the test would refuse
+    (fitted,) = smoothing.fit_all(spec, [(series, season)])  # with a season the test would refuse
     assert fitted.family_used == family and list(fitted.params) == list(grid)
     dims = {k: np.unique(v) for k, v in grid.items()}
     assert all(dims[k].tolist() == [v] for k, v in pins.items() if k in dims)
