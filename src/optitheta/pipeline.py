@@ -22,12 +22,15 @@ origin's loss rows, and each selecting token sums its own origins' rows, as
 made once per series and family (with pins), so a seasonal family falling back
 to its sibling reuses that token's fit. A context plans in one table: a GROE
 table's key maps to its origins, a fit's to None; a seasonal family's fit is
-not planned, since its season is known only once the series is tested. Before
-a runner task's tokens run, :func:`make_batches` makes each key its contexts
-plan in one batch (``smoothing.fit_all``, ``groe.forecast_tables``) for all
-that plan it, and splits the batch's time by series length among the contexts
-whose input it built. A key no batch made is made alone by the token that
-asks for it, in that token's own time.
+not planned, since its season is known only once the series is tested. No
+schedule fits a series shorter than ``MIN_THETA_N``, so each of its otm tokens
+fits a fixed theta, and the series fails as the input of that fit, as a theta
+line that overflows does. Before a runner task's tokens run,
+:func:`make_batches` makes each key its contexts plan in one batch
+(``smoothing.fit_all``, ``groe.forecast_tables``) for all that plan it, and
+splits the batch's time by series length among the contexts whose input it
+built. A key no batch made is made alone by the token that asks for it, in
+that token's own time.
 """
 
 from __future__ import annotations
@@ -163,8 +166,7 @@ class SeriesContext:
                 self._fixed[spec] = spec.grid[0], None
             elif spec.family not in SEASONAL:
                 self._planned[None, ForecasterSpec(spec.family)] = None
-        if series.n >= MIN_THETA_N:
-            self._planned.update(((theta, spec.extrapolator), None) for spec, (theta, _) in self._fixed.items())
+        self._planned.update(((theta, spec.extrapolator), None) for spec, (theta, _) in self._fixed.items())
 
     @cached_property
     def adjusted(self) -> tuple[SeasonalIndices | None, TimeSeries]:
@@ -182,12 +184,16 @@ class SeriesContext:
 
     def _input(self, key: tuple) -> tuple:
         # what the batch of ``key`` runs on: a table's forecast_tables member, or a fit's
-        # fit_all member, the series it runs on and its seasonal factors or None
-        first, spec = key
+        # fit_all member, the series it runs on and its seasonal factors or None. A series
+        # shorter than MIN_THETA_N fails as the input of its fixed-theta fit, before its trend
+        # is fitted, so even n=1 gets this error
+        (first, spec), series = key, self.series
         if isinstance(first, tuple):  # a table's (grid, extrapolator)
             return self.adjusted[1], self._planned[key], self.h
         if first is None:
-            return self.series, self.adjusted[0].indices if spec.family in SEASONAL else None
+            return series, self.adjusted[0].indices if spec.family in SEASONAL else None
+        if series.n < MIN_THETA_N:
+            raise ValueError(f"series {series.id!r}: theta pipelines need n >= {MIN_THETA_N}, got n={series.n}")
         return theta_line(self.adjusted[1], self.trend, first), None
 
     def _take(self, key: tuple):
@@ -218,8 +224,6 @@ class SeriesContext:
             family = smoothing.effective_family(spec.family, indices)
             fitted = self._take((None, ForecasterSpec(family)))
             return ForecastResult(series.id, spec.name, smoothing.forecast(fitted, h), None, fitted.seasonal)
-        if series.n < MIN_THETA_N:
-            raise ValueError(f"series {series.id!r}: theta pipelines need n >= 3, got n={series.n}")
         idx, work = self.adjusted
         if spec in self._origins:
             table, n = self._take((spec.grid, spec.extrapolator)), series.n

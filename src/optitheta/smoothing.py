@@ -430,13 +430,16 @@ def _screen(grid: dict[str, np.ndarray], member: tuple) -> dict[str, np.ndarray]
 
 def fit_all(spec: ForecasterSpec, members: list) -> list:
     """A fit of ``spec``'s family on the series of each member ``(series, season)``,
-    with its seasonal factors ``season`` unless None, packed as the module
-    docstring says: one fit per member, or the ``ValueError`` of a series that is
-    too short or on which the recursion overflows at every grid point, which
-    leaves the other members' fits alone."""
-    min_n = _min_n(spec.family)
-    out = [ValueError(f"series {s.id!r}: family {spec.family!r} needs n >= {min_n}, got n={s.n}")
-           if s.n < min_n else None for s, _ in members]
+    with its seasonal factors ``season``, packed as the module docstring says: one
+    fit per member, or the ``ValueError`` of a member that is too short, whose
+    factors do not match the family (a family in ``SEASONAL`` needs them, any
+    other takes None), or on which the recursion overflows at every grid point,
+    which leaves the other members' fits alone."""
+    min_n, seasonal = _min_n(spec.family), spec.family in SEASONAL
+    rule = "needs seasonal factors" if seasonal else "takes no seasonal factors"
+    out = [ValueError(f"series {s.id!r}: family {spec.family!r} {rule}") if (season is None) == seasonal
+           else ValueError(f"series {s.id!r}: family {spec.family!r} needs n >= {min_n}, got n={s.n}")
+           if s.n < min_n else None for s, season in members]
     if not _PARAMS[spec.family]:
         return [failed or _fit_naive(s, season) for failed, (s, season) in zip(out, members)]
     grid = _grid(spec)

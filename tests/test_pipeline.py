@@ -109,9 +109,11 @@ def test_too_short_for_any_config_falls_back_to_classic():
     assert np.array_equal(result.forecasts, classic.forecasts)
 
 
-def test_run_otm_rejects_unusable_series():
-    with pytest.raises(ValueError, match="n >= 3"):
-        run_method(TimeSeries("s", [1.0, 2.0]), 4, MethodSpec.otm("a"))
+@pytest.mark.parametrize("values", [[1.0], [1.0, 2.0]], ids=["n1", "n2"])
+def test_run_otm_rejects_unusable_series(values):
+    # n=1 also has no OLS trend, so the length check must come before it
+    with pytest.raises(ValueError, match=f"theta pipelines need n >= 3, got n={len(values)}"):
+        run_method(TimeSeries("s", values), 4, MethodSpec.otm("a"))
 
 
 def test_run_otm_is_deterministic(make_seasonal):
@@ -387,6 +389,8 @@ def test_a_context_plans_exactly_what_its_tokens_take(monkeypatch):
         for first, spec in mine - set(planned):
             assert first is None and spec.family in smoothing.SEASONAL, (series.id, spec)
             unplanned += 1
+        if series.id == "n2":  # too short for a theta line, it still plans the fit it fails as
+            assert (2.0, theta_module.SES) in planned and (2.0, theta_module.SES) in mine
     assert unplanned > 0  # the seasonal fits of the seasonal series
 
 

@@ -10,7 +10,7 @@ from optitheta import (
     APPROACHES, TimeSeries, approach_config, estimate_theta, smoothing, synthetic_dataset,
 )
 from optitheta.groe import COST_FUNCTIONS, DEFAULT_THETA_GRID, forecast_table, scored_origins
-from optitheta.seasonal import seasonal_indices
+from optitheta.seasonal import seasonal_indices, seasonality_applies
 from optitheta.smoothing import FAMILIES, FittedForecaster, ForecasterSpec, damping, fit, forecast
 
 
@@ -726,6 +726,23 @@ def test_a_fit_pack_scores_once(make_rw, recorded_runs):
     assert all(isinstance(r, ValueError) for r in smoothing.fit_all(ForecasterSpec("ses"), short))
     assert all(isinstance(r, ValueError) for r in smoothing.fit_all(ForecasterSpec("holt"), short[:1]))
     assert len(recorded_runs) == 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fit_all_refuses_factors_that_do_not_match_the_family(family, make_seasonal):
+    # a seasonal family's member carries factors and any other's carries None; a
+    # member that breaks the rule gets its own error naming its series and family,
+    # and the member beside it still gets the fit that fit() makes of its series
+    series = make_seasonal(2, 24, [0.8, 1.2, 0.9, 1.1], noise=0.05)
+    assert seasonality_applies(series)
+    factors, seasonal = seasonal_indices(series).indices, family in smoothing.SEASONAL
+    wrong, right = (None, factors) if seasonal else (factors, None)
+    refused, fitted = smoothing.fit_all(ForecasterSpec(family), [(series, wrong), (series, right)])
+    rule = "needs" if seasonal else "takes no"
+    assert isinstance(refused, ValueError)
+    assert str(refused) == f"series 'seas': family {family!r} {rule} seasonal factors"
+    assert_same_fit(fitted, fit(ForecasterSpec(family), series))
+    assert fitted.family_used == family
 
 
 def test_fits_pack_block_size_series_per_search(make_rw, recorded_runs):
